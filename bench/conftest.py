@@ -1,0 +1,9 @@
+"""Put the package sources and the benchmark's modules on the import path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for p in (HERE, HERE.parent / "src"):
+    if str(p) not in sys.path:
+        sys.path.insert(0, str(p))
