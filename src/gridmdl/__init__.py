@@ -13,7 +13,7 @@ from .coding import (
 from .parsing import ParseConfig, Reading, ReadingPair, draw, generate, parse, read, write
 from .learn import (
     SearchConfig, Refinement, LearnResult,
-    initial_model, train_pair, propose_refinements, learn, predict, create,
+    initial_model, propose_refinements, learn, predict, create,
 )
 from .tasks import Task, Example, TaskReport, BatchReport, load_task, evaluate_task, evaluate_batch
 

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import lang
-from .lang import (
-    App, Ctor, Term, Unknown, Var,
-    BITS, COLOR, GRID, MASK, NAT, OBJECT, PAIR, SHAPE, VEC,
-)
+from .grids import MAX_DIM
+from .lang import App, Ctor, Term, Unknown, Var, BITS, COLOR, GRID, MASK, NAT, SHAPE
 
 LOG2_COLORS = math.log2(10)
 
@@ -38,7 +36,6 @@ P_SHAPE = {"Point": 0.5, "Rectangle": 0.5}
 class DLConfig:
     """Knobs of the description-length scheme."""
     alpha: float = 10.0
-    max_dim: int = 30
 
 
 DEFAULT_DL = DLConfig()
@@ -66,9 +63,9 @@ def l_dist(p: float) -> float:
         raise ValueError("probability out of range")
     return -math.log2(p)
 
-def l_position(coord: int, extent: int | None, cfg: DLConfig = DEFAULT_DL) -> float:
-    """Uniform code for one position component; 30 stands in for unknown extents."""
-    return math.log2(extent if extent else cfg.max_dim)
+def l_position(coord: int, extent: int | None) -> float:
+    """Uniform code for one position component; MAX_DIM stands in for unknown extents."""
+    return math.log2(extent if extent else MAX_DIM)
 
 def l_bitmap(h: int, w: int) -> float:
     return float(h * w)
@@ -98,13 +95,6 @@ def l_var(path: tuple, slot_path: tuple, candidates: Sequence[tuple]) -> float:
 
 # model coding
 
-def _nat_role_cost(n: int, role: str, axis: int, dims, cfg: DLConfig) -> float:
-    if role == "pos":
-        extent = dims[axis] if dims else None
-        return l_position(n, extent, cfg)
-    return l_nat(n)
-
-
 def _l_expr_body(e: Term, slot_path: tuple, sig: lang.EnvSig, sort: str) -> float:
     """Expression cost after the slot's kind charge."""
     if isinstance(e, Var):
@@ -115,14 +105,21 @@ def _l_expr_body(e: Term, slot_path: tuple, sig: lang.EnvSig, sort: str) -> floa
     if isinstance(e, App):
         cost = l_dist(P_EXPR["app"]) + l_uniform(len(FUNCTIONS))
         for a in e.args:
-            cost += _l_slot(a, NAT, "arg", 0, None, slot_path, sig)
+            cost += _l_term(a, NAT, "", None, slot_path, sig)
         return cost
     raise lang.LangError("not an expression")
 
 
-def _l_slot(t: Term, sort: str, role: str, axis: int, dims,
-            slot_path: tuple, sig: lang.EnvSig | None) -> float:
-    """Kind charge plus content for one model slot."""
+def _l_term(t: Term, sort: str, role: str, dims, slot_path: tuple,
+            sig: lang.EnvSig | None) -> float:
+    """Kind charge plus content for one slot, its role given by `lang.slot_role`.
+
+    Position components ("pos_i"/"pos_j") are uniform over `dims`, which a
+    Grid node sets to its own size, or to None when that is not ground.
+    Every node, primitives included, pays the value-kind charge before its
+    content; this is what makes structure-exposing refinements (an unknown
+    vector becoming Vec(?, ?)) strictly compressive.
+    """
     if isinstance(t, Unknown):
         return l_dist(P_TEMPLATE["unknown"])
     if lang.is_expr(t):
@@ -133,7 +130,11 @@ def _l_slot(t: Term, sort: str, role: str, axis: int, dims,
     if isinstance(t, int):
         if sort == COLOR:
             return cost + (l_dist(P_BG[t]) if role == "bg" else LOG2_COLORS)
-        return cost + _nat_role_cost(t, role, axis, dims, DEFAULT_DL)
+        if role == "pos_i":
+            return cost + l_position(t, dims[0] if dims else None)
+        if role == "pos_j":
+            return cost + l_position(t, dims[1] if dims else None)
+        return cost + l_nat(t)
     if isinstance(t, Ctor):
         csort = lang.ctor_sort(t.name)
         if csort == SHAPE:
@@ -141,24 +142,18 @@ def _l_slot(t: Term, sort: str, role: str, axis: int, dims,
         elif csort == MASK:
             cost += l_dist(P_MASK[t.name])
         if t.name == "Grid":
-            size, color, layers = t.args
-            inner = _ground_vec(size)
-            cost += _l_slot(size, VEC, "size", 0, None, slot_path + ("size",), sig)
-            cost += _l_slot(color, COLOR, "bg", 0, None, slot_path + ("color",), sig)
-            cost += l_nat(len(layers))
-            for k, obj in enumerate(layers):
-                cost += _l_slot(obj, OBJECT, "", 0, inner, slot_path + ("layers", k), sig)
-            return cost
+            dims = _ground_vec(t.args[0])
         for arg, (fname, fsort, is_list) in zip(t.args, lang.ctor_fields(t.name)):
             if fsort == BITS:
                 cost += l_bitmap(len(arg), len(arg[0]))
                 continue
-            frole = {"pos": "pos", "size": "size"}.get(fname, role if fsort == NAT else "")
-            if fsort == NAT:
-                ax = 0 if fname == "i" else 1
-                cost += _l_slot(arg, NAT, role, ax, dims, slot_path + (fname,), sig)
+            frole = lang.slot_role(t.name, fname, fsort, role)
+            if is_list:
+                cost += l_nat(len(arg))
+                for k, x in enumerate(arg):
+                    cost += _l_term(x, fsort, frole, dims, slot_path + (fname, k), sig)
             else:
-                cost += _l_slot(arg, fsort, frole, 0, dims, slot_path + (fname,), sig)
+                cost += _l_term(arg, fsort, frole, dims, slot_path + (fname,), sig)
         return cost
     raise lang.LangError(f"cannot code {t!r}")
 
@@ -169,113 +164,38 @@ def _ground_vec(t: Term) -> tuple[int, int] | None:
     return None
 
 
-def l_model(m: Term, sig: lang.EnvSig | None = None, cfg: DLConfig = DEFAULT_DL) -> float:
+def l_model(m: Term, sig: lang.EnvSig | None = None) -> float:
     """Description length of one grid model.
 
     `sig` is the input model's environment signature, required when `m`
     contains expressions (the output side). Ground positions are coded
     uniformly over their grid's dimensions when the model pins them, over
-    1..30 otherwise.
+    1..MAX_DIM otherwise.
     """
-    return _l_slot(m, GRID, "", 0, None, (), sig)
+    return _l_term(m, GRID, "", None, (), sig)
 
 
-def l_pair_model(model: Ctor, cfg: DLConfig = DEFAULT_DL) -> tuple[float, float]:
+def l_pair_model(model: Ctor) -> tuple[float, float]:
     """(input, output) model costs of an InOut model; the pair node is free."""
     gin, gout = model.args
-    return l_model(gin, None, cfg), l_model(gout, lang.signature(gin), cfg)
+    return l_model(gin, None), l_model(gout, lang.signature(gin))
 
 
 # data coding: unknown fills, diffs, deltas
 
-def _l_fill(t: Term, sort: str, role: str, dims, cfg: DLConfig) -> float:
-    """Code for a ground value standing where the template had an unknown.
-
-    Fills are coded like little ground models: every node, primitives
-    included, pays the value-kind charge before its content. This is what
-    makes structure-exposing refinements (an unknown vector becoming
-    Vec(?, ?)) strictly compressive.
-    """
-    kind = l_dist(P_TEMPLATE["value"])
-    if isinstance(t, int):
-        if sort == COLOR:
-            return kind + (l_dist(P_BG[t]) if role == "bg" else LOG2_COLORS)
-        if role == "pos_i":
-            return kind + l_position(t, dims[0] if dims else None, cfg)
-        if role == "pos_j":
-            return kind + l_position(t, dims[1] if dims else None, cfg)
-        return kind + l_nat(t)
-    if isinstance(t, Ctor):
-        csort = lang.ctor_sort(t.name)
-        cost = kind
-        if csort == SHAPE:
-            cost += l_dist(P_SHAPE[t.name])
-        elif csort == MASK:
-            cost += l_dist(P_MASK[t.name])
-        for arg, (fname, fsort, is_list) in zip(t.args, lang.ctor_fields(t.name)):
-            if fsort == BITS:
-                cost += l_bitmap(len(arg), len(arg[0]))
-            elif is_list:
-                cost += l_nat(len(arg))
-                for x in arg:
-                    cost += _l_fill(x, fsort, "", dims, cfg)
-            else:
-                frole = role
-                if fname == "pos":
-                    frole = "pos"
-                elif fname == "size":
-                    frole = "size"
-                elif fsort == NAT:
-                    frole = {"pos": ("pos_i" if fname == "i" else "pos_j")}.get(role, "size")
-                elif fsort == COLOR:
-                    frole = "bg" if (t.name == "Grid") else ""
-                cost += _l_fill(arg, fsort, frole, dims, cfg)
-        return cost
-    raise lang.LangError(f"fill is not ground: {t!r}")
-
-
-def l_fill(value: Term, sort: str, role: str, dims: tuple[int, int] | None,
-           cfg: DLConfig = DEFAULT_DL) -> float:
-    """Public wrapper over the fill code; `role` distinguishes positions ("pos"),
-    sizes ("size") and background colours ("bg")."""
+def l_fill(value: Term, sort: str, role: str, dims: tuple[int, int] | None) -> float:
+    """Code for a ground value standing where the template had an unknown:
+    the model code of the value as a slot of that sort and role, positions
+    uniform over `dims`."""
+    if not lang.is_ground(value):
+        raise lang.LangError(f"fill is not ground: {value!r}")
     if role == "pos" and isinstance(value, int):
         raise lang.LangError("a position fill is a vector or its component with axis role")
-    return _l_fill(value, sort, role, dims, cfg)
-
-
-def _slot_context(model: Term, path: tuple) -> tuple[str, str]:
-    """(sort, role) of the slot at `path` in a grid model."""
-    sort, role = GRID, ""
-    t = model
-    for idx, step in enumerate(path):
-        if isinstance(step, int):
-            continue
-        if not isinstance(t, Ctor):
-            raise lang.LangError(f"path {path} leaves the model at {step!r}")
-        for k, (fname, fsort, is_list) in enumerate(lang.ctor_fields(t.name)):
-            if fname == step:
-                parent = t
-                nxt = t.args[k]
-                if is_list:
-                    nxt = nxt[path[idx + 1]] if idx + 1 < len(path) else nxt
-                if fname == "pos":
-                    role = "pos"
-                elif fname == "size":
-                    role = "size"
-                elif fsort == COLOR:
-                    role = "bg" if parent.name == "Grid" else ""
-                elif fsort == NAT:
-                    role = {"pos": ("pos_i" if fname == "i" else "pos_j")}.get(role, role or "size")
-                sort = fsort
-                t = nxt
-                break
-        else:
-            raise lang.LangError(f"no field {step!r} along {path}")
-    return sort, role
+    return _l_term(value, sort, role, dims, (), None)
 
 
 def l_parse_tree(tree: Term, applied_model: Term, diffs: Sequence[tuple[tuple, Term]],
-                 dims: tuple[int, int], cfg: DLConfig = DEFAULT_DL) -> float:
+                 dims: tuple[int, int]) -> float:
     """Cost of a parse tree given the applied (expression-free) model.
 
     Diffs each pay a location choice among the model's nodes plus the ground
@@ -286,15 +206,16 @@ def l_parse_tree(tree: Term, applied_model: Term, diffs: Sequence[tuple[tuple, T
     cost = 0.0
     effective = applied_model
     if diffs:
+        slot_of = {path: (sort, role) for path, sort, role, _ in lang.slots(applied_model)}
         cost += l_nat(len(diffs))
-        loc = l_uniform(lang.node_count(applied_model))
+        loc = l_uniform(len(slot_of))
         for path, ground in diffs:
-            sort, role = _slot_context(applied_model, path)
-            cost += loc + _l_fill(ground, sort, role, dims, cfg)
+            sort, role = slot_of[path]
+            cost += loc + _l_term(ground, sort, role, dims, path, None)
             effective = lang.subst(effective, path, ground)
-    for path in lang.unknown_paths(effective):
-        sort, role = _slot_context(effective, path)
-        cost += _l_fill(lang.resolve(tree, path), sort, role, dims, cfg)
+    for path, sort, role, t in lang.slots(effective):
+        if isinstance(t, Unknown):
+            cost += _l_term(lang.resolve(tree, path), sort, role, dims, path, None)
     return cost
 
 
@@ -373,7 +294,7 @@ def l_task(model: Ctor, examples, dl_cfg: DLConfig = DEFAULT_DL,
     """
     from . import parsing  # read_pair needs the parser
 
-    lm_i, lm_o = l_pair_model(model, dl_cfg)
+    lm_i, lm_o = l_pair_model(model)
     ev = TaskEval(model, lm_i, lm_o, 0.0, 0.0)
     for gi, go in examples:
         pairs = parsing.read_pair(model, gi, go, dl_cfg, parse_cfg, caches)

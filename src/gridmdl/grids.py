@@ -9,6 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 NUM_COLORS = 10
+MAX_DIM = 30  # largest grid side ARC allows
 
 # cell of a delta: (row, column, colour of the target grid)
 DeltaCell = tuple[int, int, int]
@@ -219,10 +220,6 @@ def mask_array(kind: str, h: int, w: int, bits=None) -> np.ndarray:
             raise GridError(f"unknown mask kind {kind!r}")
     a.setflags(write=False)
     return a
-
-
-def render_text(g: Grid) -> str:
-    return g.to_text()
 
 
 def render_ppm(g: Grid, cell: int = 12) -> bytes:

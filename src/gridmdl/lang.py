@@ -225,24 +225,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def is_definite(t: Term) -> bool:
-    """True when the term contains no unknowns (expressions allowed)."""
-    if isinstance(t, Unknown):
-        return False
-    if isinstance(t, (Var, App)):
-        return True
-    if isinstance(t, Ctor):
-        for arg, (_, sort, is_list) in zip(t.args, ctor_fields(t.name)):
-            if sort == BITS:
-                continue
-            if is_list:
-                if not all(is_definite(x) for x in arg):
-                    return False
-            elif not is_definite(arg):
-                return False
-    return True
-
-
 def matches(datum: Term, template: Term) -> bool:
     """Does ground `datum` instantiate `template`? Unknowns match anything."""
     if isinstance(template, Unknown):
@@ -267,62 +249,56 @@ def matches(datum: Term, template: Term) -> bool:
     return datum == template
 
 
-def unknown_paths(t: Term, _prefix: tuple = ()) -> tuple[tuple, ...]:
-    """Paths of all unknowns, in depth-first left-to-right order."""
-    if isinstance(t, Unknown):
-        return (_prefix,)
-    if not isinstance(t, Ctor):
-        return ()
-    out: list[tuple] = []
-    for arg, (fname, sort, is_list) in zip(t.args, ctor_fields(t.name)):
-        if sort == BITS:
-            continue
-        if is_list:
-            for k, x in enumerate(arg):
-                out.extend(unknown_paths(x, _prefix + (fname, k)))
-        else:
-            out.extend(unknown_paths(arg, _prefix + (fname,)))
-    return tuple(out)
+def slot_role(ctor: str, field: str, sort: str, parent_role: str) -> str:
+    """Role of field `field` (of sort `sort`) of a `ctor` node whose own slot
+    has role `parent_role`; the one rule behind model and data coding and
+    `parsing.generate`.
 
-
-def walk_slots(t: Term, _prefix: tuple = ()) -> Iterator[tuple[tuple, Term]]:
-    """Yield (path, subterm) for every slot of the term, root included.
-
-    List fields contribute their elements, not the list itself; bitmap
-    payloads count as one slot.
+    Roles pick the code of a slot's value and the default that fills it:
+    "pos" (object positions) and its components "pos_i"/"pos_j", "grid_size"
+    and "size" (rectangle sizes) with their components, "bg" (a grid's
+    background colour); "" for every other slot.
     """
-    yield _prefix, t
-    if not isinstance(t, Ctor):
-        return
-    for arg, (fname, sort, is_list) in zip(t.args, ctor_fields(t.name)):
-        if is_list:
-            for k, x in enumerate(arg):
-                yield from walk_slots(x, _prefix + (fname, k))
-        else:
-            yield from walk_slots(arg, _prefix + (fname,))
+    if field == "pos":
+        return "pos"
+    if field == "size":
+        return "grid_size" if ctor == "Grid" else "size"
+    if sort == COLOR:
+        return "bg" if ctor == "Grid" else ""
+    if sort == NAT:
+        return ("pos_i" if field == "i" else "pos_j") if parent_role == "pos" else parent_role
+    return ""
+
+
+def slots(t: Term, sort: str = GRID) -> Iterator[tuple[tuple, str, str, Term]]:
+    """Yield (path, sort, role, subterm) for every slot of the term, in
+    pre-order, root included.
+
+    List fields contribute their elements, not the list itself; a bitmap
+    payload is one slot of sort BITS; expressions are not descended into.
+    """
+    stack = [((), sort, "", t)]
+    while stack:
+        slot = stack.pop()
+        yield slot
+        path, _, role, sub = slot
+        if not isinstance(sub, Ctor):
+            continue
+        # push the fields last to first, so that they pop in order
+        fields = ctor_fields(sub.name)
+        for k in range(len(fields) - 1, -1, -1):
+            fname, fsort, is_list = fields[k]
+            arg = sub.args[k]
+            frole = slot_role(sub.name, fname, fsort, role)
+            if is_list:
+                for i in range(len(arg) - 1, -1, -1):
+                    stack.append((path + (fname, i), fsort, frole, arg[i]))
+            else:
+                stack.append((path + (fname,), fsort, frole, arg))
 
 
 def node_count(t: Term) -> int:
-    return sum(1 for _ in walk_slots(t))
-
-
-def typed_slots(t: Term, sort: str = GRID, _prefix: tuple = ()) -> Iterator[tuple[tuple, str, Term]]:
-    """Yield (path, sort, subterm) for every template slot.
-
-    Does not descend into expressions or bitmap payloads; list fields
-    contribute their elements only.
-    """
-    yield _prefix, sort, t
-    if not isinstance(t, Ctor):
-        return
-    for arg, (fname, fsort, is_list) in zip(t.args, ctor_fields(t.name)):
-        if fsort == BITS:
-            continue
-        if is_list:
-            for k, x in enumerate(arg):
-                yield from typed_slots(x, fsort, _prefix + (fname, k))
-        else:
-            yield from typed_slots(arg, fsort, _prefix + (fname,))
+    return sum(1 for _ in slots(t))
 
 
 def eval_expr(e: Term, env: Term) -> Term:
@@ -412,9 +388,6 @@ class EnvSig:
     def paths_of_sort(self, sort: str) -> tuple[tuple, ...]:
         return tuple(p for p, s in self.entries if s == sort)
 
-    def has(self, path: tuple, sort: str) -> bool:
-        return (path, sort) in set(self.entries)
-
 
 def _sig_unknown(path: tuple, sort: str, out: list) -> None:
     out.append((path, sort))
@@ -426,24 +399,6 @@ def _sig_unknown(path: tuple, sort: str, out: list) -> None:
         out.append((path + ("shape",), SHAPE))
 
 
-def _sig_walk(t: Term, sort: str, path: tuple, out: list) -> None:
-    if isinstance(t, Unknown):
-        _sig_unknown(path, sort, out)
-        return
-    if is_expr(t):
-        raise LangError("input models carry no expressions")
-    out.append((path, sort))
-    if isinstance(t, Ctor):
-        for arg, (fname, fsort, is_list) in zip(t.args, ctor_fields(t.name)):
-            if fsort == BITS:
-                continue
-            if is_list:
-                for k, x in enumerate(arg):
-                    _sig_walk(x, fsort, path + (fname, k), out)
-            else:
-                _sig_walk(arg, fsort, path + (fname,), out)
-
-
 def signature(input_model: Term) -> EnvSig:
     """Environment paths every parse of `input_model` is guaranteed to define.
 
@@ -451,7 +406,13 @@ def signature(input_model: Term) -> EnvSig:
     sole constructor of the sort); other unknowns stop at the slot itself.
     """
     out: list[tuple[tuple, str]] = []
-    _sig_walk(input_model, GRID, (), out)
+    for path, sort, _, t in slots(input_model):
+        if isinstance(t, Unknown):
+            _sig_unknown(path, sort, out)
+        elif is_expr(t):
+            raise LangError("input models carry no expressions")
+        elif sort != BITS:
+            out.append((path, sort))
     return EnvSig(tuple(out))
 
 

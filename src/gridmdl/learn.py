@@ -85,12 +85,6 @@ def initial_model() -> Ctor:
     return in_out(grid_term(UNK, UNK, ()), grid_term(UNK, UNK, ()))
 
 
-def train_pair(model: Ctor, gi: Grid, go: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
-               caches: Caches | None = None):
-    """Chained readings of one training example under the model."""
-    return parsing.read_pair(model, gi, go, cfg.dl, cfg.parse, caches)
-
-
 def apply_refinement(model: Ctor, ref: Refinement) -> Ctor:
     gin, gout = model.args
     if ref.kind == "insert":
@@ -143,7 +137,7 @@ def _mask_order(t: Term):
 
 
 def _unknown_slots(side_model: Term) -> list[tuple[tuple, str]]:
-    return [(p, s) for p, s, sub in lang.typed_slots(side_model)
+    return [(p, s) for p, s, _, sub in lang.slots(side_model)
             if isinstance(sub, Unknown)]
 
 
@@ -200,7 +194,7 @@ def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig,
                 for pairs in per_ex]
 
     out: list[Refinement] = []
-    for path, sort, sub in lang.typed_slots(gout):
+    for path, sort, _, sub in lang.slots(gout):
         if lang.is_expr(sub):
             continue
         if sort == NAT and isinstance(sub, (int, Unknown)):

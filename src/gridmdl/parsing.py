@@ -17,8 +17,8 @@ import numpy as np
 from . import coding, lang
 from .grids import Grid, GridError, Part, mask_array, segment
 from .lang import (
-    BITS, COLOR, GRID, MASK, NAT, OBJECT, SHAPE, VEC,
-    Ctor, Term, Unknown, UNK,
+    COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
+    Ctor, Term, Unknown,
     grid as grid_term, pos_shape, rectangle, point, vec, bitmap as bitmap_term,
     FULL,
 )
@@ -43,7 +43,6 @@ class ParseConfig:
     max_trees_before_sort: int = 64
     max_trees_kept: int = 3
     max_diffs: int = 0
-    connectivity: int = 4
 
 
 DEFAULT_PARSE = ParseConfig()
@@ -68,7 +67,10 @@ class ReadingPair:
 
 @dataclass
 class Caches:
-    """Per-task memo tables; safe to share across refinement evaluations."""
+    """Per-task memo tables; safe to share across refinement evaluations.
+
+    Readings are keyed on the applied model, the grid and the whole
+    ParseConfig; indexes on the grid alone."""
     indexes: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -124,7 +126,7 @@ def _default(sort: str, role: str) -> Term:
             return vec(*DEFAULT_GRID_SIZE)
         return vec(*DEFAULT_RECT_SIZE)
     if sort == NAT:
-        if role == "pos":
+        if role in ("pos_i", "pos_j"):
             return 0
         if role == "grid_size":
             return 10
@@ -140,38 +142,17 @@ def _default(sort: str, role: str) -> Term:
     raise lang.LangError(f"no default for sort {sort}")
 
 
-def _fill_defaults(t: Term, sort: str, role: str) -> Term:
-    if isinstance(t, Unknown):
-        return _default(sort, role)
-    if lang.is_expr(t):
-        raise lang.LangError("generate needs an applied model")
-    if not isinstance(t, Ctor):
-        return t
-    args = []
-    for arg, (fname, fsort, is_list) in zip(t.args, lang.ctor_fields(t.name)):
-        if fsort == BITS:
-            args.append(arg)
-            continue
-        if fname == "pos":
-            frole = "pos"
-        elif fname == "size":
-            frole = "grid_size" if t.name == "Grid" else "rect_size"
-        elif fsort == COLOR:
-            frole = "bg" if t.name == "Grid" else ""
-        else:
-            frole = role
-        if is_list:
-            args.append(tuple(_fill_defaults(x, fsort, frole) for x in arg))
-        else:
-            args.append(_fill_defaults(arg, fsort, frole))
-    return Ctor(t.name, tuple(args))
-
-
 def generate(m: Term) -> Term:
-    """Close an applied model by filling every unknown with its default:
-    positions (0,0), grid sizes 10x10, rectangle sizes 2x2, black backgrounds,
-    grey shapes, full masks."""
-    return _fill_defaults(m, GRID, "")
+    """Close an applied model by filling every unknown with the default of
+    its slot's role: positions (0,0), grid sizes 10x10, rectangle sizes 2x2,
+    black backgrounds, grey shapes, full masks."""
+    out = m
+    for path, sort, role, t in lang.slots(m):
+        if isinstance(t, Unknown):
+            out = lang.subst(out, path, _default(sort, role))
+        elif lang.is_expr(t):
+            raise lang.LangError("generate needs an applied model")
+    return out
 
 
 def write(m: Term, env: Term | None) -> tuple[Term, Grid]:
@@ -282,7 +263,7 @@ def _union_candidates(a: Part, b: Part, width: int, out: list) -> None:
                 _cells_mask(cells, width), len(cells), a.color, top, left, 1, 0))
 
 
-def build_index(g: Grid, cfg: ParseConfig = DEFAULT_PARSE) -> GridIndex:
+def build_index(g: Grid) -> GridIndex:
     """Segment the grid and assemble its ranked candidate objects."""
     w = g.width
     color_cells = [0] * 10
@@ -290,7 +271,7 @@ def build_index(g: Grid, cfg: ParseConfig = DEFAULT_PARSE) -> GridIndex:
         base = i * w
         for j, c in enumerate(row):
             color_cells[c] |= 1 << (base + j)
-    parts = segment(g, cfg.connectivity)
+    parts = segment(g)
     raw: list = []
     for p in parts:
         _part_candidates(p, w, raw)
@@ -380,12 +361,15 @@ def _size_fit(size_t: Term, h: int, w: int) -> tuple | None:
 def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
           cfg: ParseConfig = DEFAULT_PARSE, index: GridIndex | None = None) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
-    sorted by ascending description length."""
+    sorted by ascending description length.
+
+    No reading cost depends on `dl_cfg` (its `alpha` weighs whole examples);
+    it stays third so that `cfg` keeps its position."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
     if index is None:
-        index = build_index(g, cfg)
+        index = build_index(g)
     size_t, color_t, layer_ts = applied.args
 
     grid_diffs = _size_fit(size_t, h, w)
@@ -429,15 +413,14 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
             diffs += tuple((("layers", k) + p, t) for p, t in d)
         if len(diffs) > cfg.max_diffs:
             continue
-        reading = _combo_reading(applied, g, index, picks, diffs, color_t, dl_cfg)
+        reading = _combo_reading(applied, g, index, picks, diffs, color_t)
         if reading is not None:
             readings.append(reading)
     readings.sort(key=lambda r: r.dl)
     return tuple(readings[:cfg.max_trees_kept])
 
 
-def _combo_reading(applied, g: Grid, index: GridIndex, picks, diffs, color_t,
-                   dl_cfg) -> Reading | None:
+def _combo_reading(applied, g: Grid, index: GridIndex, picks, diffs, color_t) -> Reading | None:
     h, w = g.height, g.width
     covered = 0
     mismatch = 0
@@ -467,7 +450,7 @@ def _combo_reading(applied, g: Grid, index: GridIndex, picks, diffs, color_t,
     delta_mask = mismatch | (uncovered & ~index.color_cells[bg])
     delta = frozenset(_bits_cells(delta_mask, w, g))
     tree = grid_term(vec(h, w), bg, tuple(cand.tree for cand, _ in picks))
-    dl = coding.l_parse_tree(tree, applied, diffs, (h, w), dl_cfg) \
+    dl = coding.l_parse_tree(tree, applied, diffs, (h, w)) \
         + coding.l_delta(delta, (h, w))
     return Reading(tree, delta, tuple(diffs), dl)
 
@@ -488,12 +471,12 @@ def read(m: Term, env: Term | None, g: Grid,
         return ()
     if caches is None:
         return parse(applied, g, dl_cfg, cfg)
-    key = (applied, g, cfg.max_diffs)
+    key = (applied, g, cfg)
     hit = caches.readings.get(key)
     if hit is None:
         index = caches.indexes.get(g)
         if index is None:
-            index = caches.indexes[g] = build_index(g, cfg)
+            index = caches.indexes[g] = build_index(g)
         hit = caches.readings[key] = parse(applied, g, dl_cfg, cfg, index)
     return hit
 

@@ -8,11 +8,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grids import Grid, GridError
+from .grids import MAX_DIM, Grid, GridError
 from .lang import model_to_text
 from .learn import SearchConfig, DEFAULT_SEARCH, learn, predict
 
-MAX_DIM = 30
 ATTEMPTS = 3
 
 

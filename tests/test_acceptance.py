@@ -20,7 +20,7 @@ from gridmdl.coding import (
 )
 from gridmdl.grids import Grid, delta_apply, delta_between
 from gridmdl.learn import SearchConfig, create, initial_model, learn, predict
-from gridmdl.lang import App, UNK, Var
+from gridmdl.lang import App, UNK, Unknown, Var
 from gridmdl.parsing import draw, parse
 
 from conftest import (
@@ -239,7 +239,7 @@ def _rand_scene(rng: random.Random):
 def _rand_template(rng: random.Random, scene):
     """Blank out a random subset of the scene's slots."""
     t = scene
-    for path, _ in lang.walk_slots(scene):
+    for path, _, _, _ in lang.slots(scene):
         if path and rng.random() < 0.5:
             try:
                 t = lang.subst(t, path, UNK)
@@ -375,7 +375,7 @@ def test_criterion_g_created_pairs_predict_themselves():
     rng = random.Random(7)
     for k in range(50):
         model = _rand_definite_model(rng)
-        assert lang.is_definite(model.args[1])
+        assert not any(isinstance(t, Unknown) for _, _, _, t in lang.slots(model.args[1]))
         pair = create(model)
         preds = predict(model, pair.input_grid)
         assert preds, f"model {k} produced no prediction"

@@ -6,7 +6,7 @@ import pytest
 
 from gridmdl import coding, lang
 from gridmdl.coding import (
-    DLConfig, ModelEvalError, Normalizer, format_eval_table, l_delta, l_dist,
+    ModelEvalError, Normalizer, format_eval_table, l_delta, l_dist,
     l_fill, l_model, l_nat, l_pair_model, l_parse_tree, l_position, l_task,
     l_uniform, l_var, path_similarity,
 )
@@ -38,7 +38,6 @@ def test_l_dist_is_surprisal():
 def test_l_position_uses_extent_or_default_dim():
     assert l_position(3, 8) == 3.0
     assert l_position(3, None) == pytest.approx(math.log2(30))
-    assert l_position(3, None, DLConfig(max_dim=16)) == 4.0
 
 
 # distributions

@@ -5,7 +5,7 @@ import pytest
 
 from gridmdl.grids import (
     Grid, GridError, delta_apply, delta_between, mask_array, mask_member,
-    render_ppm, render_text, segment,
+    render_ppm, segment,
 )
 
 
@@ -165,7 +165,7 @@ def test_mask_array_is_read_only():
 # rendering
 
 def test_render_text_uses_colour_digits():
-    assert render_text(Grid([[0, 1], [9, 5]])) == "01\n95"
+    assert Grid([[0, 1], [9, 5]]).to_text() == "01\n95"
 
 
 def test_render_ppm_header_and_size():

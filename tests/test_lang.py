@@ -106,18 +106,23 @@ def test_matches_compares_ctor_names_and_args():
     assert not lang.matches(point(3), rectangle(UNK, UNK, UNK))
 
 
+def _definite(t) -> bool:
+    """No unknowns; expressions allowed."""
+    return not any(isinstance(sub, Unknown) for _, _, _, sub in lang.slots(t))
+
+
 def test_is_ground_and_definite():
     assert lang.is_ground(sample_grid_term())
     assert not lang.is_ground(grid(UNK, 0, []))
     e = grid(vec(2, 2), Var(("color",)), [])
     assert not lang.is_ground(e)
-    assert lang.is_definite(e)
-    assert not lang.is_definite(grid(UNK, 0, []))
+    assert _definite(e)
+    assert not _definite(grid(UNK, 0, []))
 
 
 def test_unknown_paths_in_walk_order():
     t = grid(UNK, 4, [pos_shape(UNK, rectangle(vec(2, UNK), UNK, UNK))])
-    assert lang.unknown_paths(t) == (
+    assert tuple(p for p, _, _, sub in lang.slots(t) if isinstance(sub, Unknown)) == (
         ("size",),
         ("layers", 0, "pos"),
         ("layers", 0, "shape", "size", "j"),
@@ -132,18 +137,81 @@ def test_node_count_counts_every_slot():
 
 
 def test_walk_slots_includes_root():
-    paths = [p for p, _ in lang.walk_slots(grid(vec(2, 3), 0, []))]
+    paths = [p for p, _, _, _ in lang.slots(grid(vec(2, 3), 0, []))]
     assert paths == [(), ("size",), ("size", "i"), ("size", "j"), ("color",)]
 
 
 def test_typed_slots_reports_sorts_and_skips_expressions():
     t = grid(vec(2, Var(("size", "j"))), UNK, [])
-    slots = {p: s for p, s, _ in lang.typed_slots(t)}
+    slots = {p: s for p, s, _, _ in lang.slots(t)}
     assert slots[("color",)] == lang.COLOR
     assert slots[("size",)] == lang.VEC
     # the expression fills the whole slot: nothing inside it is listed
     assert ("size", "j") in slots
-    assert all(not isinstance(sub, App) for _, _, sub in lang.typed_slots(t))
+    assert all(not isinstance(sub, App) for _, _, _, sub in lang.slots(t))
+
+
+def test_slots_pin_the_role_table():
+    # every constructor, a bitmap, a Var and an App; the five other nullary
+    # masks sit in identical output layers 1-5
+    others = (lang.BORDER, lang.EVEN_CHECKBOARD, lang.ODD_CHECKBOARD,
+              lang.PLUS_CROSS, lang.TIMES_CROSS)
+    model = in_out(
+        grid(vec(10, 12), 0, [
+            pos_shape(vec(1, 2), rectangle(vec(2, 3), 2, bitmap([[1, 0, 1], [0, 1, 0]]))),
+            pos_shape(UNK, point(UNK)),
+        ]),
+        grid(Var(("size",)), UNK, [
+            pos_shape(vec(App("plus", (Var(("layers", 0, "pos", "i")), 1)), 0),
+                      rectangle(UNK, 3, lang.FULL)),
+        ] + [pos_shape(UNK, rectangle(UNK, UNK, m)) for m in others]),
+    )
+    PAIR, GRID, OBJECT, SHAPE, VEC, MASK, NAT, COLOR, BITS = (
+        lang.PAIR, lang.GRID, lang.OBJECT, lang.SHAPE, lang.VEC, lang.MASK,
+        lang.NAT, lang.COLOR, lang.BITS)
+    want = [
+        ("", PAIR, ""),
+        ("in", GRID, ""),
+        ("in.size", VEC, "grid_size"),
+        ("in.size.i", NAT, "grid_size"),
+        ("in.size.j", NAT, "grid_size"),
+        ("in.color", COLOR, "bg"),
+        ("in.layers[0]", OBJECT, ""),
+        ("in.layers[0].pos", VEC, "pos"),
+        ("in.layers[0].pos.i", NAT, "pos_i"),
+        ("in.layers[0].pos.j", NAT, "pos_j"),
+        ("in.layers[0].shape", SHAPE, ""),
+        ("in.layers[0].shape.size", VEC, "size"),
+        ("in.layers[0].shape.size.i", NAT, "size"),
+        ("in.layers[0].shape.size.j", NAT, "size"),
+        ("in.layers[0].shape.color", COLOR, ""),
+        ("in.layers[0].shape.mask", MASK, ""),
+        ("in.layers[0].shape.mask.bitmap", BITS, ""),
+        ("in.layers[1]", OBJECT, ""),
+        ("in.layers[1].pos", VEC, "pos"),
+        ("in.layers[1].shape", SHAPE, ""),
+        ("in.layers[1].shape.color", COLOR, ""),
+        ("out", GRID, ""),
+        ("out.size", VEC, "grid_size"),      # a Var: not descended into
+        ("out.color", COLOR, "bg"),
+        ("out.layers[0]", OBJECT, ""),
+        ("out.layers[0].pos", VEC, "pos"),
+        ("out.layers[0].pos.i", NAT, "pos_i"),  # an App: not descended into
+        ("out.layers[0].pos.j", NAT, "pos_j"),
+        ("out.layers[0].shape", SHAPE, ""),
+        ("out.layers[0].shape.size", VEC, "size"),
+        ("out.layers[0].shape.color", COLOR, ""),
+        ("out.layers[0].shape.mask", MASK, ""),
+    ]
+    for k in range(1, 6):
+        at = f"out.layers[{k}]"
+        want += [(at, OBJECT, ""), (at + ".pos", VEC, "pos"), (at + ".shape", SHAPE, ""),
+                 (at + ".shape.size", VEC, "size"), (at + ".shape.color", COLOR, ""),
+                 (at + ".shape.mask", MASK, "")]
+    got = [(lang.path_to_text(p), s, r) for p, s, r, _ in lang.slots(model, PAIR)]
+    assert got == want
+    names = {sub.name for _, _, _, sub in lang.slots(model, PAIR) if isinstance(sub, Ctor)}
+    assert names == set(lang.CONSTRUCTORS)
 
 
 # evaluation
@@ -185,11 +253,11 @@ def test_apply_model_without_environment_requires_no_expressions():
 
 def test_signature_expands_vector_and_object_unknowns():
     sig = lang.signature(grid(UNK, UNK, [pos_shape(UNK, UNK)]))
-    assert sig.has(("size", "i"), lang.NAT)
-    assert sig.has(("color",), lang.COLOR)
-    assert sig.has(("layers", 0), lang.OBJECT)
-    assert sig.has(("layers", 0, "pos", "j"), lang.NAT)
-    assert sig.has(("layers", 0, "shape"), lang.SHAPE)
+    assert (("size", "i"), lang.NAT) in sig.entries
+    assert (("color",), lang.COLOR) in sig.entries
+    assert (("layers", 0), lang.OBJECT) in sig.entries
+    assert (("layers", 0, "pos", "j"), lang.NAT) in sig.entries
+    assert (("layers", 0, "shape"), lang.SHAPE) in sig.entries
 
 
 def test_signature_rejects_expressions():

@@ -7,7 +7,7 @@ from gridmdl.grids import Grid
 from gridmdl.lang import UNK, Var, grid, in_out, point, pos_shape, rectangle, vec
 from gridmdl.learn import (
     Refinement, SearchConfig, apply_refinement, create, initial_model, learn,
-    predict, propose_refinements, train_pair,
+    predict, propose_refinements,
 )
 from conftest import NESTED_SOLUTION_TEXT, NESTED_TEST, nested_pair
 
@@ -110,7 +110,7 @@ def test_learning_is_deterministic(nested_train):
 
 def test_train_pair_returns_chained_readings():
     gi, go = nested_pair(2, 4, 12, 13, (1, 3), (4, 4), (2, 4), (2, 2))
-    pairs = train_pair(initial_model(), gi, go)
+    pairs = parsing.read_pair(initial_model(), gi, go)
     assert pairs
     assert [p.dl for p in pairs] == sorted(p.dl for p in pairs)
     assert pairs[0].dl == pytest.approx(pairs[0].rin.dl + pairs[0].rout.dl)

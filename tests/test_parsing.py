@@ -75,6 +75,17 @@ def test_generate_keeps_pinned_slots():
     assert lang.is_ground(t)
 
 
+def test_generate_defaults_follow_slot_roles():
+    t = generate(grid(vec(UNK, 4), UNK, [
+        pos_shape(vec(UNK, 1), rectangle(vec(3, UNK), UNK, UNK)),
+        pos_shape(UNK, point(UNK)),
+    ]))
+    assert t == grid(vec(10, 4), 0, [
+        pos_shape(vec(0, 1), rectangle(vec(3, 2), 5, lang.FULL)),
+        pos_shape(vec(0, 0), point(5)),
+    ])
+
+
 def test_write_draws_the_generated_tree():
     tree, g = write(grid(vec(2, 2), 3, []), None)
     assert tree == grid(vec(2, 2), 3, [])
@@ -298,6 +309,18 @@ def test_read_caches_by_applied_model_and_grid():
     second = read(m, None, g, caches=caches)
     assert first is second
     assert g in caches.indexes
+
+
+def test_read_cache_keys_on_the_whole_parse_config():
+    # a shared cache must not hand a max_trees_kept=3 result to a caller
+    # asking for one reading
+    caches = Caches()
+    g = nested_input_grid()
+    m = grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))])
+    assert len(read(m, None, g, cfg=ParseConfig(max_trees_kept=3), caches=caches)) == 3
+    one = read(m, None, g, cfg=ParseConfig(max_trees_kept=1), caches=caches)
+    assert one == read(m, None, g, cfg=ParseConfig(max_trees_kept=1))
+    assert len(one) == 1
 
 
 def test_read_pair_chains_input_tree_into_output_model():

@@ -93,14 +93,14 @@ def test_model_text_round_trips(gin, gout):
 
 @given(grid_terms(), st.data())
 def test_subst_inverts_resolve(t, data):
-    paths = [p for p, _ in lang.walk_slots(t)]
+    paths = [p for p, _, _, _ in lang.slots(t)]
     path = data.draw(st.sampled_from(paths))
     assert lang.subst(t, path, lang.resolve(t, path)) == t
 
 
 @given(grid_terms(), st.data())
 def test_subst_then_resolve_returns_replacement(t, data):
-    paths = [p for p, _ in lang.walk_slots(t) if p]
+    paths = [p for p, _, _, _ in lang.slots(t) if p]
     if not paths:
         return
     path = data.draw(st.sampled_from(paths))
