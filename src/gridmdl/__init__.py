@@ -1,6 +1,6 @@
 """Descriptive grid models for ARC tasks, learned by MDL-guided refinement."""
 
-from .grids import Grid, Delta, Part, delta_apply, delta_between, segment, mask_member
+from .grids import Grid, Delta, Part, delta_apply, segment
 from .lang import (
     Ctor, Unknown, Var, App, UNK,
     in_out, grid, pos_shape, point, rectangle, vec, bitmap,

@@ -81,8 +81,10 @@ def cmd_eval(args) -> int:
             test = f"{r.test_score:.2f}"
         print(f"{mark} {r.task_id}  train {r.train_score:.2f}  test {test}  "
               f"{len(r.trace) - 1} steps  {r.seconds:.1f}s")
+    for e in batch.errors:
+        print(f"! {e.task_id}  error: {e.error}")
     print(batch.summary)
-    return 0
+    return 1 if batch.errors else 0
 
 
 def cmd_create(args) -> int:

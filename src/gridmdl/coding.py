@@ -194,29 +194,56 @@ def l_fill(value: Term, sort: str, role: str, dims: tuple[int, int] | None) -> f
     return _l_term(value, sort, role, dims, (), None)
 
 
+def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
+               dims: tuple[int, int], loc: float, sort: str = GRID,
+               role: str = "") -> tuple[list[float], list[float]]:
+    """The terms a reading pays for one model slot read as `tree`: one per
+    diff (`loc`, the location choice, plus the ground replacement), and one
+    per unknown fill of the diff-patched model, in slot pre-order.
+
+    `sort` and `role` are those of the slot `model` fills; diff paths are
+    relative to it. A replaced subtree takes its unknowns with it.
+    """
+    effective = model
+    dterms = []
+    if diffs:
+        slot_of = {path: (s, r) for path, s, r, _ in lang.slots(model, sort, role)}
+        for path, ground in diffs:
+            s, r = slot_of[path]
+            dterms.append(loc + _l_term(ground, s, r, dims, path, None))
+            effective = lang.subst(effective, path, ground)
+    fterms = [_l_term(lang.resolve(tree, path), s, r, dims, path, None)
+              for path, s, r, t in lang.slots(effective, sort, role) if isinstance(t, Unknown)]
+    return dterms, fterms
+
+
+def sum_terms(n_diffs: int, pieces: Sequence[tuple[list[float], list[float]]]) -> float:
+    """Add up the `slot_terms` of consecutive slots, one float at a time:
+    the diff count prefix, every piece's diffs, then every piece's fills.
+
+    The order is part of the score: readings are ranked by it and the
+    learner rounds scores to 1e-9, so a regrouped sum could change a choice."""
+    cost = l_nat(n_diffs) if n_diffs else 0.0
+    for dterms, _ in pieces:
+        for x in dterms:
+            cost += x
+    for _, fterms in pieces:
+        for x in fterms:
+            cost += x
+    return cost
+
+
 def l_parse_tree(tree: Term, applied_model: Term, diffs: Sequence[tuple[tuple, Term]],
                  dims: tuple[int, int]) -> float:
     """Cost of a parse tree given the applied (expression-free) model.
 
     Diffs each pay a location choice among the model's nodes plus the ground
     replacement, with a count prefix when any are present. Unknown fills are
-    then coded against the diff-patched model, since a replaced subtree takes
-    its unknowns with it.
+    then coded against the diff-patched model. `parsing.parse` adds up the
+    same terms slot by slot; this is its reference.
     """
-    cost = 0.0
-    effective = applied_model
-    if diffs:
-        slot_of = {path: (sort, role) for path, sort, role, _ in lang.slots(applied_model)}
-        cost += l_nat(len(diffs))
-        loc = l_uniform(len(slot_of))
-        for path, ground in diffs:
-            sort, role = slot_of[path]
-            cost += loc + _l_term(ground, sort, role, dims, path, None)
-            effective = lang.subst(effective, path, ground)
-    for path, sort, role, t in lang.slots(effective):
-        if isinstance(t, Unknown):
-            cost += _l_term(lang.resolve(tree, path), sort, role, dims, path, None)
-    return cost
+    loc = l_uniform(lang.node_count(applied_model)) if diffs else 0.0
+    return sum_terms(len(diffs), [slot_terms(applied_model, tree, diffs, dims, loc)])
 
 
 def l_delta(delta, dims: tuple[int, int]) -> float:

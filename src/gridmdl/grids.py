@@ -91,19 +91,6 @@ class Grid:
         return "\n".join("".join(str(c) for c in row) for row in self.rows)
 
 
-def delta_between(target: Grid, base: Grid) -> Delta:
-    """Cells where the grids differ, coloured after `target`.
-
-    Both grids must have the same size; `delta_apply(base, result) == target`.
-    """
-    if target.size != base.size:
-        raise GridError("delta over grids of different sizes")
-    diff = target.array != base.array
-    ii, jj = np.nonzero(diff)
-    t = target.rows
-    return frozenset((int(i), int(j), t[i][j]) for i, j in zip(ii, jj))
-
-
 def delta_apply(base: Grid, delta: Delta) -> Grid:
     """Overwrite `base` cells with the delta's colours."""
     if not delta:
@@ -168,31 +155,6 @@ def segment(g: Grid, connectivity: int = 4) -> tuple[Part, ...]:
             parts.append(part_from_cells(int(c), cells))
     parts.sort(key=lambda p: min(i * g.width + j for i, j in p.cells))
     return tuple(parts)
-
-
-def mask_member(kind: str, size: tuple[int, int], cell: tuple[int, int], bits=None) -> bool:
-    """Is `cell` covered by a mask of the given kind and size?"""
-    h, w = size
-    i, j = cell
-    if not (0 <= i < h and 0 <= j < w):
-        return False
-    if kind == "Full":
-        return True
-    if kind == "Border":
-        return i in (0, h - 1) or j in (0, w - 1)
-    if kind == "EvenCheckboard":
-        return (i + j) % 2 == 0
-    if kind == "OddCheckboard":
-        return (i + j) % 2 == 1
-    if kind == "PlusCross":
-        return i == h // 2 or j == w // 2
-    if kind == "TimesCross":
-        return i == j or i + j == w - 1
-    if kind == "Bitmap":
-        if bits is None:
-            raise GridError("bitmap mask needs its bits")
-        return bool(bits[i][j])
-    raise GridError(f"unknown mask kind {kind!r}")
 
 
 @lru_cache(maxsize=4096)

@@ -270,14 +270,15 @@ def slot_role(ctor: str, field: str, sort: str, parent_role: str) -> str:
     return ""
 
 
-def slots(t: Term, sort: str = GRID) -> Iterator[tuple[tuple, str, str, Term]]:
+def slots(t: Term, sort: str = GRID, role: str = "") -> Iterator[tuple[tuple, str, str, Term]]:
     """Yield (path, sort, role, subterm) for every slot of the term, in
-    pre-order, root included.
+    pre-order, root included; `sort` and `role` are those of the slot the
+    term itself fills.
 
     List fields contribute their elements, not the list itself; a bitmap
     payload is one slot of sort BITS; expressions are not descended into.
     """
-    stack = [((), sort, "", t)]
+    stack = [((), sort, role, t)]
     while stack:
         slot = stack.pop()
         yield slot
@@ -509,7 +510,7 @@ class _Parser:
 
     def number(self) -> int:
         w = self.word()
-        if not w.isdigit():
+        if not (w.isascii() and w.isdigit()):
             self.error(f"expected a number, got {w!r}")
         return int(w)
 
@@ -543,7 +544,10 @@ class _Parser:
         if w == "zero":
             return self.maybe_arith(ZERO) if sort == NAT else ZERO
         if w.isdigit():
-            return self.maybe_arith(int(w)) if sort == NAT else int(w)
+            # naturals were read above; only a colour slot takes a bare digit
+            if sort == COLOR and w.isascii() and int(w) < NUM_COLORS:
+                return int(w)
+            self.error(f"number {w} cannot fill a {sort} slot")
         # a bare path: a variable reference
         v = Var(self.path(first=w))
         return self.maybe_arith(v) if sort == NAT else v

@@ -345,16 +345,17 @@ def _bits_cells(mask: int, width: int, g: Grid):
     return out
 
 
-def _size_fit(size_t: Term, h: int, w: int) -> tuple | None:
-    """Diffs the model's size template needs to admit the actual dimensions."""
+def _size_fit(size_t: Term, h: int, w: int) -> tuple:
+    """Diffs, relative to the size slot, that the model's size template needs
+    to admit the actual dimensions."""
     if isinstance(size_t, Unknown):
         return ()
     i_t, j_t = size_t.args
     diffs: tuple = ()
     if isinstance(i_t, int) and i_t != h:
-        diffs += ((("size", "i"), h),)
+        diffs += ((("i",), h),)
     if isinstance(j_t, int) and j_t != w:
-        diffs += ((("size", "j"), w),)
+        diffs += ((("j",), w),)
     return diffs
 
 
@@ -363,19 +364,24 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
     """All retained readings of `g` under an expression-free grid model,
     sorted by ascending description length.
 
+    A combination's cost is the sum of `coding.slot_terms` over the grid
+    size, the background colour and each layer's candidate, each costed once
+    per call, plus the delta; only the kept readings are built.
+
     No reading cost depends on `dl_cfg` (its `alpha` weighs whole examples);
     it stays third so that `cfg` keeps its position."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
+    dims = (h, w)
     if index is None:
         index = build_index(g)
     size_t, color_t, layer_ts = applied.args
 
-    grid_diffs = _size_fit(size_t, h, w)
-    if grid_diffs is None or len(grid_diffs) > cfg.max_diffs:
+    size_diffs = _size_fit(size_t, h, w)
+    if len(size_diffs) > cfg.max_diffs:
         return ()
-    budget = cfg.max_diffs - len(grid_diffs)
+    budget = cfg.max_diffs - len(size_diffs)
 
     # admissible candidates per layer, keeping the global order
     per_layer: list[list[tuple[Candidate, tuple]]] = []
@@ -391,12 +397,19 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
             return ()
         per_layer.append(admitted)
 
-    readings: list[Reading] = []
+    # reading terms: the grid's once, each colour's and each candidate's
+    # when a combination first needs them
+    loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
+    size_terms = coding.slot_terms(size_t, vec(h, w), size_diffs, dims, loc, VEC, "grid_size")
+    bg_terms: dict[int, tuple] = {}
+    layer_terms: list[list] = [[None] * len(admitted) for admitted in per_layer]
+
+    scored: list[tuple[float, list, int, int]] = []
     L = len(per_layer)
     heap: list[tuple[int, tuple]] = [(0, (0,) * L)]
     seen = {(0,) * L}
     pops = 0
-    while heap and len(readings) < cfg.max_trees_before_sort and pops < _MAX_POPS:
+    while heap and len(scored) < cfg.max_trees_before_sort and pops < _MAX_POPS:
         rank, combo = heapq.heappop(heap)
         pops += 1
         for d in range(L):
@@ -408,51 +421,63 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
         picks = [per_layer[d][combo[d]] for d in range(L)]
         if L > 1 and len({id(c) for c, _ in picks}) < L:
             continue
-        diffs = grid_diffs
-        for k, (_, d) in enumerate(picks):
-            diffs += tuple((("layers", k) + p, t) for p, t in d)
-        if len(diffs) > cfg.max_diffs:
+        n_diffs = len(size_diffs) + sum(len(d) for _, d in picks)
+        if n_diffs > cfg.max_diffs:
             continue
-        reading = _combo_reading(applied, g, index, picks, diffs, color_t)
-        if reading is not None:
-            readings.append(reading)
-    readings.sort(key=lambda r: r.dl)
-    return tuple(readings[:cfg.max_trees_kept])
+
+        covered = 0
+        mismatch = 0
+        for cand, _ in picks:
+            mismatch |= cand.wrong & ~covered
+            covered |= cand.cells
+        uncovered = index.all_cells & ~covered
+        if isinstance(color_t, int):
+            bg = color_t
+        else:
+            bg = _best_background(index, uncovered, mismatch, dims)
+        delta_mask = mismatch | (uncovered & ~index.color_cells[bg])
+
+        bg_piece = bg_terms.get(bg)
+        if bg_piece is None:
+            bg_piece = bg_terms[bg] = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
+        pieces = [size_terms, bg_piece]
+        for d, (cand, ld) in enumerate(picks):
+            terms = layer_terms[d][combo[d]]
+            if terms is None:
+                terms = layer_terms[d][combo[d]] = coding.slot_terms(
+                    layer_ts[d], cand.tree, ld, dims, loc, OBJECT)
+            pieces.append(terms)
+        dl = coding.sum_terms(n_diffs, pieces) \
+            + coding.l_delta(range(delta_mask.bit_count()), dims)
+        scored.append((dl, picks, bg, delta_mask))
+
+    # a stable sort: equal costs keep the order the search found them in
+    scored.sort(key=lambda s: s[0])
+    grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
+    readings = []
+    for dl, picks, bg, delta_mask in scored[:cfg.max_trees_kept]:
+        diffs = grid_diffs + tuple((("layers", k) + p, t)
+                                   for k, (_, d) in enumerate(picks) for p, t in d)
+        tree = grid_term(vec(h, w), bg, tuple(cand.tree for cand, _ in picks))
+        readings.append(Reading(tree, frozenset(_bits_cells(delta_mask, w, g)), diffs, dl))
+    return tuple(readings)
 
 
-def _combo_reading(applied, g: Grid, index: GridIndex, picks, diffs, color_t) -> Reading | None:
-    h, w = g.height, g.width
-    covered = 0
-    mismatch = 0
-    for cand, _ in picks:
-        mismatch |= cand.wrong & ~covered
-        covered |= cand.cells
-    uncovered = index.all_cells & ~covered
-
-    if isinstance(color_t, int):
-        bg = color_t
-    else:
-        # unknown background: pick the exact-cost optimum over plausible colours
-        options = {0}
-        rem = uncovered
-        for c in range(10):
-            if rem & index.color_cells[c]:
-                options.add(c)
-        best = None
-        mism_n = mismatch.bit_count()
-        for c in sorted(options):
-            n = (uncovered & ~index.color_cells[c]).bit_count() + mism_n
-            cost = coding.l_dist(coding.P_BG[c]) + coding.l_delta(range(n), (h, w))
-            if best is None or cost < best[0]:
-                best = (cost, c)
-        bg = best[1]
-
-    delta_mask = mismatch | (uncovered & ~index.color_cells[bg])
-    delta = frozenset(_bits_cells(delta_mask, w, g))
-    tree = grid_term(vec(h, w), bg, tuple(cand.tree for cand, _ in picks))
-    dl = coding.l_parse_tree(tree, applied, diffs, (h, w)) \
-        + coding.l_delta(delta, (h, w))
-    return Reading(tree, delta, tuple(diffs), dl)
+def _best_background(index: GridIndex, uncovered: int, mismatch: int, dims) -> int:
+    """The background colour that minimises its prior plus the delta it
+    leaves, among black and the colours of the uncovered cells."""
+    options = {0}
+    for c in range(10):
+        if uncovered & index.color_cells[c]:
+            options.add(c)
+    best = None
+    mism_n = mismatch.bit_count()
+    for c in sorted(options):
+        n = (uncovered & ~index.color_cells[c]).bit_count() + mism_n
+        cost = coding.l_dist(coding.P_BG[c]) + coding.l_delta(range(n), dims)
+        if best is None or cost < best[0]:
+            best = (cost, c)
+    return best[1]
 
 
 # reading models against grids

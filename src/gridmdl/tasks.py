@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grids import MAX_DIM, Grid, GridError
@@ -141,9 +141,17 @@ def evaluate_task(task: Task, cfg: SearchConfig = DEFAULT_SEARCH) -> TaskReport:
                       train, test, result.lhat, result.seconds, result.timed_out)
 
 
+@dataclass(frozen=True)
+class TaskFailure:
+    """A task file that could not be read, and why."""
+    task_id: str
+    error: str
+
+
 @dataclass
 class BatchReport:
     reports: list
+    errors: list = field(default_factory=list)  # TaskFailure records
 
     def _agg(self, picker):
         scores = [picker(r) for r in self.reports]
@@ -158,26 +166,32 @@ class BatchReport:
         t = sum(r.seconds for r in self.reports) / n if n else 0.0
         tr1, tr2 = self._agg(lambda r: r.train_score)
         te1, te2 = self._agg(lambda r: r.test_score)
-        return (f"tasks {n}  mean-learn {t:.1f}s  "
+        return (f"tasks {n}  errors {len(self.errors)}  mean-learn {t:.1f}s  "
                 f"train {tr1} / {tr2:.1f}  test {te1} / {te2:.1f}")
 
 
-def _evaluate_path(path: str, cfg: SearchConfig) -> TaskReport:
-    return evaluate_task(load_task(path), cfg)
+def _evaluate_path(path: str, cfg: SearchConfig) -> TaskReport | TaskFailure:
+    try:
+        task = load_task(path)
+    except TaskError as e:
+        return TaskFailure(Path(path).stem, str(e))
+    return evaluate_task(task, cfg)
 
 
 def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> BatchReport:
     """Evaluate many task files; order of reports is lexicographic by task id
-    whatever the worker scheduling."""
+    whatever the worker scheduling. A file that cannot be read becomes an
+    error record and does not stop the others."""
     paths = sorted(Path(p) for p in paths)
     if jobs <= 1:
-        reports = [_evaluate_path(str(p), cfg) for p in paths]
+        results = [_evaluate_path(str(p), cfg) for p in paths]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_evaluate_path, [str(p) for p in paths],
+            results = list(pool.map(_evaluate_path, [str(p) for p in paths],
                                     [cfg] * len(paths), chunksize=1))
-    reports.sort(key=lambda r: r.task_id)
-    return BatchReport(reports)
+    results.sort(key=lambda r: r.task_id)
+    return BatchReport([r for r in results if isinstance(r, TaskReport)],
+                       [r for r in results if isinstance(r, TaskFailure)])
 
 
 def task_paths(root: str | Path) -> list[Path]:
@@ -188,10 +202,11 @@ def task_paths(root: str | Path) -> list[Path]:
 
 
 def report_jsonl(batch: BatchReport) -> str:
-    """One JSON object per task, one line each."""
-    lines = []
+    """One JSON object per task, one line each, in task id order; a task
+    file that could not be read gives `{"task": ..., "error": ...}`."""
+    records = [{"task": e.task_id, "error": e.error} for e in batch.errors]
     for r in batch.reports:
-        lines.append(json.dumps({
+        records.append({
             "task": r.task_id,
             "train_score": None if r.train_score is None else round(r.train_score, 4),
             "test_score": None if r.test_score is None else round(r.test_score, 4),
@@ -202,5 +217,6 @@ def report_jsonl(batch: BatchReport) -> str:
             "seconds": round(r.seconds, 3),
             "timed_out": r.timed_out,
             "model": r.model_text,
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"
+        })
+    records.sort(key=lambda rec: rec["task"])
+    return "\n".join(json.dumps(rec, sort_keys=True) for rec in records) + "\n"

@@ -1,4 +1,5 @@
-"""Shared fixtures: a nested-rectangles task, a synthetic task suite, corpus gating."""
+"""Shared fixtures: a nested-rectangles task, a synthetic task suite, corpus
+gating, and the cell-level oracles the grid and property tests check against."""
 
 import json
 import os
@@ -6,9 +7,50 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from gridmdl import lang, parsing
-from gridmdl.grids import Grid
+from gridmdl.grids import Grid, GridError
 from gridmdl.learn import SearchConfig, learn
+
+
+def delta_between(target: Grid, base: Grid) -> frozenset:
+    """Cells where the grids differ, coloured after `target`.
+
+    Both grids must have the same size; `delta_apply(base, result) == target`.
+    """
+    if target.size != base.size:
+        raise GridError("delta over grids of different sizes")
+    diff = target.array != base.array
+    ii, jj = np.nonzero(diff)
+    t = target.rows
+    return frozenset((int(i), int(j), t[i][j]) for i, j in zip(ii, jj))
+
+
+def mask_member(kind: str, size: tuple[int, int], cell: tuple[int, int], bits=None) -> bool:
+    """Is `cell` covered by a mask of the given kind and size? A cell-by-cell
+    reference for `grids.mask_array`."""
+    h, w = size
+    i, j = cell
+    if not (0 <= i < h and 0 <= j < w):
+        return False
+    if kind == "Full":
+        return True
+    if kind == "Border":
+        return i in (0, h - 1) or j in (0, w - 1)
+    if kind == "EvenCheckboard":
+        return (i + j) % 2 == 0
+    if kind == "OddCheckboard":
+        return (i + j) % 2 == 1
+    if kind == "PlusCross":
+        return i == h // 2 or j == w // 2
+    if kind == "TimesCross":
+        return i == j or i + j == w - 1
+    if kind == "Bitmap":
+        if bits is None:
+            raise GridError("bitmap mask needs its bits")
+        return bool(bits[i][j])
+    raise GridError(f"unknown mask kind {kind!r}")
 
 
 def nested_pair(outer_color, inner_color, h, w, outer_pos, outer_size, inner_pos, inner_size):

@@ -18,14 +18,14 @@ from gridmdl.coding import (
     FUNCTIONS, Normalizer, P_BG, P_EXPR, P_MASK, P_SHAPE, P_TEMPLATE,
     l_dist, l_nat, l_task, l_uniform,
 )
-from gridmdl.grids import Grid, delta_apply, delta_between
+from gridmdl.grids import Grid, delta_apply
 from gridmdl.learn import SearchConfig, create, initial_model, learn, predict
 from gridmdl.lang import App, UNK, Unknown, Var
 from gridmdl.parsing import draw, parse
 
 from conftest import (
     ARC_SKIP, NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN,
-    arc_training_dir, synthetic_task_suite,
+    arc_training_dir, delta_between, synthetic_task_suite,
 )
 
 

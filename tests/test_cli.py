@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gridmdl.cli import main
 
 from conftest import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, write_task
@@ -73,6 +75,24 @@ def test_eval_parallel_jobs(tmp_path, capsys):
     assert out.strip().splitlines()[-1].startswith("tasks 2 ")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_records_a_bad_task_file_and_keeps_the_others(tmp_path, capsys, jobs):
+    write_task(tmp_path / "n1.json", NESTED_TRAIN, [NESTED_TEST])
+    write_task(tmp_path / "n2.json", NESTED_TRAIN[:2], [NESTED_TEST])
+    (tmp_path / "bad.json").write_text("{not json")
+    out_file = tmp_path / "report.jsonl"
+    rc = main(["eval", str(tmp_path), "--out", str(out_file), "--jobs", jobs])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1
+    assert lines[0].startswith("+ n1 ") and lines[1].startswith("+ n2 ")
+    assert lines[2].startswith("! bad  error: bad.json: bad JSON")
+    assert lines[-1].startswith("tasks 2  errors 1 ")
+    records = [json.loads(s) for s in out_file.read_text().splitlines()]
+    assert [r["task"] for r in records] == ["bad", "n1", "n2"]
+    assert set(records[0]) == {"task", "error"} and "bad JSON" in records[0]["error"]
+    assert records[1]["solved"] and records[2]["solved"]
+
+
 def test_eval_marks_unknown_test_outputs(tmp_path, capsys):
     write_task(tmp_path / "n1.json", NESTED_TRAIN, [(NESTED_TEST[0], None)])
     rc = main(["eval", str(tmp_path)])
@@ -108,6 +128,16 @@ def test_create_rejects_bad_model_text(tmp_path, capsys):
     rc = main(["create", str(model_file)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_create_rejects_a_bare_number_in_a_vector_slot(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("in: Grid(7, black, [])\nout: Grid(?, ?, [])\n")
+    rc = main(["create", str(model_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "cannot fill a vec slot" in err
+    assert "Traceback" not in err
 
 
 def test_render_prints_grids_and_images(nested_task_file, tmp_path, capsys):

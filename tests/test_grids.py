@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from gridmdl.grids import (
-    Grid, GridError, delta_apply, delta_between, mask_array, mask_member,
-    render_ppm, segment,
-)
+from gridmdl.grids import Grid, GridError, delta_apply, mask_array, render_ppm, segment
+
+from conftest import delta_between, mask_member
 
 
 # construction

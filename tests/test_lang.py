@@ -321,3 +321,14 @@ def test_parse_term_rejects_garbage():
     for bad in ["Grid(", "Quad(1)", "Grid(Vec(1, 2), black)", "layers[x].pos"]:
         with pytest.raises(LangError):
             lang.parse_term(bad)
+
+
+def test_parse_term_takes_bare_numbers_in_nat_and_colour_slots_only():
+    assert lang.parse_term("Grid(Vec(1, 2), 3, [])") == grid(vec(1, 2), 3, [])
+    for bad in ["Grid(7, black, [])", "Grid(Vec(1, 2), 12, [])",
+                "Grid(Vec(1, 2), black, [PosShape(4, Point(red))])",
+                "Grid(Vec(1, 2), black, [PosShape(Vec(0, 0), 4)])", "Grid(Vec(1, 2), ², [])"]:
+        with pytest.raises(LangError, match="cannot fill"):
+            lang.parse_term(bad)
+    with pytest.raises(LangError, match="expected a number"):
+        lang.parse_term("Grid(Vec(², 2), black, [])")

@@ -250,6 +250,17 @@ def test_parse_unknown_background_breaks_ties_to_smaller_colour():
     assert readings[0].tree.args[1] == 3
 
 
+def test_parse_keeps_search_order_among_equal_costs():
+    g = Grid([[2, 0, 0],
+              [0, 0, 0],
+              [0, 0, 2]])
+    readings = parse(grid(UNK, 0, [pos_shape(UNK, UNK)]), g)
+    # either red cell reads as the layer at the same cost; the search meets
+    # the top-left one first, and a stable sort keeps it first
+    assert readings[0].dl == readings[1].dl
+    assert [r.tree.args[2][0].args[0] for r in readings[:2]] == [vec(0, 0), vec(2, 2)]
+
+
 def test_parse_ground_size_mismatch_needs_diff_budget():
     g = Grid([[0] * 4] * 3)
     strict = parse(grid(vec(4, 4), UNK, []), g)

@@ -1,13 +1,16 @@
-"""Randomized invariants over terms, masks, and grid deltas."""
+"""Randomized invariants over terms, masks, grid deltas and readings."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmdl import lang
-from gridmdl.grids import (
-    Grid, delta_apply, delta_between, mask_array, mask_member,
-)
+from gridmdl import coding, lang, parsing
+from gridmdl.grids import Grid, GridError, delta_apply, mask_array
 from gridmdl.lang import App, Var
+
+from conftest import delta_between, mask_member
 
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -24,8 +27,9 @@ VAR_PATHS = st.sampled_from([
 ])
 
 
-def _nat_like(draw):
-    t = draw(st.sampled_from(["ground", "unknown", "var", "expr"]))
+def _nat_like(draw, exprs=True):
+    t = draw(st.sampled_from(["ground", "unknown", "var", "expr"] if exprs
+                             else ["ground", "unknown"]))
     if t == "ground":
         return draw(naturals)
     if t == "unknown":
@@ -36,8 +40,9 @@ def _nat_like(draw):
     return App(fn, (Var(draw(VAR_PATHS)), draw(naturals)))
 
 
-def _color_like(draw):
-    t = draw(st.sampled_from(["ground", "unknown", "var"]))
+def _color_like(draw, exprs=True):
+    t = draw(st.sampled_from(["ground", "unknown", "var"] if exprs
+                             else ["ground", "unknown"]))
     if t == "ground":
         return draw(colors)
     if t == "unknown":
@@ -46,12 +51,13 @@ def _color_like(draw):
 
 
 @st.composite
-def grid_terms(draw):
-    """Grid terms mixing ground parts, unknowns, variables, and arithmetic."""
+def grid_terms(draw, exprs=True):
+    """Grid terms mixing ground parts, unknowns and, with `exprs`, variables
+    and arithmetic."""
     def vec_like():
         if draw(st.booleans()):
             return lang.UNK
-        return lang.vec(_nat_like(draw), _nat_like(draw))
+        return lang.vec(_nat_like(draw, exprs), _nat_like(draw, exprs))
 
     def mask_like():
         kind = draw(st.sampled_from(
@@ -71,12 +77,12 @@ def grid_terms(draw):
         if k == "unknown":
             return lang.UNK
         if k == "point":
-            return lang.point(_color_like(draw))
-        return lang.rectangle(vec_like(), _color_like(draw), mask_like())
+            return lang.point(_color_like(draw, exprs))
+        return lang.rectangle(vec_like(), _color_like(draw, exprs), mask_like())
 
     layers = [lang.pos_shape(vec_like(), shape_like())
               for _ in range(draw(st.integers(0, 3)))]
-    return lang.grid(vec_like(), _color_like(draw), layers)
+    return lang.grid(vec_like(), _color_like(draw, exprs), layers)
 
 
 @given(grid_terms())
@@ -137,3 +143,26 @@ def test_delta_round_trips(pair):
     changed = int(np.sum(np.array(base.rows) != np.array(target.rows)))
     assert len(d) == changed
     assert delta_between(base, base) == frozenset()
+
+
+@pytest.mark.parametrize("max_diffs", [0, 3])
+@pytest.mark.parametrize("background", ["fixed", "unknown"])
+@given(grid_terms(exprs=False), colors, grid_pairs(), st.booleans())
+def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, t, bg,
+                                                         pair, own_drawing):
+    template = lang.subst(t, ("color",), bg if background == "fixed" else lang.UNK)
+    g = pair[0]
+    if own_drawing:
+        try:
+            g = parsing.draw(parsing.generate(template))
+        except GridError:  # a zero size or a bitmap that does not fit
+            pass
+    cfg = parsing.ParseConfig(max_diffs=max_diffs)
+    readings = parsing.parse(template, g, cfg=cfg)
+    dims = (g.height, g.width)
+    for r in readings:
+        assert r.dl == (coding.l_parse_tree(r.tree, template, r.diffs, dims)
+                        + coding.l_delta(r.delta, dims))
+        assert delta_apply(parsing.draw(r.tree), r.delta) == g
+    assert [r.dl for r in readings] == sorted(r.dl for r in readings)
+    assert parsing.parse(template, g, cfg=replace(cfg, max_trees_kept=1)) == readings[:1]
