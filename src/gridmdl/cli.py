@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import coding, lang, tasks
-from .grids import render_ppm
+from .grids import GridError, render_ppm
 from .learn import SearchConfig, create
 from .parsing import ParseConfig
 
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (tasks.TaskError, lang.LangError, OSError) as e:
+    except (tasks.TaskError, lang.LangError, GridError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

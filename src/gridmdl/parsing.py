@@ -70,7 +70,9 @@ class Caches:
     """Per-task memo tables; safe to share across refinement evaluations.
 
     Readings are keyed on the applied model, the grid and the whole
-    ParseConfig; indexes on the grid alone."""
+    ParseConfig; indexes on the grid alone. An index also carries the
+    per-layer memo of admitted candidates and their reading terms
+    (`GridIndex.layers`)."""
     indexes: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -181,11 +183,18 @@ class Candidate:
 
 @dataclass
 class GridIndex:
-    """Per-grid candidate table and colour bitmasks."""
+    """Per-grid candidate table, colour bitmasks and layer memo.
+
+    `layers` maps (layer template, diff budget, max_candidates_per_layer,
+    diff-location cost) to the layer's admitted (candidate, diffs) pairs and
+    a parallel list of their reading terms, each filled when a parse first
+    needs it. With the grid, that key is every input of admission and of the
+    terms, so the memo holds for every parse of the grid."""
     grid: Grid
     candidates: tuple
     color_cells: tuple  # bitmask per colour
     all_cells: int
+    layers: dict = field(default_factory=dict)
 
 
 def _cells_mask(cells, width: int) -> int:
@@ -365,8 +374,10 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
     sorted by ascending description length.
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
-    size, the background colour and each layer's candidate, each costed once
-    per call, plus the delta; only the kept readings are built.
+    size, the background colour and each layer's candidate, plus the delta;
+    only the kept readings are built. The grid size and colours are costed
+    once per call; a layer's admitted candidates and their terms once per
+    grid for as long as its index lives.
 
     No reading cost depends on `dl_cfg` (its `alpha` weighs whole examples);
     it stays third so that `cfg` keeps its position."""
@@ -383,26 +394,35 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
         return ()
     budget = cfg.max_diffs - len(size_diffs)
 
-    # admissible candidates per layer, keeping the global order
+    loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
+
+    # admissible candidates per layer, keeping the global order, and their
+    # reading terms; both come from the index's memo when an earlier parse
+    # of the grid met the same layer
     per_layer: list[list[tuple[Candidate, tuple]]] = []
+    layer_terms: list[list] = []
     for lt in layer_ts:
-        admitted = []
-        for cand in index.candidates:
-            d = template_diffs(lt, cand.tree, ())
-            if d is not None and len(d) <= budget:
-                admitted.append((cand, d))
-                if len(admitted) >= cfg.max_candidates_per_layer:
-                    break
+        key = (lt, budget, cfg.max_candidates_per_layer, loc)
+        entry = index.layers.get(key)
+        if entry is None:
+            admitted = []
+            for cand in index.candidates:
+                d = template_diffs(lt, cand.tree, ())
+                if d is not None and len(d) <= budget:
+                    admitted.append((cand, d))
+                    if len(admitted) >= cfg.max_candidates_per_layer:
+                        break
+            entry = index.layers[key] = (admitted, [None] * len(admitted))
+        admitted, terms = entry
         if not admitted:
             return ()
         per_layer.append(admitted)
+        layer_terms.append(terms)
 
     # reading terms: the grid's once, each colour's and each candidate's
     # when a combination first needs them
-    loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
     size_terms = coding.slot_terms(size_t, vec(h, w), size_diffs, dims, loc, VEC, "grid_size")
     bg_terms: dict[int, tuple] = {}
-    layer_terms: list[list] = [[None] * len(admitted) for admitted in per_layer]
 
     scored: list[tuple[float, list, int, int]] = []
     L = len(per_layer)

@@ -23,7 +23,7 @@ from gridmdl.learn import SearchConfig, create, initial_model, learn, predict
 from gridmdl.lang import App, UNK, Unknown, Var
 from gridmdl.parsing import draw, parse
 
-from conftest import (
+from helpers import (
     ARC_SKIP, NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN,
     arc_training_dir, delta_between, synthetic_task_suite,
 )

@@ -6,7 +6,7 @@ import pytest
 
 from gridmdl.cli import main
 
-from conftest import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, write_task
+from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, write_task
 
 
 MODEL_TEXT = (
@@ -138,6 +138,17 @@ def test_create_rejects_a_bare_number_in_a_vector_slot(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:") and "cannot fill a vec slot" in err
     assert "Traceback" not in err
+
+
+def test_create_rejects_a_degenerate_grid_size(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("in: Grid(Vec(0, 3), black, [])\nout: Grid(?, ?, [])\n")
+    rc = main(["create", str(model_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "degenerate grid size 0x3" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_render_prints_grids_and_images(nested_task_file, tmp_path, capsys):

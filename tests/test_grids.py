@@ -5,7 +5,7 @@ import pytest
 
 from gridmdl.grids import Grid, GridError, delta_apply, mask_array, render_ppm, segment
 
-from conftest import delta_between, mask_member
+from helpers import delta_between, mask_member
 
 
 # construction

@@ -9,7 +9,7 @@ from gridmdl.learn import (
     Refinement, SearchConfig, apply_refinement, create, initial_model, learn,
     predict, propose_refinements,
 )
-from conftest import NESTED_SOLUTION_TEXT, NESTED_TEST, nested_pair
+from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, nested_pair
 
 
 def test_initial_model_is_a_pair_of_bare_grids():

@@ -10,7 +10,7 @@ from gridmdl import coding, lang, parsing
 from gridmdl.grids import Grid, GridError, delta_apply, mask_array
 from gridmdl.lang import App, Var
 
-from conftest import delta_between, mask_member
+from helpers import delta_between, mask_member
 
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -166,3 +166,41 @@ def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, 
         assert delta_apply(parsing.draw(r.tree), r.delta) == g
     assert [r.dl for r in readings] == sorted(r.dl for r in readings)
     assert parsing.parse(template, g, cfg=replace(cfg, max_trees_kept=1)) == readings[:1]
+
+
+@settings(max_examples=25)
+@given(grid_terms(exprs=False), grid_pairs(), st.booleans(), st.data())
+def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing, data):
+    """The index's layer memo is keyed on every input of admission and of the
+    reading terms: parses that share one index, interleaving diff budgets,
+    candidate caps, node counts (so diff-location costs) and templates with
+    layers in common, read exactly what parses with a fresh index read."""
+    g = pair[0]
+    if own_drawing:
+        try:
+            g = parsing.draw(parsing.generate(t))
+        except GridError:  # a zero size or a bitmap that does not fit
+            pass
+    index = parsing.build_index(g)
+    # shared layers: the template's, and grid candidates with up to three
+    # numbers changed, which take that many diffs to read those candidates
+    pool = list(t.args[2]) + [lang.pos_shape(lang.UNK, lang.UNK)]
+    for cand in data.draw(st.lists(st.sampled_from(index.candidates), min_size=1, max_size=3)):
+        numbers = [p for p, _, _, x in lang.slots(cand.tree, lang.OBJECT) if isinstance(x, int)]
+        layer = cand.tree
+        for p in data.draw(st.lists(st.sampled_from(numbers), max_size=3, unique=True)):
+            layer = lang.subst(layer, p, (lang.resolve(layer, p) + 1) % 10)
+        pool.append(layer)
+    layer_lists = [data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+                   for _ in range(2)]
+    h, w = g.height, g.width
+    # sizes taking 0, 0, 1 and 2 diffs; the first has fewer nodes
+    sizes = [lang.UNK, lang.vec(h, lang.UNK), lang.vec(h + 1, lang.UNK), lang.vec(h + 1, w + 1)]
+    calls = [(size, layers, max_diffs, per_layer)
+             for size in sizes for layers in layer_lists
+             for max_diffs in (0, 3) for per_layer in (1, 64)]
+    for size, layers, max_diffs, per_layer in data.draw(st.permutations(calls)):
+        template = lang.grid(size, t.args[1], layers)
+        cfg = parsing.ParseConfig(max_diffs=max_diffs, max_candidates_per_layer=per_layer)
+        assert (parsing.parse(template, g, cfg=cfg, index=index)
+                == parsing.parse(template, g, cfg=cfg))

@@ -10,7 +10,7 @@ from gridmdl.tasks import (
     BatchReport, TaskError, evaluate_batch, evaluate_task, load_task,
     report_jsonl, task_paths,
 )
-from conftest import NESTED_TEST, NESTED_TRAIN, write_task
+from helpers import NESTED_TEST, NESTED_TRAIN, write_task
 
 
 def test_load_task_reads_train_and_test(nested_task_file):
