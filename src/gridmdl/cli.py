@@ -13,13 +13,20 @@ from .learn import SearchConfig, create
 from .parsing import ParseConfig
 
 
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=30.0, help="learning budget per task, seconds")
     p.add_argument("--alpha", type=float, default=10.0, help="weight of data against model bits")
     p.add_argument("--beam", type=int, default=1, help="models kept per search step")
     p.add_argument("--refinements", type=int, default=20, help="compressive refinements collected per step")
-    p.add_argument("--max-trees", type=int, default=64, help="parse trees examined before sorting")
-    p.add_argument("--keep-trees", type=int, default=3, help="readings kept per grid")
+    p.add_argument("--max-trees", type=_at_least_one, default=64, help="parse trees examined before sorting")
+    p.add_argument("--keep-trees", type=_at_least_one, default=3, help="readings kept per grid")
     p.add_argument("--max-diffs", type=int, default=3, help="template diffs allowed when reading a test input")
     p.add_argument("--order", default="So-Si-Eo-Ei", help="refinement group order policy")
 

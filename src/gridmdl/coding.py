@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from . import lang
@@ -84,6 +85,11 @@ def path_similarity(p: tuple, q: tuple) -> int:
 def l_var(path: tuple, slot_path: tuple, candidates: Sequence[tuple]) -> float:
     """Code for a variable choice: softmax over same-sort environment paths,
     weighted by name similarity with the slot the expression occupies."""
+    return _l_var(path, slot_path, tuple(candidates))
+
+
+@lru_cache(maxsize=4096)
+def _l_var(path: tuple, slot_path: tuple, candidates: tuple) -> float:
     weights = [math.exp(path_similarity(p, slot_path)) for p in candidates]
     total = sum(weights)
     try:
@@ -101,7 +107,7 @@ def _l_expr_body(e: Term, slot_path: tuple, sig: lang.EnvSig, sort: str) -> floa
         cands = sig.paths_of_sort(sort)
         if not cands:
             raise lang.LangError(f"no environment path of sort {sort}")
-        return l_dist(P_EXPR["var"]) + l_var(e.path, slot_path, cands)
+        return l_dist(P_EXPR["var"]) + _l_var(e.path, slot_path, cands)
     if isinstance(e, App):
         cost = l_dist(P_EXPR["app"]) + l_uniform(len(FUNCTIONS))
         for a in e.args:
@@ -175,10 +181,18 @@ def l_model(m: Term, sig: lang.EnvSig | None = None) -> float:
     return _l_term(m, GRID, "", None, (), sig)
 
 
-def l_pair_model(model: Ctor) -> tuple[float, float]:
-    """(input, output) model costs of an InOut model; the pair node is free."""
+def l_pair_model(model: Ctor, caches=None) -> tuple[float, float]:
+    """(input, output) model costs of an InOut model; the pair node is free.
+
+    With a task's `parsing.Caches`, the input side's cost and signature are
+    computed once per input model: a learner step re-scores the same input
+    side with every output-side refinement."""
     gin, gout = model.args
-    return l_model(gin, None), l_model(gout, lang.signature(gin))
+    memo = {} if caches is None else caches.inputs
+    side = memo.get(gin)
+    if side is None:
+        side = memo[gin] = (l_model(gin, None), lang.signature(gin))
+    return side[0], l_model(gout, side[1])
 
 
 # data coding: unknown fills, diffs, deltas
@@ -321,7 +335,7 @@ def l_task(model: Ctor, examples, dl_cfg: DLConfig = DEFAULT_DL,
     """
     from . import parsing  # read_pair needs the parser
 
-    lm_i, lm_o = l_pair_model(model)
+    lm_i, lm_o = l_pair_model(model, caches)
     ev = TaskEval(model, lm_i, lm_o, 0.0, 0.0)
     for gi, go in examples:
         pairs = parsing.read_pair(model, gi, go, dl_cfg, parse_cfg, caches)

@@ -3,7 +3,8 @@
 A model is a term built from a small set of typed constructors (grids, layered
 objects, shapes, masks, vectors) plus template holes (`Unknown`) and, on the
 output side, expressions (`Var` references into the input parse tree, `zero`,
-`plus`, `minus`). Terms are immutable; every operation rebuilds.
+`plus`, `minus`). Terms are immutable; an operation rebuilds the nodes it
+changes and shares the rest.
 
 Paths address subterms as tuples of steps: field names (`"size"`, `"shape"`),
 list indices (ints, valid right after a `"layers"` step), and the pair roots
@@ -36,9 +37,26 @@ BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, LIGHTBLUE, BROWN = range(10
 
 @dataclass(frozen=True)
 class Ctor:
-    """Constructor node; `args` holds one entry per field (list fields hold a tuple)."""
+    """Constructor node; `args` holds one entry per field (list fields hold a tuple).
+
+    The hash is computed on first use and kept, as `grids.Grid` keeps its
+    own: every memo table of a task keys on terms, and shared subterms then
+    hash once."""
     name: str
     args: tuple = ()
+    _hash = None  # not a field: no annotation
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuild through __init__, so that a term sent to another process
+        # never carries a hash made under this process's hash seed
+        return (Ctor, (self.name, self.args))
 
 
 @dataclass(frozen=True)
@@ -336,7 +354,11 @@ def eval_expr(e: Term, env: Term) -> Term:
 
 
 def apply_model(m: Term, env: Term | None) -> Term:
-    """Instantiate every expression in `m` against `env`; unknowns survive."""
+    """Instantiate every expression in `m` against `env`; unknowns survive.
+
+    A subterm that holds no expression comes back as itself, not as a copy,
+    so an input side and the untouched parts of an output side keep their
+    identity and their cached hashes."""
     if is_expr(m):
         return eval_expr(m, env)
     if not isinstance(m, Ctor):
@@ -344,11 +366,14 @@ def apply_model(m: Term, env: Term | None) -> Term:
     args = []
     for arg, (_, sort, is_list) in zip(m.args, ctor_fields(m.name)):
         if is_list:
-            args.append(tuple(apply_model(x, env) for x in arg))
+            new = tuple(apply_model(x, env) for x in arg)
+            args.append(arg if all(a is b for a, b in zip(new, arg)) else new)
         elif sort == BITS:
             args.append(arg)
         else:
             args.append(apply_model(arg, env))
+    if all(a is b for a, b in zip(args, m.args)):
+        return m
     return Ctor(m.name, tuple(args))
 
 

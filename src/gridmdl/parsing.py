@@ -69,10 +69,15 @@ class ReadingPair:
 class Caches:
     """Per-task memo tables; safe to share across refinement evaluations.
 
-    Readings are keyed on the applied model, the grid and the whole
-    ParseConfig; indexes on the grid alone. An index also carries the
+    Input models map to their cost and environment signature
+    (`coding.l_pair_model`). Applied models are keyed on the model side and
+    its environment (the input tree, or None), with None standing for an
+    application that fails; readings on the applied model, the grid and the
+    whole ParseConfig; indexes on the grid alone. An index also carries the
     per-layer memo of admitted candidates and their reading terms
     (`GridIndex.layers`)."""
+    inputs: dict = field(default_factory=dict)
+    applied: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -509,13 +514,26 @@ def read(m: Term, env: Term | None, g: Grid,
     """Apply the model side to its environment and parse the grid.
 
     Returns no readings when the environment does not support the model's
-    expressions (dangling variable, negative difference)."""
-    try:
-        applied = lang.apply_model(m, env)
-    except lang.LangError:
-        return ()
+    expressions (dangling variable, negative difference). With `caches`,
+    each (model side, environment) pair is applied once per task, and each
+    grid parsed once per applied model and ParseConfig."""
     if caches is None:
+        try:
+            applied = lang.apply_model(m, env)
+        except lang.LangError:
+            return ()
         return parse(applied, g, dl_cfg, cfg)
+    akey = (m, env)
+    try:
+        applied = caches.applied[akey]
+    except KeyError:
+        try:
+            applied = lang.apply_model(m, env)
+        except lang.LangError:
+            applied = None
+        caches.applied[akey] = applied
+    if applied is None:
+        return ()
     key = (applied, g, cfg)
     hit = caches.readings.get(key)
     if hit is None:

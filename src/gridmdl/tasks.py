@@ -41,6 +41,11 @@ def _grid_of(obj, where: str) -> Grid:
         raise TaskError(f"{where}: grid must be a non-empty list of rows")
     if len(obj) > MAX_DIM or any(len(r) > MAX_DIM for r in obj):
         raise TaskError(f"{where}: grid exceeds {MAX_DIM}x{MAX_DIM}")
+    for i, row in enumerate(obj):
+        for j, c in enumerate(row):
+            # JSON booleans are ints to Python, and Grid would truncate 1.7 or "3"
+            if type(c) is not int or not 0 <= c <= 9:
+                raise TaskError(f"{where}[{i}][{j}]: cell {c!r} is not a colour 0-9")
     try:
         return Grid(obj)
     except GridError as e:
@@ -66,7 +71,7 @@ def load_task(path: str | Path) -> Task:
         out = []
         for k, item in enumerate(items):
             where = f"{path.name}:{section}[{k}]"
-            if "input" not in item:
+            if not isinstance(item, dict) or "input" not in item:
                 raise TaskError(f"{where}: missing input")
             gi = _grid_of(item["input"], where + ".input")
             go = None

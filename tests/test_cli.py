@@ -93,6 +93,33 @@ def test_eval_records_a_bad_task_file_and_keeps_the_others(tmp_path, capsys, job
     assert records[1]["solved"] and records[2]["solved"]
 
 
+def test_eval_records_a_task_file_with_a_bad_cell_and_keeps_the_others(tmp_path, capsys):
+    write_task(tmp_path / "good.json", NESTED_TRAIN, [NESTED_TEST])
+    (tmp_path / "cell.json").write_text(json.dumps(
+        {"train": [{"input": [[0, "x"]], "output": [[0]]}], "test": []}))
+    out_file = tmp_path / "report.jsonl"
+    rc = main(["eval", str(tmp_path), "--out", str(out_file)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1
+    assert lines[0].startswith("+ good ")
+    assert lines[1].startswith("! cell  error: cell.json:train[0].input[0][1]: cell 'x'")
+    records = [json.loads(s) for s in out_file.read_text().splitlines()]
+    assert [r["task"] for r in records] == ["cell", "good"]
+    assert set(records[0]) == {"task", "error"}
+    assert records[1]["solved"]
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("flag", ["--keep-trees", "--max-trees"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_tree_bounds_below_one_are_usage_errors(nested_task_file, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(nested_task_file), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"error: argument {flag}: must be at least 1" in err
+
+
 def test_eval_marks_unknown_test_outputs(tmp_path, capsys):
     write_task(tmp_path / "n1.json", NESTED_TRAIN, [(NESTED_TEST[0], None)])
     rc = main(["eval", str(tmp_path)])

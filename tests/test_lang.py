@@ -1,5 +1,11 @@
 """Term model: constructors, paths, substitution, matching, evaluation, text."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gridmdl import lang
@@ -332,3 +338,47 @@ def test_parse_term_takes_bare_numbers_in_nat_and_colour_slots_only():
             lang.parse_term(bad)
     with pytest.raises(LangError, match="expected a number"):
         lang.parse_term("Grid(Vec(², 2), black, [])")
+
+
+def test_apply_model_returns_an_expression_free_term_itself():
+    m = in_out(sample_grid_term(), grid(UNK, UNK, [pos_shape(UNK, point(UNK))]))
+    assert lang.apply_model(m, None) is m
+    assert lang.apply_model(m.args[1], sample_grid_term()) is m.args[1]
+
+
+def test_apply_model_shares_the_untouched_subterms():
+    kept = pos_shape(UNK, rectangle(vec(2, 2), 3, lang.FULL))
+    m = grid(vec(Var(("size", "i")), 5), UNK, [kept, pos_shape(vec(0, 0), point(Var(("color",))))])
+    applied = lang.apply_model(m, sample_grid_term())
+    assert applied == grid(vec(4, 5), UNK, [kept, pos_shape(vec(0, 0), point(0))])
+    assert applied.args[1] is m.args[1]
+    assert applied.args[2][0] is kept
+    assert applied.args[2][1].args[0] is m.args[2][1].args[0]
+
+
+_CHILD = """
+import pickle, sys
+from gridmdl import lang
+t = pickle.loads(sys.stdin.buffer.read())
+fresh = lang.parse_model(sys.argv[1])
+assert t == fresh and t is not fresh
+assert hash(t) == hash(fresh)
+assert {fresh: "found"}[t] == "found"
+print(hash(fresh))
+"""
+
+
+def test_a_pickled_term_hashes_under_the_process_that_loads_it():
+    m = in_out(sample_grid_term(), grid(Var(("layers", 0, "shape", "size")), UNK, []))
+    here = hash(m)  # the hash is now cached on every node of m
+    data = pickle.dumps(m)
+    assert b"_hash" not in data
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(lang.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _CHILD, lang.model_to_text(m)],
+                           input=data, capture_output=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr.decode()
+    # the child's seed differs from ours, so a hash carried over would not match
+    assert int(child.stdout) != here

@@ -9,7 +9,7 @@ from gridmdl.learn import (
     Refinement, SearchConfig, apply_refinement, create, initial_model, learn,
     predict, propose_refinements,
 )
-from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, nested_pair
+from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, nested_pair
 
 
 def test_initial_model_is_a_pair_of_bare_grids():
@@ -160,3 +160,48 @@ def test_create_then_predict_round_trip():
     pair = create(m)
     preds = predict(m, pair.input_grid)
     assert preds and preds[0] == pair.output_grid
+
+
+def _trajectory_models(train):
+    """Every model the learner scores along its accepted path: each model on
+    the trace and each refinement proposed from it."""
+    result = learn(train, SearchConfig())
+    model = initial_model()
+    ev = coding.l_task(model, train)
+    out = [model]
+    for step in result.trace[1:]:
+        out.extend(apply_refinement(model, ref) for ref in propose_refinements(model, ev))
+        model = apply_refinement(model, step.refinement)
+        ev = coding.l_task(model, train)
+    return out
+
+
+def test_task_memos_change_no_score_and_no_reading(synthetic_tasks):
+    for train in synthetic_tasks:
+        caches = parsing.Caches()
+        for m in _trajectory_models(train):
+            try:
+                plain = coding.l_task(m, train, caches=None)
+            except (lang.LangError, coding.ModelEvalError) as e:
+                with pytest.raises(type(e)) as memo_error:
+                    coding.l_task(m, train, caches=caches)
+                assert str(memo_error.value) == str(e)
+                continue
+            memo = coding.l_task(m, train, caches=caches)
+            assert (memo.l_model_in, memo.l_model_out, memo.data_in, memo.data_out) == \
+                (plain.l_model_in, plain.l_model_out, plain.data_in, plain.data_out)
+            assert [ex.pairs for ex in memo.examples] == [ex.pairs for ex in plain.examples]
+        assert caches.applied and caches.readings
+
+
+def test_a_failed_application_is_kept_and_fails_the_same_way_again():
+    train = list(NESTED_TRAIN[:1])
+    m = in_out(grid(UNK, UNK, []),
+               grid(vec(lang.App("minus", (Var(("size", "i")), 99)), 1), UNK, []))
+    caches = parsing.Caches()
+    with pytest.raises(coding.ModelEvalError) as first:
+        coding.l_task(m, train, caches=caches)
+    assert None in caches.applied.values()
+    with pytest.raises(coding.ModelEvalError) as again:
+        coding.l_task(m, train, caches=caches)
+    assert str(again.value) == str(first.value)

@@ -41,11 +41,24 @@ def test_load_task_accepts_missing_test_output(tmp_path):
     {"train": [{"input": [[0], [0, 0]], "output": [[0]]}], "test": []},  # ragged
     {"train": [{"input": [[0] * 31], "output": [[0]]}], "test": []},  # too wide
     {"train": [{"input": "nope", "output": [[0]]}], "test": []},      # not a grid
+    {"train": [7], "test": []},                                       # not an example
+    {"train": [{"input": [[0]], "output": [[0]]}], "test": ["x"]},    # not an example
 ])
 def test_load_task_rejects_malformed_files(tmp_path, payload):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(payload))
     with pytest.raises(TaskError):
+        load_task(p)
+
+
+@pytest.mark.parametrize("cell", ["x", None, 1.7, True, "3", -1, [0]])
+def test_load_task_rejects_a_cell_that_is_not_a_colour(tmp_path, cell):
+    p = tmp_path / "cells.json"
+    p.write_text(json.dumps({
+        "train": [{"input": [[0, 0], [0, cell]], "output": [[1]]}],
+        "test": [{"input": [[0]]}],
+    }))
+    with pytest.raises(TaskError, match=r"cells.json:train\[0\].input\[1\]\[1\]: cell"):
         load_task(p)
 
 
