@@ -64,7 +64,7 @@ def l_dist(p: float) -> float:
         raise ValueError("probability out of range")
     return -math.log2(p)
 
-def l_position(coord: int, extent: int | None) -> float:
+def l_position(extent: int | None) -> float:
     """Uniform code for one position component; MAX_DIM stands in for unknown extents."""
     return math.log2(extent if extent else MAX_DIM)
 
@@ -137,9 +137,9 @@ def _l_term(t: Term, sort: str, role: str, dims, slot_path: tuple,
         if sort == COLOR:
             return cost + (l_dist(P_BG[t]) if role == "bg" else LOG2_COLORS)
         if role == "pos_i":
-            return cost + l_position(t, dims[0] if dims else None)
+            return cost + l_position(dims[0] if dims else None)
         if role == "pos_j":
-            return cost + l_position(t, dims[1] if dims else None)
+            return cost + l_position(dims[1] if dims else None)
         return cost + l_nat(t)
     if isinstance(t, Ctor):
         csort = lang.ctor_sort(t.name)
@@ -326,8 +326,7 @@ class Normalizer:
         return cls(t["in"][2], t["out"][2])
 
 
-def l_task(model: Ctor, examples, dl_cfg: DLConfig = DEFAULT_DL,
-           parse_cfg=None, caches=None) -> TaskEval:
+def l_task(model: Ctor, examples, parse_cfg=None, caches=None) -> TaskEval:
     """Evaluate a task model over example pairs.
 
     Examples are (input Grid, output Grid) pairs. Each example contributes its
@@ -335,10 +334,13 @@ def l_task(model: Ctor, examples, dl_cfg: DLConfig = DEFAULT_DL,
     """
     from . import parsing  # read_pair needs the parser
 
+    if parse_cfg is None:
+        parse_cfg = parsing.DEFAULT_PARSE
+
     lm_i, lm_o = l_pair_model(model, caches)
     ev = TaskEval(model, lm_i, lm_o, 0.0, 0.0)
     for gi, go in examples:
-        pairs = parsing.read_pair(model, gi, go, dl_cfg, parse_cfg, caches)
+        pairs = parsing.read_pair(model, gi, go, parse_cfg, caches)
         if not pairs:
             raise ModelEvalError("example admits no chained reading")
         ev.examples.append(ExampleEval(pairs))

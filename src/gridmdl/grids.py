@@ -16,7 +16,6 @@ DeltaCell = tuple[int, int, int]
 Delta = frozenset
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCT8 = np.ones((3, 3), dtype=bool)
 
 # display palette, one RGB triple per colour
 PALETTE = (
@@ -70,9 +69,6 @@ class Grid:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Grid":
         return cls(arr.tolist())
-
-    def at(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     @property
     def size(self) -> tuple[int, int]:
@@ -136,19 +132,13 @@ def part_from_cells(color: int, cells) -> Part:
     return Part(color, cells, top, left, bottom - top + 1, right - left + 1)
 
 
-def segment(g: Grid, connectivity: int = 4) -> tuple[Part, ...]:
-    """Split the grid into connected one-colour parts.
-
-    Parts come back in scanline order of their first cell. Connectivity is 4
-    by default, 8 as an option.
-    """
-    if connectivity not in (4, 8):
-        raise GridError("connectivity must be 4 or 8")
-    struct = _STRUCT4 if connectivity == 4 else _STRUCT8
+def segment(g: Grid) -> tuple[Part, ...]:
+    """Split the grid into 4-connected one-colour parts, in scanline order of
+    their first cell."""
     arr = g.array
     parts = []
     for c in np.unique(arr):
-        labels, n = ndimage.label(arr == c, structure=struct)
+        labels, n = ndimage.label(arr == c, structure=_STRUCT4)
         for k in range(1, n + 1):
             ii, jj = np.nonzero(labels == k)
             cells = frozenset((int(i), int(j)) for i, j in zip(ii, jj))

@@ -243,30 +243,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def matches(datum: Term, template: Term) -> bool:
-    """Does ground `datum` instantiate `template`? Unknowns match anything."""
-    if isinstance(template, Unknown):
-        return True
-    if is_expr(template):
-        raise LangError("matches() expects an expression-free template")
-    if isinstance(template, Ctor):
-        if not isinstance(datum, Ctor) or datum.name != template.name:
-            return False
-        for d, t, (_, sort, is_list) in zip(datum.args, template.args, ctor_fields(template.name)):
-            if is_list:
-                if len(d) != len(t):
-                    return False
-                if not all(matches(x, y) for x, y in zip(d, t)):
-                    return False
-            elif sort == BITS:
-                if d != t:
-                    return False
-            elif not matches(d, t):
-                return False
-        return True
-    return datum == template
-
-
 def slot_role(ctor: str, field: str, sort: str, parent_role: str) -> str:
     """Role of field `field` (of sort `sort`) of a `ctor` node whose own slot
     has role `parent_role`; the one rule behind model and data coding and

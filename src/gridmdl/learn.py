@@ -319,7 +319,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
     deadline = start + cfg.timeout
     caches = Caches()
     model = initial_model()
-    ev = coding.l_task(model, examples, cfg.dl, cfg.parse, caches)
+    ev = coding.l_task(model, examples, cfg.parse, caches)
     norm = Normalizer.from_initial(ev, cfg.dl)
     first = _Entry(ev.normalized(norm, cfg.dl), model, ev,
                    (TraceStep(0, ev.normalized(norm, cfg.dl), None),))
@@ -341,7 +341,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                     break
                 try:
                     m2 = apply_refinement(entry.model, ref)
-                    ev2 = coding.l_task(m2, examples, cfg.dl, cfg.parse, caches)
+                    ev2 = coding.l_task(m2, examples, cfg.parse, caches)
                 except (lang.LangError, ModelEvalError, GridError):
                     continue
                 lhat2 = ev2.normalized(norm, cfg.dl)
@@ -384,7 +384,7 @@ def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
     pcfg = replace(cfg.parse, max_diffs=cfg.predict_diffs)
     m_in, m_out = model.args
     outs: list[Grid] = []
-    readings = parsing.read(m_in, None, gi, cfg.dl, pcfg, caches)
+    readings = parsing.read(m_in, None, gi, pcfg, caches)
     if attempts is not None:
         readings = readings[:attempts]
     for r in readings:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
 from . import coding, lang
-from .grids import Grid, GridError, Part, mask_array, segment
+from .grids import Grid, GridError, Part, mask_array, part_from_cells, segment
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown,
@@ -230,55 +231,27 @@ def recognize_mask(cells: frozenset, h: int, w: int) -> Ctor:
     return bitmap_term(arr.astype(int).tolist())
 
 
-def _part_candidates(part: Part, width: int, out: list) -> None:
-    rel = frozenset((i - part.top, j - part.left) for i, j in part.cells)
-    box = part.height * part.width
-    tl = (part.top, part.left)
-    if part.area == 1:
-        (i, j), = part.cells
-        out.append((pos_shape(vec(i, j), point(part.color)),
-                    _cells_mask(part.cells, width), 1, part.color, i, j, 2, 0))
-        return
-    exact_mask = recognize_mask(rel, part.height, part.width)
-    if exact_mask.name == "Full":
-        out.append((pos_shape(vec(*tl), rectangle(vec(part.height, part.width), part.color, FULL)),
-                    _box_mask(*tl, part.height, part.width, width),
-                    box, part.color, *tl, 0, 0))
-    else:
-        out.append((pos_shape(vec(*tl), rectangle(vec(part.height, part.width), part.color, FULL)),
-                    _box_mask(*tl, part.height, part.width, width),
-                    box, part.color, *tl, 0, -1))
-        out.append((pos_shape(vec(*tl), rectangle(vec(part.height, part.width), part.color, exact_mask)),
-                    _cells_mask(part.cells, width),
-                    part.area, part.color, *tl, 1, 0))
-    if part.area < 5:
-        for i, j in sorted(part.cells):
-            out.append((pos_shape(vec(i, j), point(part.color)),
-                        1 << (i * width + j), 1, part.color, i, j, 2, 0))
-
-
-def _union_candidates(a: Part, b: Part, width: int, out: list) -> None:
-    top, left = min(a.top, b.top), min(a.left, b.left)
-    bottom = max(a.top + a.height, b.top + b.height)
-    right = max(a.left + a.width, b.left + b.width)
-    h, w = bottom - top, right - left
-    if h * w > 4 * (a.area + b.area):
-        return
-    cells = a.cells | b.cells
-    rel = frozenset((i - top, j - left) for i, j in cells)
-    mask = recognize_mask(rel, h, w)
-    if mask.name == "Full":
-        out.append((pos_shape(vec(top, left), rectangle(vec(h, w), a.color, FULL)),
-                    _box_mask(top, left, h, w, width), h * w, a.color, top, left, 0, 0))
-        return
-    out.append((pos_shape(vec(top, left), rectangle(vec(h, w), a.color, FULL)),
-                _box_mask(top, left, h, w, width), h * w, a.color, top, left, 0, -1))
-    out.append((pos_shape(vec(top, left), rectangle(vec(h, w), a.color, mask)),
-                _cells_mask(cells, width), len(cells), a.color, top, left, 1, 0))
+def _rect_candidates(part: Part, width: int, color_cells, out: list) -> None:
+    """The part's box as a full rectangle and, when the part leaves holes in
+    its box, as a rectangle with the part's exact mask."""
+    tl, size = vec(part.top, part.left), vec(part.height, part.width)
+    box = _box_mask(part.top, part.left, part.height, part.width, width)
+    out.append(Candidate(pos_shape(tl, rectangle(size, part.color, FULL)), box,
+                         part.height * part.width, part.color, part.top, part.left, 0,
+                         box & ~color_cells[part.color]))
+    if part.area < part.height * part.width:
+        rel = frozenset((i - part.top, j - part.left) for i, j in part.cells)
+        mask = recognize_mask(rel, part.height, part.width)
+        out.append(Candidate(pos_shape(tl, rectangle(size, part.color, mask)),
+                             _cells_mask(part.cells, width), part.area, part.color,
+                             part.top, part.left, 1, 0))
 
 
 def build_index(g: Grid) -> GridIndex:
-    """Segment the grid and assemble its ranked candidate objects."""
+    """Segment the grid and assemble its ranked candidate objects: each
+    part's rectangles (points alone for a single cell), each same-colour
+    pair's union rectangles when their box is at most four times their
+    cells, and a point per cell of each part under five cells."""
     w = g.width
     color_cells = [0] * 10
     for i, row in enumerate(g.rows):
@@ -286,28 +259,29 @@ def build_index(g: Grid) -> GridIndex:
         for j, c in enumerate(row):
             color_cells[c] |= 1 << (base + j)
     parts = segment(g)
-    raw: list = []
+    cands: list[Candidate] = []
     for p in parts:
-        _part_candidates(p, w, raw)
+        if p.area > 1:
+            _rect_candidates(p, w, color_cells, cands)
+        if p.area < 5:
+            for i, j in sorted(p.cells):
+                cands.append(Candidate(pos_shape(vec(i, j), point(p.color)),
+                                       1 << (i * w + j), 1, p.color, i, j, 2, 0))
     by_color: dict[int, list[Part]] = {}
     for p in parts:
         by_color.setdefault(p.color, []).append(p)
     for c, group in by_color.items():
         if len(group) > _UNION_COLOR_LIMIT:
             continue
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                _union_candidates(group[x], group[y], w, raw)
-    # resolve the wrong-cell mask for full-mask variants, dedupe by term
-    seen: dict = {}
-    for tree, cells, area, color, top, left, variant, wrong in raw:
-        if tree in seen:
-            continue
-        if wrong == -1:
-            wrong = cells & ~color_cells[color]
-        seen[tree] = Candidate(tree, cells, area, color, top, left, variant, wrong)
-    cands = sorted(seen.values(), key=lambda c: c.sort_key(w))
-    return GridIndex(g, tuple(cands[:_MAX_CANDIDATES]), tuple(color_cells),
+        for a, b in combinations(group, 2):
+            u = part_from_cells(c, a.cells | b.cells)
+            if u.height * u.width <= 4 * u.area:
+                _rect_candidates(u, w, color_cells, cands)
+    unique: dict = {}
+    for cand in cands:
+        unique.setdefault(cand.tree, cand)
+    ranked = sorted(unique.values(), key=lambda c: c.sort_key(w))
+    return GridIndex(g, tuple(ranked[:_MAX_CANDIDATES]), tuple(color_cells),
                      (1 << (g.height * w)) - 1)
 
 
@@ -373,8 +347,8 @@ def _size_fit(size_t: Term, h: int, w: int) -> tuple:
     return diffs
 
 
-def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
-          cfg: ParseConfig = DEFAULT_PARSE, index: GridIndex | None = None) -> tuple[Reading, ...]:
+def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
+          index: GridIndex | None = None) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
     sorted by ascending description length.
 
@@ -382,10 +356,7 @@ def parse(applied: Term, g: Grid, dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
     size, the background colour and each layer's candidate, plus the delta;
     only the kept readings are built. The grid size and colours are costed
     once per call; a layer's admitted candidates and their terms once per
-    grid for as long as its index lives.
-
-    No reading cost depends on `dl_cfg` (its `alpha` weighs whole examples);
-    it stays third so that `cfg` keeps its position."""
+    grid for as long as its index lives."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
@@ -507,9 +478,7 @@ def _best_background(index: GridIndex, uncovered: int, mismatch: int, dims) -> i
 
 # reading models against grids
 
-def read(m: Term, env: Term | None, g: Grid,
-         dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
-         cfg: ParseConfig = DEFAULT_PARSE,
+def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
          caches: Caches | None = None) -> tuple[Reading, ...]:
     """Apply the model side to its environment and parse the grid.
 
@@ -517,12 +486,13 @@ def read(m: Term, env: Term | None, g: Grid,
     expressions (dangling variable, negative difference). With `caches`,
     each (model side, environment) pair is applied once per task, and each
     grid parsed once per applied model and ParseConfig."""
+    # cfg by keyword: bench/run.py's parse note takes args[3], else kwargs["cfg"]
     if caches is None:
         try:
             applied = lang.apply_model(m, env)
         except lang.LangError:
             return ()
-        return parse(applied, g, dl_cfg, cfg)
+        return parse(applied, g, cfg=cfg)
     akey = (m, env)
     try:
         applied = caches.applied[akey]
@@ -540,21 +510,17 @@ def read(m: Term, env: Term | None, g: Grid,
         index = caches.indexes.get(g)
         if index is None:
             index = caches.indexes[g] = build_index(g)
-        hit = caches.readings[key] = parse(applied, g, dl_cfg, cfg, index)
+        hit = caches.readings[key] = parse(applied, g, cfg=cfg, index=index)
     return hit
 
 
-def read_pair(model: Ctor, gi: Grid, go: Grid,
-              dl_cfg: coding.DLConfig = coding.DEFAULT_DL,
-              parse_cfg: ParseConfig | None = None,
+def read_pair(model: Ctor, gi: Grid, go: Grid, parse_cfg: ParseConfig = DEFAULT_PARSE,
               caches: Caches | None = None) -> list[ReadingPair]:
     """Chained readings of one example, best combined cost first."""
-    if parse_cfg is None:
-        parse_cfg = DEFAULT_PARSE
     m_in, m_out = model.args
     pairs: list[ReadingPair] = []
-    for rin in read(m_in, None, gi, dl_cfg, parse_cfg, caches):
-        for rout in read(m_out, rin.tree, go, dl_cfg, parse_cfg, caches):
+    for rin in read(m_in, None, gi, parse_cfg, caches):
+        for rout in read(m_out, rin.tree, go, parse_cfg, caches):
             pairs.append(ReadingPair(rin, rout, rin.dl + rout.dl))
     pairs.sort(key=lambda p: p.dl)
     return pairs

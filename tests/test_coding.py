@@ -36,8 +36,8 @@ def test_l_dist_is_surprisal():
 
 
 def test_l_position_uses_extent_or_default_dim():
-    assert l_position(3, 8) == 3.0
-    assert l_position(3, None) == pytest.approx(math.log2(30))
+    assert l_position(8) == 3.0
+    assert l_position(None) == pytest.approx(math.log2(30))
 
 
 # distributions

@@ -95,10 +95,9 @@ def test_segment_orders_parts_by_first_scanline_cell():
     assert firsts == sorted(firsts)
 
 
-def test_segment_diagonal_depends_on_connectivity():
+def test_segment_keeps_diagonal_cells_apart():
     g = Grid([[3, 0], [0, 3]])
-    assert len([p for p in segment(g, connectivity=4) if p.color == 3]) == 2
-    assert len([p for p in segment(g, connectivity=8) if p.color == 3]) == 1
+    assert len([p for p in segment(g) if p.color == 3]) == 2
 
 
 def test_part_geometry_fields():

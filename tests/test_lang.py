@@ -101,17 +101,6 @@ def test_shift_layer_refs_renumbers_from_insert_position():
 
 # predicates
 
-def test_matches_unknown_absorbs_anything():
-    assert lang.matches(sample_grid_term(), UNK)
-    assert lang.matches(3, UNK)
-
-
-def test_matches_compares_ctor_names_and_args():
-    assert lang.matches(point(3), point(UNK))
-    assert not lang.matches(point(3), point(4))
-    assert not lang.matches(point(3), rectangle(UNK, UNK, UNK))
-
-
 def _definite(t) -> bool:
     """No unknowns; expressions allowed."""
     return not any(isinstance(sub, Unknown) for _, _, _, sub in lang.slots(t))

@@ -46,7 +46,7 @@ def test_input_insertion_renumbers_output_variables():
 
 def test_proposals_at_the_start_lead_with_output_insertions(nested_train):
     cfg = SearchConfig()
-    ev = coding.l_task(initial_model(), nested_train, cfg.dl, cfg.parse, parsing.Caches())
+    ev = coding.l_task(initial_model(), nested_train, cfg.parse, parsing.Caches())
     props = propose_refinements(initial_model(), ev, cfg)
     assert props, "no proposals at the initial model"
     first = props[0]

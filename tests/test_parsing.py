@@ -152,15 +152,60 @@ def test_single_cell_part_is_a_point_candidate():
     assert pts[0].tree == pos_shape(vec(1, 1), point(6))
 
 
+def _bits(width: int, *cells) -> int:
+    return sum(1 << (i * width + j) for i, j in cells)
+
+
+def _rectangles(idx, color: int) -> dict:
+    """The colour's rectangle candidates by (position, size, mask name)."""
+    out = {}
+    for c in idx.candidates:
+        shape = c.tree.args[1]
+        if c.color == color and shape.name == "Rectangle":
+            out[(c.tree.args[0], shape.args[0], shape.args[2].name)] = c
+    return out
+
+
+def test_full_box_candidates_count_the_other_colour_cells_as_wrong():
+    g = Grid([[4, 4, 0],
+              [4, 7, 0],
+              [0, 0, 0]])
+    rects = _rectangles(build_index(g), 4)
+    full = rects[(vec(0, 0), vec(2, 2), "Full")]
+    assert full.cells == _bits(3, (0, 0), (0, 1), (1, 0), (1, 1))
+    assert full.wrong == _bits(3, (1, 1))
+    exact = rects[(vec(0, 0), vec(2, 2), "Bitmap")]
+    assert exact.cells == _bits(3, (0, 0), (0, 1), (1, 0))
+    assert exact.wrong == 0
+
+
 def test_same_colour_parts_yield_union_candidates():
-    g = Grid([[5, 0, 5],
+    g = Grid([[5, 1, 5],
               [5, 0, 5],
               [5, 0, 5]])
-    idx = build_index(g)
-    unions = [c for c in idx.candidates
-              if c.color == 5 and c.tree.args[1].name == "Rectangle"
-              and c.tree.args[1].args[0] == vec(3, 3)]
-    assert unions, "expected a candidate spanning both pillars"
+    rects = _rectangles(build_index(g), 5)
+    # the union's box follows the same wrong-cell rule as a part's
+    full = rects[(vec(0, 0), vec(3, 3), "Full")]
+    assert full.wrong == _bits(3, (0, 1), (1, 1), (2, 1))
+    exact = rects[(vec(0, 0), vec(3, 3), "Bitmap")]
+    assert exact.cells == _bits(3, *((i, j) for i in range(3) for j in (0, 2)))
+    assert exact.wrong == 0
+
+
+def test_no_union_when_its_box_exceeds_four_times_its_cells():
+    near = _rectangles(build_index(Grid([[3] + [0] * 6 + [3, 0, 0]])), 3)
+    assert set(near) == {(vec(0, 0), vec(1, 8), "Full"), (vec(0, 0), vec(1, 8), "Bitmap")}
+    far = _rectangles(build_index(Grid([[3] + [0] * 8 + [3]])), 3)
+    assert far == {}
+
+
+def test_only_parts_under_five_cells_explode_into_points():
+    g = Grid([[2, 2, 2, 2, 2],
+              [0, 0, 0, 0, 0],
+              [6, 6, 6, 6, 0]])
+    points = [c for c in build_index(g).candidates if c.tree.args[1].name == "Point"]
+    assert sorted((c.color, c.top, c.left) for c in points) == [(6, 2, j) for j in range(4)]
+    assert all(c.wrong == 0 and c.cells == _bits(5, (c.top, c.left)) for c in points)
 
 
 def test_candidate_count_is_bounded():
@@ -332,6 +377,24 @@ def test_read_cache_keys_on_the_whole_parse_config():
     one = read(m, None, g, cfg=ParseConfig(max_trees_kept=1), caches=caches)
     assert one == read(m, None, g, cfg=ParseConfig(max_trees_kept=1))
     assert len(one) == 1
+
+
+def test_read_passes_the_parse_config_by_keyword(monkeypatch):
+    # tracers around parse take its config from a keyword when the call has
+    # two positional arguments
+    calls = []
+    real = parsing.parse
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs.get("cfg")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parsing, "parse", spy)
+    cfg = ParseConfig(max_trees_kept=1)
+    m = grid(UNK, UNK, [])
+    read(m, None, nested_input_grid(), cfg=cfg)
+    read(m, None, nested_input_grid(), cfg=cfg, caches=Caches())
+    assert calls == [(2, cfg), (2, cfg)]
 
 
 def test_read_pair_chains_input_tree_into_output_model():
