@@ -7,7 +7,7 @@ from .lang import (
     parse_model, parse_term, term_to_text, model_to_text,
 )
 from .coding import (
-    DLConfig, Normalizer, TaskEval, ModelEvalError,
+    Normalizer, TaskEval, ModelEvalError,
     l_nat, l_uniform, l_dist, l_position, l_bitmap, l_task, path_similarity,
 )
 from .parsing import ParseConfig, Reading, ReadingPair, draw, generate, parse, read, write

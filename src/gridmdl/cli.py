@@ -13,22 +13,32 @@ from .learn import SearchConfig, create
 from .parsing import ParseConfig
 
 
-def _at_least_one(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(floor: int):
+    def check(text: str) -> int:
+        n = int(text)
+        if n < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {n}")
+        return n
+    check.__name__ = "int"  # argparse names the type in "invalid int value"
+    return check
+
+
+def _order(text: str) -> str:
+    try:
+        return SearchConfig(order=text).order
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=30.0, help="learning budget per task, seconds")
-    p.add_argument("--alpha", type=float, default=10.0, help="weight of data against model bits")
-    p.add_argument("--beam", type=int, default=1, help="models kept per search step")
-    p.add_argument("--refinements", type=int, default=20, help="compressive refinements collected per step")
-    p.add_argument("--max-trees", type=_at_least_one, default=64, help="parse trees examined before sorting")
-    p.add_argument("--keep-trees", type=_at_least_one, default=3, help="readings kept per grid")
-    p.add_argument("--max-diffs", type=int, default=3, help="template diffs allowed when reading a test input")
-    p.add_argument("--order", default="So-Si-Eo-Ei", help="refinement group order policy")
+    p.add_argument("--alpha", type=float, default=coding.ALPHA, help="weight of data against model bits")
+    p.add_argument("--beam", type=_at_least(1), default=1, help="models kept per search step")
+    p.add_argument("--refinements", type=_at_least(1), default=20, help="compressive refinements collected per step")
+    p.add_argument("--max-trees", type=_at_least(1), default=64, help="parse trees examined before sorting")
+    p.add_argument("--keep-trees", type=_at_least(1), default=3, help="readings kept per grid")
+    p.add_argument("--max-diffs", type=_at_least(0), default=3, help="template diffs allowed when reading a test input")
+    p.add_argument("--order", type=_order, default="So-Si-Eo-Ei", help="refinement group order policy")
 
 
 def config_from_args(args) -> SearchConfig:
@@ -37,7 +47,7 @@ def config_from_args(args) -> SearchConfig:
     return SearchConfig(refinements=args.refinements, beam=args.beam,
                         timeout=args.timeout, order=args.order,
                         predict_diffs=args.max_diffs,
-                        dl=coding.DLConfig(alpha=args.alpha),
+                        alpha=args.alpha,
                         parse=parse_cfg)
 
 

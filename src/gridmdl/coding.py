@@ -33,13 +33,8 @@ P_MASK = {
 P_SHAPE = {"Point": 0.5, "Rectangle": 0.5}
 
 
-@dataclass(frozen=True)
-class DLConfig:
-    """Knobs of the description-length scheme."""
-    alpha: float = 10.0
-
-
-DEFAULT_DL = DLConfig()
+# weight of the data bits against the model bits
+ALPHA = 10.0
 
 
 class ModelEvalError(Exception):
@@ -278,52 +273,46 @@ def l_delta(delta, dims: tuple[int, int]) -> float:
 # task-level evaluation
 
 @dataclass
-class ExampleEval:
-    """Chained readings of one example; `pairs` sorted by combined cost."""
-    pairs: list
-    @property
-    def best(self):
-        return self.pairs[0]
-
-
-@dataclass
 class TaskEval:
-    """Both model costs and summed best reading costs over the examples."""
+    """Both model costs and summed best reading costs over the examples;
+    `examples` holds each example's chained readings, best first."""
     model: Ctor
     l_model_in: float
     l_model_out: float
     data_in: float
     data_out: float
-    examples: list[ExampleEval] = field(default_factory=list)
+    examples: list[list] = field(default_factory=list)
 
-    def totals(self, cfg: DLConfig = DEFAULT_DL) -> dict:
+    def totals(self, alpha: float = ALPHA) -> dict:
         lm_i, lm_o = self.l_model_in, self.l_model_out
-        ld_i, ld_o = cfg.alpha * self.data_in, cfg.alpha * self.data_out
+        ld_i, ld_o = alpha * self.data_in, alpha * self.data_out
         return {
             "in": (lm_i, ld_i, lm_i + ld_i),
             "out": (lm_o, ld_o, lm_o + ld_o),
             "both": (lm_i + lm_o, ld_i + ld_o, lm_i + lm_o + ld_i + ld_o),
         }
 
-    def normalized(self, norm: "Normalizer", cfg: DLConfig = DEFAULT_DL) -> float:
-        t = self.totals(cfg)
+    def normalized(self, norm: "Normalizer") -> float:
+        t = self.totals(norm.alpha)
         return t["in"][2] / norm.lam_in + t["out"][2] / norm.lam_out
 
-    def normalized_sides(self, norm: "Normalizer", cfg: DLConfig = DEFAULT_DL) -> tuple[float, float]:
-        t = self.totals(cfg)
+    def normalized_sides(self, norm: "Normalizer") -> tuple[float, float]:
+        t = self.totals(norm.alpha)
         return t["in"][2] / norm.lam_in, t["out"][2] / norm.lam_out
 
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-side scores of the initial model, used to normalize later models."""
+    """Per-side scores of the initial model, used to normalize later models,
+    and the data weight `alpha` that every normalized score is taken at."""
     lam_in: float
     lam_out: float
+    alpha: float
 
     @classmethod
-    def from_initial(cls, ev: TaskEval, cfg: DLConfig = DEFAULT_DL) -> "Normalizer":
-        t = ev.totals(cfg)
-        return cls(t["in"][2], t["out"][2])
+    def from_initial(cls, ev: TaskEval, alpha: float = ALPHA) -> "Normalizer":
+        t = ev.totals(alpha)
+        return cls(t["in"][2], t["out"][2], alpha)
 
 
 def l_task(model: Ctor, examples, parse_cfg=None, caches=None) -> TaskEval:
@@ -343,20 +332,20 @@ def l_task(model: Ctor, examples, parse_cfg=None, caches=None) -> TaskEval:
         pairs = parsing.read_pair(model, gi, go, parse_cfg, caches)
         if not pairs:
             raise ModelEvalError("example admits no chained reading")
-        ev.examples.append(ExampleEval(pairs))
+        ev.examples.append(pairs)
         best = pairs[0]
         ev.data_in += best.rin.dl
         ev.data_out += best.rout.dl
     return ev
 
 
-def format_eval_table(ev: TaskEval, norm: Normalizer | None = None,
-                      cfg: DLConfig = DEFAULT_DL) -> str:
-    """Three-row cost table: model bits, data bits, total, and normalized total."""
-    t = ev.totals(cfg)
+def format_eval_table(ev: TaskEval, norm: Normalizer | None = None) -> str:
+    """Three-row cost table: model bits, data bits, total, and normalized
+    total, all at the normalizer's alpha (the default one without it)."""
     if norm is None:
-        norm = Normalizer.from_initial(ev, cfg)
-    nin, nout = ev.normalized_sides(norm, cfg)
+        norm = Normalizer.from_initial(ev)
+    t = ev.totals(norm.alpha)
+    nin, nout = ev.normalized_sides(norm)
     rows = [("input", *t["in"], nin), ("output", *t["out"], nout),
             ("chained", *t["both"], nin + nout)]
     lines = [f"{'':8} {'L(M)':>10} {'L(D|M)':>12} {'L(M,D)':>12} {'normalized':>10}"]

@@ -305,10 +305,7 @@ def eval_expr(e: Term, env: Term) -> Term:
     if isinstance(e, Var):
         if env is None:
             raise LangError("variable with no environment")
-        v = resolve(env, e.path)
-        if not is_ground(v):
-            raise LangError(f"environment value at {e.path} is not ground")
-        return v
+        return resolve(env, e.path)
     if isinstance(e, App):
         if e.fn == "zero":
             return 0
@@ -332,8 +329,9 @@ def eval_expr(e: Term, env: Term) -> Term:
 def apply_model(m: Term, env: Term | None) -> Term:
     """Instantiate every expression in `m` against `env`; unknowns survive.
 
-    A subterm that holds no expression comes back as itself, not as a copy,
-    so an input side and the untouched parts of an output side keep their
+    `env` must be ground, as parse trees and generated trees are. A subterm
+    that holds no expression comes back as itself, not as a copy, so an
+    input side and the untouched parts of an output side keep their
     identity and their cached hashes."""
     if is_expr(m):
         return eval_expr(m, env)

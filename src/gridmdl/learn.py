@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import coding, lang, parsing
-from .coding import DLConfig, ModelEvalError, Normalizer, TaskEval
+from .coding import ALPHA, ModelEvalError, Normalizer, TaskEval
 from .grids import Grid, GridError
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
@@ -23,19 +23,27 @@ from .lang import (
 from .parsing import Caches, ParseConfig
 
 _EPS = 1e-9
+# largest constant c in the proposed expressions x - c and x + c
+_MAX_EXPR_CONST = 3
+_GROUPS = ("So", "Si", "Eo", "Ei")  # the groups of `propose_refinements`
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Learner knobs: candidate budget per step, beam width, wall clock."""
+    """Learner knobs: candidate budget per step, beam width, wall clock,
+    the order of the refinement groups, and the weight of the data bits."""
     refinements: int = 20
     beam: int = 1
     timeout: float = 30.0
     order: str = "So-Si-Eo-Ei"
-    max_expr_const: int = 3
     predict_diffs: int = 3
-    dl: DLConfig = field(default_factory=DLConfig)
+    alpha: float = ALPHA
     parse: ParseConfig = field(default_factory=ParseConfig)
+
+    def __post_init__(self):
+        for token in self.order.split("-"):
+            if token not in _GROUPS:
+                raise ValueError(f"unknown refinement group {token!r} in order {self.order!r}")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -103,9 +111,9 @@ def apply_refinement(model: Ctor, ref: Refinement) -> Ctor:
 def _side_readings(ev: TaskEval, side: str) -> list[list]:
     """Per example, the distinct readings of one side, best pair first."""
     out = []
-    for ex in ev.examples:
+    for pairs in ev.examples:
         seen: dict = {}
-        for p in ex.pairs:
+        for p in pairs:
             r = p.rin if side == "in" else p.rout
             seen.setdefault(r.tree, r)
         out.append(list(seen.values()))
@@ -179,8 +187,7 @@ def _pattern_proposals(side: str, side_model: Term, readings: list[list]) -> lis
     return out
 
 
-def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig,
-                    cfg: SearchConfig) -> list[Refinement]:
+def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinement]:
     """Condition-checked expressions for output slots.
 
     Natural-number slots get the arithmetic forms x, x-c, x+c, x-y, x+y;
@@ -188,21 +195,20 @@ def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig,
     example agrees."""
     gout = model.args[1]
     nat_paths = sig.paths_of_sort(NAT)
-    per_ex = [ex.pairs for ex in ev.examples]
     # environment value tables per chained reading
     env_vals = [[{x: lang.resolve(p.rin.tree, x) for x in nat_paths} for p in pairs]
-                for pairs in per_ex]
+                for pairs in ev.examples]
 
     out: list[Refinement] = []
     for path, sort, _, sub in lang.slots(gout):
         if lang.is_expr(sub):
             continue
         if sort == NAT and isinstance(sub, (int, Unknown)):
-            out.extend(_nat_exprs(path, per_ex, env_vals, nat_paths, cfg))
+            out.extend(_nat_exprs(path, ev.examples, env_vals, nat_paths))
         elif sort in (VEC, COLOR, MASK, SHAPE, OBJECT) and not isinstance(sub, (int,)):
             for x in sig.paths_of_sort(sort):
                 ok = True
-                for pairs in per_ex:
+                for pairs in ev.examples:
                     if not any(_safe_eq(p.rout.tree, path, p.rin.tree, x) for p in pairs):
                         ok = False
                         break
@@ -235,7 +241,7 @@ def _target_values(per_ex, path) -> list[list[int]] | None:
     return tv
 
 
-def _nat_exprs(path, per_ex, env_vals, nat_paths, cfg: SearchConfig) -> list[Refinement]:
+def _nat_exprs(path, per_ex, env_vals, nat_paths) -> list[Refinement]:
     targets = _target_values(per_ex, path)
     if targets is None:
         return []
@@ -249,7 +255,7 @@ def _nat_exprs(path, per_ex, env_vals, nat_paths, cfg: SearchConfig) -> list[Ref
         return True
 
     out = []
-    consts = range(1, cfg.max_expr_const + 1)
+    consts = range(1, _MAX_EXPR_CONST + 1)
     for x in nat_paths:
         if holds(lambda e, t, x=x: e[x] == t):
             out.append(_rep(path, Var(x)))
@@ -286,15 +292,13 @@ def propose_refinements(model: Ctor, ev: TaskEval,
     groups = {
         "So": lambda: _insertions(model, "out", sig),
         "Si": lambda: _insertions(model, "in", sig),
-        "Eo": lambda: (_expr_proposals(model, ev, sig, cfg)
+        "Eo": lambda: (_expr_proposals(model, ev, sig)
                        + _pattern_proposals("out", gout, _side_readings(ev, "out"))),
         "Ei": lambda: _pattern_proposals("in", gin, _side_readings(ev, "in")),
     }
     out: list[Refinement] = []
     seen = set()
     for token in cfg.order.split("-"):
-        if token not in groups:
-            raise ValueError(f"unknown refinement group {token!r}")
         for ref in groups[token]():
             key = (ref.kind, ref.side, ref.path, ref.template)
             if key not in seen:
@@ -308,8 +312,7 @@ def propose_refinements(model: Ctor, ev: TaskEval,
 @dataclass
 class _Entry:
     lhat: float
-    model: Ctor
-    ev: TaskEval
+    ev: TaskEval   # the entry's model is `ev.model`
     trace: tuple
 
 
@@ -320,9 +323,8 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
     caches = Caches()
     model = initial_model()
     ev = coding.l_task(model, examples, cfg.parse, caches)
-    norm = Normalizer.from_initial(ev, cfg.dl)
-    first = _Entry(ev.normalized(norm, cfg.dl), model, ev,
-                   (TraceStep(0, ev.normalized(norm, cfg.dl), None),))
+    norm = Normalizer.from_initial(ev, cfg.alpha)
+    first = _Entry(ev.normalized(norm), ev, (TraceStep(0, ev.normalized(norm), None),))
     beam = [first]
     best = first
     timed_out = False
@@ -335,22 +337,22 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 timed_out = True
                 break
             kept = 0
-            for ref in propose_refinements(entry.model, entry.ev, cfg):
+            for ref in propose_refinements(entry.ev.model, entry.ev, cfg):
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
                 try:
-                    m2 = apply_refinement(entry.model, ref)
+                    m2 = apply_refinement(entry.ev.model, ref)
                     ev2 = coding.l_task(m2, examples, cfg.parse, caches)
                 except (lang.LangError, ModelEvalError, GridError):
                     continue
-                lhat2 = ev2.normalized(norm, cfg.dl)
+                lhat2 = ev2.normalized(norm)
                 if lhat2 < entry.lhat - _EPS:
                     trace2 = entry.trace + (TraceStep(step, lhat2, ref),)
                     # Quantize so ties within the descent epsilon fall back to
                     # proposal order rather than float-summation noise.
                     found.append((round(lhat2 / _EPS), arrival,
-                                  _Entry(lhat2, m2, ev2, trace2)))
+                                  _Entry(lhat2, ev2, trace2)))
                     arrival += 1
                     kept += 1
                     if kept >= cfg.refinements:
@@ -363,9 +365,9 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
         beam = []
         models_seen = set()
         for _, _, entry in found:
-            if entry.model in models_seen:
+            if entry.ev.model in models_seen:
                 continue
-            models_seen.add(entry.model)
+            models_seen.add(entry.ev.model)
             beam.append(entry)
             if len(beam) >= cfg.beam:
                 break
@@ -374,7 +376,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
         step += 1
         if timed_out:
             break
-    return LearnResult(best.model, best.trace, best.ev, norm,
+    return LearnResult(best.ev.model, best.trace, best.ev, norm,
                        time.monotonic() - start, timed_out)
 
 

@@ -34,13 +34,13 @@ _REGULAR_MASKS = ("Full", "Border", "EvenCheckboard", "OddCheckboard",
 
 _MAX_POPS = 1024
 _MAX_CANDIDATES = 512
+_MAX_PER_LAYER = 64
 _UNION_COLOR_LIMIT = 64
 
 
 @dataclass(frozen=True)
 class ParseConfig:
     """Search bounds of the parser."""
-    max_candidates_per_layer: int = 64
     max_trees_before_sort: int = 64
     max_trees_kept: int = 3
     max_diffs: int = 0
@@ -191,11 +191,11 @@ class Candidate:
 class GridIndex:
     """Per-grid candidate table, colour bitmasks and layer memo.
 
-    `layers` maps (layer template, diff budget, max_candidates_per_layer,
-    diff-location cost) to the layer's admitted (candidate, diffs) pairs and
-    a parallel list of their reading terms, each filled when a parse first
-    needs it. With the grid, that key is every input of admission and of the
-    terms, so the memo holds for every parse of the grid."""
+    `layers` maps (layer template, diff budget, diff-location cost) to the
+    layer's admitted (candidate, diffs) pairs and a parallel list of their
+    reading terms, each filled when a parse first needs it. With the grid,
+    that key is every input of admission and of the terms, so the memo
+    holds for every parse of the grid."""
     grid: Grid
     candidates: tuple
     color_cells: tuple  # bitmask per colour
@@ -378,7 +378,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     per_layer: list[list[tuple[Candidate, tuple]]] = []
     layer_terms: list[list] = []
     for lt in layer_ts:
-        key = (lt, budget, cfg.max_candidates_per_layer, loc)
+        key = (lt, budget, loc)
         entry = index.layers.get(key)
         if entry is None:
             admitted = []
@@ -386,7 +386,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
                 d = template_diffs(lt, cand.tree, ())
                 if d is not None and len(d) <= budget:
                     admitted.append((cand, d))
-                    if len(admitted) >= cfg.max_candidates_per_layer:
+                    if len(admitted) >= _MAX_PER_LAYER:
                         break
             entry = index.layers[key] = (admitted, [None] * len(admitted))
         admitted, terms = entry
@@ -485,14 +485,10 @@ def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     Returns no readings when the environment does not support the model's
     expressions (dangling variable, negative difference). With `caches`,
     each (model side, environment) pair is applied once per task, and each
-    grid parsed once per applied model and ParseConfig."""
-    # cfg by keyword: bench/run.py's parse note takes args[3], else kwargs["cfg"]
+    grid parsed once per applied model and ParseConfig; without, the call
+    takes the same path through a fresh `Caches` of its own."""
     if caches is None:
-        try:
-            applied = lang.apply_model(m, env)
-        except lang.LangError:
-            return ()
-        return parse(applied, g, cfg=cfg)
+        caches = Caches()
     akey = (m, env)
     try:
         applied = caches.applied[akey]
@@ -510,6 +506,7 @@ def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
         index = caches.indexes.get(g)
         if index is None:
             index = caches.indexes[g] = build_index(g)
+        # cfg by keyword: bench/run.py's parse note takes args[3], else kwargs["cfg"]
         hit = caches.readings[key] = parse(applied, g, cfg=cfg, index=index)
     return hit
 

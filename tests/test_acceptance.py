@@ -169,9 +169,10 @@ GOLDEN_TASKS = (
 
 def test_criterion_d_golden_tasks_solved_with_defaults(arc_dir):
     cfg = SearchConfig()
-    assert (cfg.dl.alpha, cfg.timeout, cfg.beam, cfg.refinements) == (10.0, 30.0, 1, 20)
+    assert (cfg.alpha, cfg.timeout, cfg.beam, cfg.refinements) == (10.0, 30.0, 1, 20)
+    assert cfg.predict_diffs == 3
     assert (cfg.parse.max_trees_kept, cfg.parse.max_trees_before_sort,
-            cfg.parse.max_diffs) == (3, 64, 3)
+            cfg.parse.max_diffs) == (3, 64, 0)
     paths = [arc_dir / f"{t}.json" for t in GOLDEN_TASKS]
     missing = [p.name for p in paths if not p.exists()]
     if missing:

@@ -1,10 +1,13 @@
 """End-to-end checks of the command line front end, run in process."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from gridmdl.cli import main
+from gridmdl.cli import _add_search_flags, main
 
 from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, write_task
 
@@ -110,14 +113,37 @@ def test_eval_records_a_task_file_with_a_bad_cell_and_keeps_the_others(tmp_path,
 
 
 @pytest.mark.parametrize("command", ["solve", "eval"])
-@pytest.mark.parametrize("flag", ["--keep-trees", "--max-trees"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value, flag", [
+    ("0", "--keep-trees"), ("-1", "--keep-trees"), ("0", "--max-trees"), ("-1", "--max-trees"),
+    ("0", "--beam"), ("0", "--refinements"), ("-1", "--max-diffs"),
+])
 def test_tree_bounds_below_one_are_usage_errors(nested_task_file, capsys, command, flag, value):
+    floor = 0 if flag == "--max-diffs" else 1
     with pytest.raises(SystemExit) as exc:
         main([command, str(nested_task_file), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and f"error: argument {flag}: must be at least 1" in err
+    assert err.startswith("usage:") and f"error: argument {flag}: must be at least {floor}" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_an_unknown_refinement_group_is_a_usage_error(nested_task_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(nested_task_file), "--order", "So-Xx"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument --order:" in err and "'Xx'" in err
+    assert "Traceback" not in err
+
+
+def test_readme_lists_exactly_the_search_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Search knobs", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^(--[a-z-]+) ", block, re.M)
+    p = argparse.ArgumentParser()
+    _add_search_flags(p)
+    assert sorted(listed) == sorted(a.option_strings[0] for a in p._actions
+                                    if a.option_strings and a.dest != "help")
 
 
 def test_eval_marks_unknown_test_outputs(tmp_path, capsys):

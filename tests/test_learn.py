@@ -100,6 +100,19 @@ def test_nested_model_solves_the_taller_test_grid(nested_result):
     assert preds and preds[0] == expected
 
 
+def test_the_normalizer_carries_the_data_weight_of_the_search():
+    result = learn(list(NESTED_TRAIN), SearchConfig(alpha=5.0))
+    assert result.normalizer.alpha == 5.0
+    assert result.eval.normalized(result.normalizer) == result.lhat
+    chained = coding.format_eval_table(result.eval, result.normalizer).splitlines()[3]
+    assert chained.split()[-1] == f"{result.lhat:.3f}"
+
+
+def test_an_unknown_refinement_group_is_refused_with_the_config():
+    with pytest.raises(ValueError, match="'Xx'"):
+        SearchConfig(order="So-Xx")
+
+
 def test_learning_is_deterministic(nested_train):
     a = learn(nested_train, SearchConfig())
     b = learn(nested_train, SearchConfig())
@@ -190,7 +203,7 @@ def test_task_memos_change_no_score_and_no_reading(synthetic_tasks):
             memo = coding.l_task(m, train, caches=caches)
             assert (memo.l_model_in, memo.l_model_out, memo.data_in, memo.data_out) == \
                 (plain.l_model_in, plain.l_model_out, plain.data_in, plain.data_out)
-            assert [ex.pairs for ex in memo.examples] == [ex.pairs for ex in plain.examples]
+            assert memo.examples == plain.examples
         assert caches.applied and caches.readings
 
 

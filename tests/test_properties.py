@@ -196,11 +196,10 @@ def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing
     h, w = g.height, g.width
     # sizes taking 0, 0, 1 and 2 diffs; the first has fewer nodes
     sizes = [lang.UNK, lang.vec(h, lang.UNK), lang.vec(h + 1, lang.UNK), lang.vec(h + 1, w + 1)]
-    calls = [(size, layers, max_diffs, per_layer)
-             for size in sizes for layers in layer_lists
-             for max_diffs in (0, 3) for per_layer in (1, 64)]
-    for size, layers, max_diffs, per_layer in data.draw(st.permutations(calls)):
+    calls = [(size, layers, max_diffs)
+             for size in sizes for layers in layer_lists for max_diffs in (0, 3)]
+    for size, layers, max_diffs in data.draw(st.permutations(calls)):
         template = lang.grid(size, t.args[1], layers)
-        cfg = parsing.ParseConfig(max_diffs=max_diffs, max_candidates_per_layer=per_layer)
+        cfg = parsing.ParseConfig(max_diffs=max_diffs)
         assert (parsing.parse(template, g, cfg=cfg, index=index)
                 == parsing.parse(template, g, cfg=cfg))
