@@ -30,9 +30,16 @@ def _order(text: str) -> str:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _alpha(text: str) -> float:
+    try:
+        return SearchConfig(alpha=float(text)).alpha
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=30.0, help="learning budget per task, seconds")
-    p.add_argument("--alpha", type=float, default=coding.ALPHA, help="weight of data against model bits")
+    p.add_argument("--alpha", type=_alpha, default=coding.ALPHA, help="weight of data against model bits")
     p.add_argument("--beam", type=_at_least(1), default=1, help="models kept per search step")
     p.add_argument("--refinements", type=_at_least(1), default=20, help="compressive refinements collected per step")
     p.add_argument("--max-trees", type=_at_least(1), default=64, help="parse trees examined before sorting")

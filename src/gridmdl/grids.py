@@ -136,15 +136,18 @@ def segment(g: Grid) -> tuple[Part, ...]:
     """Split the grid into 4-connected one-colour parts, in scanline order of
     their first cell."""
     arr = g.array
-    parts = []
+    keyed = []
     for c in np.unique(arr):
-        labels, n = ndimage.label(arr == c, structure=_STRUCT4)
-        for k in range(1, n + 1):
-            ii, jj = np.nonzero(labels == k)
-            cells = frozenset((int(i), int(j)) for i, j in zip(ii, jj))
-            parts.append(part_from_cells(int(c), cells))
-    parts.sort(key=lambda p: min(i * g.width + j for i, j in p.cells))
-    return tuple(parts)
+        labels, _ = ndimage.label(arr == c, structure=_STRUCT4)
+        for k, box in enumerate(ndimage.find_objects(labels), start=1):
+            rows, cols = box
+            ii, jj = np.nonzero(labels[box] == k)  # row-major: first cell first
+            ii, jj = (ii + rows.start).tolist(), (jj + cols.start).tolist()
+            part = Part(int(c), frozenset(zip(ii, jj)), rows.start, cols.start,
+                        rows.stop - rows.start, cols.stop - cols.start)
+            keyed.append((ii[0] * g.width + jj[0], part))
+    keyed.sort(key=lambda kp: kp[0])
+    return tuple(p for _, p in keyed)
 
 
 @lru_cache(maxsize=4096)

@@ -99,14 +99,11 @@ CONSTRUCTORS: dict[str, tuple[str, tuple[tuple[str, str, bool], ...]]] = {
     "TimesCross": (MASK, ()),
 }
 
-MASK_NAMES = ("Bitmap", "Full", "Border", "EvenCheckboard", "OddCheckboard",
-              "PlusCross", "TimesCross")
-
-# constructors by sort, in canonical order
-SORT_CONSTRUCTORS: dict[str, tuple[str, ...]] = {}
-for _name, (_sort, _) in CONSTRUCTORS.items():
-    SORT_CONSTRUCTORS.setdefault(_sort, ())
-    SORT_CONSTRUCTORS[_sort] += (_name,)
+# path steps: constructor name -> {field: (argument index, is_list)}
+_FIELD_AT: dict[str, dict[str, tuple[int, bool]]] = {
+    name: {f: (k, is_list) for k, (f, _, is_list) in enumerate(fields)}
+    for name, (_, fields) in CONSTRUCTORS.items()
+}
 
 
 def in_out(gin: Term, gout: Term) -> Ctor:
@@ -160,31 +157,37 @@ def ctor_sort(name: str) -> str:
     return CONSTRUCTORS[name][0]
 
 
+def _field_at(t: Term, path: tuple, i: int) -> tuple[int, bool]:
+    """(argument index, is_list) of the field that step `i` of `path` names
+    on the node `t`."""
+    if not isinstance(t, Ctor):
+        raise LangError(f"step {path[i]!r} into non-constructor at {path[:i]}")
+    try:
+        return _FIELD_AT[t.name][path[i]]
+    except KeyError:
+        raise LangError(f"no field {path[i]!r} on {t.name} at {path[:i]}") from None
+
+
 def resolve(term: Term, path: tuple) -> Term:
     """Follow `path` down from `term`; raises LangError if a step does not apply."""
     t = term
     i = 0
     n = len(path)
     while i < n:
-        step = path[i]
-        if not isinstance(t, Ctor):
-            raise LangError(f"step {step!r} into non-constructor at {path[:i]}")
-        fields = ctor_fields(t.name)
-        for k, (fname, _, is_list) in enumerate(fields):
-            if fname == step:
-                t = t.args[k]
-                i += 1
-                if is_list:
-                    if i >= n or not isinstance(path[i], int):
-                        raise LangError(f"list field {fname!r} needs an index at {path[:i]}")
-                    idx = path[i]
-                    if not 0 <= idx < len(t):
-                        raise LangError(f"index {idx} out of range at {path[:i]}")
-                    t = t[idx]
-                    i += 1
-                break
-        else:
-            raise LangError(f"no field {step!r} on {t.name} at {path[:i]}")
+        try:
+            k, is_list = _FIELD_AT[t.name][path[i]]
+        except (AttributeError, KeyError):
+            _field_at(t, path, i)  # raises the LangError that names the step
+        t = t.args[k]
+        i += 1
+        if is_list:
+            if i >= n or not isinstance(path[i], int):
+                raise LangError(f"list field {path[i - 1]!r} needs an index at {path[:i]}")
+            idx = path[i]
+            if not 0 <= idx < len(t):
+                raise LangError(f"index {idx} out of range at {path[:i]}")
+            t = t[idx]
+            i += 1
     return t
 
 
@@ -198,29 +201,23 @@ def subst(term: Term, path: tuple, repl: Term, insert: bool = False) -> Term:
         if insert:
             raise LangError("insertion needs a list position")
         return repl
-    if not isinstance(term, Ctor):
-        raise LangError(f"step {path[0]!r} into non-constructor")
-    fields = ctor_fields(term.name)
-    for k, (fname, _, is_list) in enumerate(fields):
-        if fname != path[0]:
-            continue
-        old = term.args[k]
-        if is_list:
-            if len(path) < 2 or not isinstance(path[1], int):
-                raise LangError(f"list field {fname!r} needs an index")
-            idx = path[1]
-            if insert and len(path) == 2:
-                if not 0 <= idx <= len(old):
-                    raise LangError(f"insert index {idx} out of range")
-                new = old[:idx] + (repl,) + old[idx:]
-            else:
-                if not 0 <= idx < len(old):
-                    raise LangError(f"index {idx} out of range")
-                new = old[:idx] + (subst(old[idx], path[2:], repl, insert),) + old[idx + 1:]
+    k, is_list = _field_at(term, path, 0)
+    old = term.args[k]
+    if is_list:
+        if len(path) < 2 or not isinstance(path[1], int):
+            raise LangError(f"list field {path[0]!r} needs an index")
+        idx = path[1]
+        if insert and len(path) == 2:
+            if not 0 <= idx <= len(old):
+                raise LangError(f"insert index {idx} out of range")
+            new = old[:idx] + (repl,) + old[idx:]
         else:
-            new = subst(old, path[1:], repl, insert)
-        return Ctor(term.name, term.args[:k] + (new,) + term.args[k + 1:])
-    raise LangError(f"no field {path[0]!r} on {term.name}")
+            if not 0 <= idx < len(old):
+                raise LangError(f"index {idx} out of range")
+            new = old[:idx] + (subst(old[idx], path[2:], repl, insert),) + old[idx + 1:]
+    else:
+        new = subst(old, path[1:], repl, insert)
+    return Ctor(term.name, term.args[:k] + (new,) + term.args[k + 1:])
 
 
 def is_expr(t: Term) -> bool:
@@ -326,29 +323,37 @@ def eval_expr(e: Term, env: Term) -> Term:
     raise LangError("not an expression")
 
 
+def map_exprs(t: Term, fn) -> Term:
+    """Replace every expression `e` in `t` by `fn(e)`, without descending
+    into expressions. A subterm that holds no expression comes back as
+    itself, not as a copy, so it keeps its identity and its cached hash."""
+    if isinstance(t, (Var, App)):
+        return fn(t)
+    if not isinstance(t, Ctor):
+        return t
+    args = t.args
+    new = None
+    for k, (_, _, is_list) in enumerate(ctor_fields(t.name)):
+        arg = args[k]
+        if is_list:
+            items = tuple(map_exprs(x, fn) for x in arg)
+            a = arg if all(x is y for x, y in zip(items, arg)) else items
+        else:
+            a = map_exprs(arg, fn)
+        if a is not arg:
+            if new is None:
+                new = list(args)
+            new[k] = a
+    return t if new is None else Ctor(t.name, tuple(new))
+
+
 def apply_model(m: Term, env: Term | None) -> Term:
     """Instantiate every expression in `m` against `env`; unknowns survive.
 
-    `env` must be ground, as parse trees and generated trees are. A subterm
-    that holds no expression comes back as itself, not as a copy, so an
-    input side and the untouched parts of an output side keep their
-    identity and their cached hashes."""
-    if is_expr(m):
-        return eval_expr(m, env)
-    if not isinstance(m, Ctor):
-        return m
-    args = []
-    for arg, (_, sort, is_list) in zip(m.args, ctor_fields(m.name)):
-        if is_list:
-            new = tuple(apply_model(x, env) for x in arg)
-            args.append(arg if all(a is b for a, b in zip(new, arg)) else new)
-        elif sort == BITS:
-            args.append(arg)
-        else:
-            args.append(apply_model(arg, env))
-    if all(a is b for a, b in zip(args, m.args)):
-        return m
-    return Ctor(m.name, tuple(args))
+    `env` must be ground, as parse trees and generated trees are. Subterms
+    without expressions are shared (see `map_exprs`), so an input side and
+    the untouched parts of an output side keep their cached hashes."""
+    return map_exprs(m, lambda e: eval_expr(e, env))
 
 
 def shift_layer_refs(t: Term, insert_pos: int) -> Term:
@@ -358,24 +363,15 @@ def shift_layer_refs(t: Term, insert_pos: int) -> Term:
     model's layer list, so existing references keep pointing at the same
     object.
     """
-    if isinstance(t, Var):
-        p = t.path
-        if len(p) >= 2 and p[0] == "layers" and isinstance(p[1], int) and p[1] >= insert_pos:
-            return Var(("layers", p[1] + 1) + p[2:])
-        return t
-    if isinstance(t, App):
-        return App(t.fn, tuple(shift_layer_refs(a, insert_pos) for a in t.args))
-    if isinstance(t, Ctor):
-        args = []
-        for arg, (_, sort, is_list) in zip(t.args, ctor_fields(t.name)):
-            if is_list:
-                args.append(tuple(shift_layer_refs(x, insert_pos) for x in arg))
-            elif sort == BITS:
-                args.append(arg)
-            else:
-                args.append(shift_layer_refs(arg, insert_pos))
-        return Ctor(t.name, tuple(args))
-    return t
+    def shift(e: Term) -> Term:
+        if isinstance(e, App):
+            return App(e.fn, tuple(shift(a) for a in e.args))
+        if isinstance(e, Var):
+            p = e.path
+            if len(p) >= 2 and p[0] == "layers" and isinstance(p[1], int) and p[1] >= insert_pos:
+                return Var(("layers", p[1] + 1) + p[2:])
+        return e
+    return map_exprs(t, shift)
 
 
 # environment signatures

@@ -9,6 +9,7 @@ time budget runs out, and returns the best model seen with its trace.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +45,8 @@ class SearchConfig:
         for token in self.order.split("-"):
             if token not in _GROUPS:
                 raise ValueError(f"unknown refinement group {token!r} in order {self.order!r}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and greater than 0, got {self.alpha!r}")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -187,101 +190,61 @@ def _pattern_proposals(side: str, side_model: Term, readings: list[list]) -> lis
     return out
 
 
+def _nat_exprs(nat_paths: tuple) -> list[Term]:
+    """Candidate expressions for a natural-number slot, in proposal order:
+    x, x-c, x+c, x-y, x+y over the input's natural paths."""
+    consts = range(1, _MAX_EXPR_CONST + 1)
+    xs = [Var(x) for x in nat_paths]
+    return (xs
+            + [App("minus", (x, c)) for x in xs for c in consts]
+            + [App("plus", (x, c)) for x in xs for c in consts]
+            + [App("minus", (x, y)) for x in xs for y in xs if x != y]
+            + [App("plus", (x, y)) for i, x in enumerate(xs) for y in xs[i:]])
+
+
+def _value(fn, term: Term, arg) -> Term | None:
+    """`fn(term, arg)`, or None when it raises LangError."""
+    try:
+        return fn(term, arg)
+    except lang.LangError:
+        return None
+
+
 def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinement]:
     """Condition-checked expressions for output slots.
 
-    Natural-number slots get the arithmetic forms x, x-c, x+c, x-y, x+y;
-    other sorts get bare variables, holding when some chained reading of every
-    example agrees."""
-    gout = model.args[1]
-    nat_paths = sig.paths_of_sort(NAT)
-    # environment value tables per chained reading
-    env_vals = [[{x: lang.resolve(p.rin.tree, x) for x in nat_paths} for p in pairs]
-                for pairs in ev.examples]
+    Natural-number slots get the arithmetic forms of `_nat_exprs`; other
+    sorts get bare variables. An expression holds at a slot when, in every
+    example, some chained reading has `lang.eval_expr` of it on the input
+    tree equal to the output tree's value at the slot."""
+    examples = ev.examples
+    # per sort, its candidates and, per candidate, its values on the chained
+    # readings of the examples checked so far (most fail on the first one)
+    cands: dict[str, tuple[list, list]] = {}
+
+    def proposals(path: tuple, sort: str):
+        if sort not in cands:
+            es = (_nat_exprs(sig.paths_of_sort(NAT)) if sort == NAT
+                  else [Var(x) for x in sig.paths_of_sort(sort)])
+            cands[sort] = (es, [[] for _ in es])
+        targets = [[_value(lang.resolve, p.rout.tree, path) for p in pairs]
+                   for pairs in examples]
+        for e, vals in zip(*cands[sort]):
+            for k, pairs in enumerate(examples):
+                if k == len(vals):
+                    vals.append([_value(lang.eval_expr, e, p.rin.tree) for p in pairs])
+                if not any(t is not None and v == t for v, t in zip(vals[k], targets[k])):
+                    break
+            else:
+                yield Refinement("replace", "out", path, e, sort)
 
     out: list[Refinement] = []
-    for path, sort, _, sub in lang.slots(gout):
+    for path, sort, _, sub in lang.slots(model.args[1]):
         if lang.is_expr(sub):
             continue
-        if sort == NAT and isinstance(sub, (int, Unknown)):
-            out.extend(_nat_exprs(path, ev.examples, env_vals, nat_paths))
-        elif sort in (VEC, COLOR, MASK, SHAPE, OBJECT) and not isinstance(sub, (int,)):
-            for x in sig.paths_of_sort(sort):
-                ok = True
-                for pairs in ev.examples:
-                    if not any(_safe_eq(p.rout.tree, path, p.rin.tree, x) for p in pairs):
-                        ok = False
-                        break
-                if ok:
-                    out.append(Refinement("replace", "out", path, Var(x), sort))
+        if sort == NAT or (sort in (VEC, COLOR, MASK, SHAPE, OBJECT) and not isinstance(sub, int)):
+            out.extend(proposals(path, sort))
     return out
-
-
-def _safe_eq(rout_tree, tpath, rin_tree, xpath) -> bool:
-    try:
-        return lang.resolve(rout_tree, tpath) == lang.resolve(rin_tree, xpath)
-    except lang.LangError:
-        return False
-
-
-def _target_values(per_ex, path) -> list[list[int]] | None:
-    tv = []
-    for pairs in per_ex:
-        row = []
-        for p in pairs:
-            try:
-                v = lang.resolve(p.rout.tree, path)
-            except lang.LangError:
-                continue
-            if isinstance(v, int):
-                row.append(v)
-        if not row:
-            return None
-        tv.append(row)
-    return tv
-
-
-def _nat_exprs(path, per_ex, env_vals, nat_paths) -> list[Refinement]:
-    targets = _target_values(per_ex, path)
-    if targets is None:
-        return []
-    n_ex = len(per_ex)
-
-    def holds(fn) -> bool:
-        for k in range(n_ex):
-            if not any(fn(env_vals[k][i], t)
-                       for i, t in enumerate(targets[k])):
-                return False
-        return True
-
-    out = []
-    consts = range(1, _MAX_EXPR_CONST + 1)
-    for x in nat_paths:
-        if holds(lambda e, t, x=x: e[x] == t):
-            out.append(_rep(path, Var(x)))
-    for x in nat_paths:
-        for c in consts:
-            if holds(lambda e, t, x=x, c=c: e[x] == t + c):
-                out.append(_rep(path, App("minus", (Var(x), c))))
-    for x in nat_paths:
-        for c in consts:
-            if holds(lambda e, t, x=x, c=c: e[x] == t - c):
-                out.append(_rep(path, App("plus", (Var(x), c))))
-    for x in nat_paths:
-        for y in nat_paths:
-            if x == y:
-                continue
-            if holds(lambda e, t, x=x, y=y: e[x] - e[y] == t):
-                out.append(_rep(path, App("minus", (Var(x), Var(y)))))
-    for i, x in enumerate(nat_paths):
-        for y in nat_paths[i:]:
-            if holds(lambda e, t, x=x, y=y: e[x] + e[y] == t):
-                out.append(_rep(path, App("plus", (Var(x), Var(y)))))
-    return out
-
-
-def _rep(path, template) -> Refinement:
-    return Refinement("replace", "out", path, template, NAT)
 
 
 def propose_refinements(model: Ctor, ev: TaskEval,

@@ -7,9 +7,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from gridmdl import lang, parsing
-from gridmdl.grids import Grid, GridError
+from gridmdl.grids import Grid, GridError, Part, part_from_cells
 
 
 def delta_between(target: Grid, base: Grid) -> frozenset:
@@ -49,6 +50,20 @@ def mask_member(kind: str, size: tuple[int, int], cell: tuple[int, int], bits=No
             raise GridError("bitmap mask needs its bits")
         return bool(bits[i][j])
     raise GridError(f"unknown mask kind {kind!r}")
+
+
+def segment_by_scans(g: Grid) -> tuple[Part, ...]:
+    """Reference for `grids.segment`: each part's cells by a whole-grid scan
+    of its label, parts sorted by their smallest scanline index."""
+    arr = g.array
+    parts = []
+    for c in np.unique(arr):
+        labels, n = ndimage.label(arr == c, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+        for k in range(1, n + 1):
+            ii, jj = np.nonzero(labels == k)
+            parts.append(part_from_cells(int(c), ((int(i), int(j)) for i, j in zip(ii, jj))))
+    parts.sort(key=lambda p: min(i * g.width + j for i, j in p.cells))
+    return tuple(parts)
 
 
 def nested_pair(outer_color, inner_color, h, w, outer_pos, outer_size, inner_pos, inner_size):

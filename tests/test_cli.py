@@ -136,6 +136,18 @@ def test_an_unknown_refinement_group_is_a_usage_error(nested_task_file, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_a_data_weight_that_is_not_finite_and_positive_is_a_usage_error(
+        nested_task_file, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(nested_task_file), f"--alpha={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument --alpha: alpha must be" in err
+    assert "Traceback" not in err
+
+
 def test_readme_lists_exactly_the_search_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Search knobs", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]

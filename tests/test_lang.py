@@ -97,6 +97,9 @@ def test_shift_layer_refs_renumbers_from_insert_position():
     assert shifted.args[1] == Var(("layers", 2, "pos", "j"))
     # non-layer paths stay put
     assert lang.shift_layer_refs(Var(("size", "i")), 0) == Var(("size", "i"))
+    # expression-free subterms come back as themselves
+    obj = pos_shape(vec(1, 2), point(3))
+    assert lang.shift_layer_refs(grid(vec(2, 2), Var(("color",)), [obj]), 0).args[2][0] is obj
 
 
 # predicates

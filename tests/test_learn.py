@@ -113,6 +113,21 @@ def test_an_unknown_refinement_group_is_refused_with_the_config():
         SearchConfig(order="So-Xx")
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_data_weight_that_is_not_finite_and_positive_is_refused(alpha):
+    with pytest.raises(ValueError, match=f"alpha must be finite and greater than 0, got {alpha!r}"):
+        SearchConfig(alpha=alpha)
+
+
+def test_learning_with_a_template_diff_per_reading_descends():
+    """An input reading that takes a diff can hold a `Point` where the model
+    has a `Rectangle`; the expression proposals then find no value there
+    instead of failing."""
+    result = learn(list(NESTED_TRAIN), SearchConfig(timeout=30, parse=parsing.ParseConfig(max_diffs=1)))
+    scores = [s.lhat for s in result.trace]
+    assert len(scores) > 1 and all(b < a for a, b in zip(scores, scores[1:]))
+
+
 def test_learning_is_deterministic(nested_train):
     a = learn(nested_train, SearchConfig())
     b = learn(nested_train, SearchConfig())

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmdl import coding, lang, parsing
-from gridmdl.grids import Grid, GridError, delta_apply, mask_array
+from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
-from helpers import delta_between, mask_member
+from helpers import delta_between, mask_member, segment_by_scans
 
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -143,6 +143,19 @@ def test_delta_round_trips(pair):
     changed = int(np.sum(np.array(base.rows) != np.array(target.rows)))
     assert len(d) == changed
     assert delta_between(base, base) == frozenset()
+
+
+@st.composite
+def few_colour_grids(draw):
+    """Grids up to 12x12 over one to four colours, so that parts touch and nest."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    palette = draw(st.lists(colors, min_size=1, max_size=4, unique=True))
+    return Grid([[draw(st.sampled_from(palette)) for _ in range(w)] for _ in range(h)])
+
+
+@given(few_colour_grids())
+def test_segment_matches_the_scanning_reference(g):
+    assert segment(g) == segment_by_scans(g)
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])
