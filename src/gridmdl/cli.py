@@ -7,55 +7,49 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import coding, lang, tasks
+from . import lang, tasks
 from .grids import GridError, render_ppm
-from .learn import SearchConfig, create
+from .learn import DEFAULT_SEARCH, SearchConfig, create
 from .parsing import ParseConfig
 
 
-def _at_least(floor: int):
-    def check(text: str) -> int:
-        n = int(text)
-        if n < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {n}")
-        return n
-    check.__name__ = "int"  # argparse names the type in "invalid int value"
-    return check
+def _search_flag(p: argparse.ArgumentParser, flag: str, field: str, convert, help: str) -> None:
+    """Add a flag whose dest is `field` of `SearchConfig`, or of its
+    `ParseConfig`, and whose default is that field's value in
+    `DEFAULT_SEARCH`. Its argparse type reads the text with `convert` and
+    makes a value that config refuses a usage error; argparse names the
+    flag, so a message's leading "field: " is dropped."""
+    defaults = DEFAULT_SEARCH.parse if field in ParseConfig.__dataclass_fields__ else DEFAULT_SEARCH
 
-
-def _order(text: str) -> str:
-    try:
-        return SearchConfig(order=text).order
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-
-
-def _alpha(text: str) -> float:
-    try:
-        return SearchConfig(alpha=float(text)).alpha
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+    def check(text: str):
+        value = convert(text)
+        try:
+            replace(defaults, **{field: value})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e).removeprefix(f"{field}: ")) from None
+        return value
+    check.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    p.add_argument(flag, dest=field, metavar=flag[2:].upper().replace("-", "_"), type=check,
+                   default=getattr(defaults, field), help=help)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=30.0, help="learning budget per task, seconds")
-    p.add_argument("--alpha", type=_alpha, default=coding.ALPHA, help="weight of data against model bits")
-    p.add_argument("--beam", type=_at_least(1), default=1, help="models kept per search step")
-    p.add_argument("--refinements", type=_at_least(1), default=20, help="compressive refinements collected per step")
-    p.add_argument("--max-trees", type=_at_least(1), default=64, help="parse trees examined before sorting")
-    p.add_argument("--keep-trees", type=_at_least(1), default=3, help="readings kept per grid")
-    p.add_argument("--max-diffs", type=_at_least(0), default=3, help="template diffs allowed when reading a test input")
-    p.add_argument("--order", type=_order, default="So-Si-Eo-Ei", help="refinement group order policy")
+    _search_flag(p, "--timeout", "timeout", float, "learning budget per task, seconds")
+    _search_flag(p, "--alpha", "alpha", float, "weight of data against model bits")
+    _search_flag(p, "--beam", "beam", int, "models kept per search step")
+    _search_flag(p, "--refinements", "refinements", int, "compressive refinements collected per step")
+    _search_flag(p, "--max-trees", "max_trees_before_sort", int, "parse trees examined before sorting")
+    _search_flag(p, "--keep-trees", "max_trees_kept", int, "readings kept per grid")
+    _search_flag(p, "--max-diffs", "predict_diffs", int, "template diffs allowed when reading a test input")
+    _search_flag(p, "--order", "order", str, "refinement group order policy")
 
 
 def config_from_args(args) -> SearchConfig:
-    parse_cfg = ParseConfig(max_trees_before_sort=args.max_trees,
-                            max_trees_kept=args.keep_trees)
-    return SearchConfig(refinements=args.refinements, beam=args.beam,
-                        timeout=args.timeout, order=args.order,
-                        predict_diffs=args.max_diffs,
-                        alpha=args.alpha,
-                        parse=parse_cfg)
+    """The config the search flags set; each flag's dest is its field."""
+    given = vars(args)
+    parse = ParseConfig(**{f: v for f, v in given.items() if f in ParseConfig.__dataclass_fields__})
+    return SearchConfig(parse=parse, **{f: v for f, v in given.items()
+                                        if f in SearchConfig.__dataclass_fields__})
 
 
 def _print_grid(g, title: str) -> None:

@@ -134,6 +134,10 @@ def bitmap(rows) -> Ctor:
     return Ctor("Bitmap", (tuple(tuple(int(b) for b in row) for row in rows),))
 
 
+# the sorts with one constructor, as a term that every filling of an unknown
+# of the sort instantiates
+SOLE_CTORS = {VEC: vec(UNK, UNK), OBJECT: pos_shape(vec(UNK, UNK), UNK)}
+
 FULL = Ctor("Full")
 BORDER = Ctor("Border")
 EVEN_CHECKBOARD = Ctor("EvenCheckboard")
@@ -226,18 +230,7 @@ def is_expr(t: Term) -> bool:
 
 def is_ground(t: Term) -> bool:
     """True when the term contains no unknowns and no expressions."""
-    if isinstance(t, (Unknown, Var, App)):
-        return False
-    if isinstance(t, Ctor):
-        for arg, (_, sort, is_list) in zip(t.args, ctor_fields(t.name)):
-            if sort == BITS:
-                continue
-            if is_list:
-                if not all(is_ground(x) for x in arg):
-                    return False
-            elif not is_ground(arg):
-                return False
-    return True
+    return not any(isinstance(sub, (Unknown, Var, App)) for _, _, _, sub in slots(t))
 
 
 def slot_role(ctor: str, field: str, sort: str, parent_role: str) -> str:
@@ -385,14 +378,8 @@ class EnvSig:
         return tuple(p for p, s in self.entries if s == sort)
 
 
-def _sig_unknown(path: tuple, sort: str, out: list) -> None:
-    out.append((path, sort))
-    if sort == VEC:
-        out.append((path + ("i",), NAT))
-        out.append((path + ("j",), NAT))
-    elif sort == OBJECT:
-        _sig_unknown(path + ("pos",), VEC, out)
-        out.append((path + ("shape",), SHAPE))
+# (relative path, sort) of each slot of a sole constructor, root first
+_SOLE_SLOTS = {sort: tuple((p, s) for p, s, _, _ in slots(t, sort)) for sort, t in SOLE_CTORS.items()}
 
 
 def signature(input_model: Term) -> EnvSig:
@@ -403,8 +390,8 @@ def signature(input_model: Term) -> EnvSig:
     """
     out: list[tuple[tuple, str]] = []
     for path, sort, _, t in slots(input_model):
-        if isinstance(t, Unknown):
-            _sig_unknown(path, sort, out)
+        if isinstance(t, Unknown) and sort in _SOLE_SLOTS:
+            out.extend((path + p, s) for p, s in _SOLE_SLOTS[sort])
         elif is_expr(t):
             raise LangError("input models carry no expressions")
         elif sort != BITS:

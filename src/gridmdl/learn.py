@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from . import coding, lang, parsing
 from .coding import ALPHA, ModelEvalError, Normalizer, TaskEval
 from .grids import Grid, GridError
 from .lang import (
-    COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
+    BITS, COLOR, GRID, MASK, NAT, OBJECT, SHAPE, VEC,
     App, Ctor, Term, Unknown, UNK, Var,
     in_out, grid as grid_term, pos_shape, point, rectangle, vec,
 )
@@ -42,6 +43,10 @@ class SearchConfig:
     parse: ParseConfig = field(default_factory=ParseConfig)
 
     def __post_init__(self):
+        parsing.check_floor(self, 1, "refinements", "beam")
+        parsing.check_floor(self, 0, "predict_diffs")
+        if not (math.isfinite(self.timeout) and self.timeout >= 0):
+            raise ValueError(f"timeout must be finite and at least 0, got {self.timeout!r}")
         for token in self.order.split("-"):
             if token not in _GROUPS:
                 raise ValueError(f"unknown refinement group {token!r} in order {self.order!r}")
@@ -111,82 +116,67 @@ def apply_refinement(model: Ctor, ref: Refinement) -> Ctor:
 
 # proposal generation
 
-def _side_readings(ev: TaskEval, side: str) -> list[list]:
-    """Per example, the distinct readings of one side, best pair first."""
-    out = []
-    for pairs in ev.examples:
-        seen: dict = {}
-        for p in pairs:
-            r = p.rin if side == "in" else p.rout
-            seen.setdefault(r.tree, r)
-        out.append(list(seen.values()))
-    return out
+# the open patterns of a vector or shape slot: constructors whose fields
+# stay unknown, each agreeing with a value of its name
+_OPEN_PATTERNS = {VEC: (vec(UNK, UNK),), SHAPE: (point(UNK), rectangle(UNK, UNK, UNK))}
 
 
 def _insertions(model: Ctor, side: str, sig: lang.EnvSig) -> list[Refinement]:
+    """Object seeds at every layer position: each open shape and, on the
+    output side, each input object and shape."""
     layers = model.args[0 if side == "in" else 1].args[2]
-    seeds: list[tuple[Term, str]] = [
-        (pos_shape(UNK, point(UNK)), OBJECT),
-        (pos_shape(UNK, rectangle(UNK, UNK, UNK)), OBJECT),
-    ]
+    seeds = [pos_shape(UNK, shape) for shape in _OPEN_PATTERNS[SHAPE]]
     if side == "out":
-        for p in sig.paths_of_sort(OBJECT):
-            seeds.append((Var(p), OBJECT))
-        for p in sig.paths_of_sort(SHAPE):
-            seeds.append((pos_shape(UNK, Var(p)), OBJECT))
+        seeds += [Var(p) for p in sig.paths_of_sort(OBJECT)]
+        seeds += [pos_shape(UNK, Var(p)) for p in sig.paths_of_sort(SHAPE)]
+    return [Refinement("insert", side, ("layers", k), seed, OBJECT)
+            for k in range(len(layers) + 1) for seed in seeds]
+
+
+def _agrees(targets: list[list], values: list, fill) -> bool:
+    """The rule every replacement passes: in every example k, some reading i
+    has a defined value `targets[k][i]` at the slot, equal to
+    `values[k][i]`, the candidate's value on that reading. `values` holds
+    the examples checked so far; `fill(k)` extends it only once the
+    examples before k agree."""
+    for k, ts in enumerate(targets):
+        if k == len(values):
+            values.append(fill(k))
+        if not any(t is not None and v == t for v, t in zip(values[k], ts)):
+            return False
+    return True
+
+
+def _value(fn, term: Term, arg) -> Term | None:
+    """`fn(term, arg)`, or None when it raises LangError."""
+    try:
+        return fn(term, arg)
+    except lang.LangError:
+        return None
+
+
+def _pattern_proposals(side: str, side_model: Term, ev: TaskEval) -> list[Refinement]:
+    """Patterns for the unknown slots of one side, checked against the
+    side's distinct readings: an open constructor of the slot's sort, or
+    one of the first example's naturals, colours or masks, in order."""
+    trees = [dict.fromkeys(p.rin.tree if side == "in" else p.rout.tree for p in pairs)
+             for pairs in ev.examples]
     out = []
-    for k in range(len(layers) + 1):
-        for tmpl, sort in seeds:
-            out.append(Refinement("insert", side, ("layers", k), tmpl, sort))
-    return out
-
-
-def _mask_order(t: Term):
-    if isinstance(t, Ctor) and t.name == "Bitmap":
-        return (1, "Bitmap", t.args[0])
-    return (0, t.name, ())
-
-
-def _unknown_slots(side_model: Term) -> list[tuple[tuple, str]]:
-    return [(p, s) for p, s, _, sub in lang.slots(side_model)
-            if isinstance(sub, Unknown)]
-
-
-def _pattern_proposals(side: str, side_model: Term, readings: list[list]) -> list[Refinement]:
-    """Condition-checked templates for unknown slots: a shared primitive value,
-    or a constructor whose fields stay unknown."""
-    out = []
-    for path, sort in _unknown_slots(side_model):
-        value_sets = []
-        for rs in readings:
-            vals = []
-            for r in rs:
-                try:
-                    vals.append(lang.resolve(r.tree, path))
-                except lang.LangError:
-                    pass
-            value_sets.append(vals)
-        if not all(value_sets):
+    for path, sort, _, sub in lang.slots(side_model):
+        if not isinstance(sub, Unknown) or sort not in (VEC, SHAPE, NAT, COLOR, MASK):
             continue
-        if sort == VEC:
-            out.append(Refinement("replace", side, path, vec(UNK, UNK), sort))
-            continue
-        if sort == SHAPE:
-            for name, tmpl in (("Point", point(UNK)),
-                               ("Rectangle", rectangle(UNK, UNK, UNK))):
-                if all(any(isinstance(v, Ctor) and v.name == name for v in vs)
-                       for vs in value_sets):
-                    out.append(Refinement("replace", side, path, tmpl, sort))
-            continue
-        common = set(value_sets[0])
-        for vs in value_sets[1:]:
-            common &= set(vs)
-        if sort in (NAT, COLOR):
-            for v in sorted(c for c in common if isinstance(c, int)):
-                out.append(Refinement("replace", side, path, v, sort))
-        elif sort == MASK:
-            for v in sorted(common, key=_mask_order):
-                out.append(Refinement("replace", side, path, v, sort))
+        targets = [[_value(lang.resolve, t, path) for t in ts] for ts in trees]
+        if sort in _OPEN_PATTERNS:
+            targets = [[getattr(v, "name", None) for v in vs] for vs in targets]
+            cands = [(c, c.name) for c in _OPEN_PATTERNS[sort]]
+        else:
+            firsts = {v for v in targets[0] if v is not None}
+            # masks: the regular ones by name, then bitmaps by their bits
+            order = (lambda m: (m.name == "Bitmap", m.name, m.args)) if sort == MASK else None
+            cands = [(v, v) for v in sorted(firsts, key=order)]
+        for tmpl, key in cands:
+            if _agrees(targets, [], lambda k: repeat(key)):
+                out.append(Refinement("replace", side, path, tmpl, sort))
     return out
 
 
@@ -202,72 +192,51 @@ def _nat_exprs(nat_paths: tuple) -> list[Term]:
             + [App("plus", (x, y)) for i, x in enumerate(xs) for y in xs[i:]])
 
 
-def _value(fn, term: Term, arg) -> Term | None:
-    """`fn(term, arg)`, or None when it raises LangError."""
-    try:
-        return fn(term, arg)
-    except lang.LangError:
-        return None
-
-
 def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinement]:
-    """Condition-checked expressions for output slots.
+    """Expressions for output slots, checked against the chained readings:
+    a candidate's value on a pair is `lang.eval_expr` of it on the input
+    tree, the slot's value that of the output tree.
 
     Natural-number slots get the arithmetic forms of `_nat_exprs`; other
-    sorts get bare variables. An expression holds at a slot when, in every
-    example, some chained reading has `lang.eval_expr` of it on the input
-    tree equal to the output tree's value at the slot."""
+    sorts get bare variables."""
     examples = ev.examples
-    # per sort, its candidates and, per candidate, its values on the chained
-    # readings of the examples checked so far (most fail on the first one)
-    cands: dict[str, tuple[list, list]] = {}
-
-    def proposals(path: tuple, sort: str):
+    # per sort, each candidate with its values on the chained readings of the
+    # examples checked so far (most fail on the first one)
+    cands: dict[str, list[tuple[Term, list]]] = {}
+    out: list[Refinement] = []
+    for path, sort, _, sub in lang.slots(model.args[1]):
+        # every slot below the grid but a bitmap, an expression or a fixed colour
+        if sort in (GRID, BITS) or lang.is_expr(sub) or (sort != NAT and isinstance(sub, int)):
+            continue
         if sort not in cands:
             es = (_nat_exprs(sig.paths_of_sort(NAT)) if sort == NAT
                   else [Var(x) for x in sig.paths_of_sort(sort)])
-            cands[sort] = (es, [[] for _ in es])
+            cands[sort] = [(e, []) for e in es]
         targets = [[_value(lang.resolve, p.rout.tree, path) for p in pairs]
                    for pairs in examples]
-        for e, vals in zip(*cands[sort]):
-            for k, pairs in enumerate(examples):
-                if k == len(vals):
-                    vals.append([_value(lang.eval_expr, e, p.rin.tree) for p in pairs])
-                if not any(t is not None and v == t for v, t in zip(vals[k], targets[k])):
-                    break
-            else:
-                yield Refinement("replace", "out", path, e, sort)
-
-    out: list[Refinement] = []
-    for path, sort, _, sub in lang.slots(model.args[1]):
-        if lang.is_expr(sub):
-            continue
-        if sort == NAT or (sort in (VEC, COLOR, MASK, SHAPE, OBJECT) and not isinstance(sub, int)):
-            out.extend(proposals(path, sort))
+        for e, vals in cands[sort]:
+            if _agrees(targets, vals, lambda k: [_value(lang.eval_expr, e, p.rin.tree)
+                                                 for p in examples[k]]):
+                out.append(Refinement("replace", "out", path, e, sort))
     return out
 
 
 def propose_refinements(model: Ctor, ev: TaskEval,
                         cfg: SearchConfig = DEFAULT_SEARCH) -> list[Refinement]:
-    """Candidate refinements of the model, in the configured group order."""
+    """Candidate refinements of the model, in the configured group order.
+
+    No group repeats itself or another's (kind, side, path, template): the
+    groups differ in kind or side, except "Eo", whose expressions and
+    patterns differ in template."""
     gin, gout = model.args
     sig = lang.signature(gin)
     groups = {
         "So": lambda: _insertions(model, "out", sig),
         "Si": lambda: _insertions(model, "in", sig),
-        "Eo": lambda: (_expr_proposals(model, ev, sig)
-                       + _pattern_proposals("out", gout, _side_readings(ev, "out"))),
-        "Ei": lambda: _pattern_proposals("in", gin, _side_readings(ev, "in")),
+        "Eo": lambda: _expr_proposals(model, ev, sig) + _pattern_proposals("out", gout, ev),
+        "Ei": lambda: _pattern_proposals("in", gin, ev),
     }
-    out: list[Refinement] = []
-    seen = set()
-    for token in cfg.order.split("-"):
-        for ref in groups[token]():
-            key = (ref.kind, ref.side, ref.path, ref.template)
-            if key not in seen:
-                seen.add(key)
-                out.append(ref)
-    return out
+    return [ref for token in dict.fromkeys(cfg.order.split("-")) for ref in groups[token]()]
 
 
 # search

@@ -16,17 +16,13 @@ from itertools import combinations
 import numpy as np
 
 from . import coding, lang
-from .grids import Grid, GridError, Part, mask_array, part_from_cells, segment
+from .grids import MAX_DIM, Grid, GridError, Part, mask_array, part_from_cells, segment
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
-    Ctor, Term, Unknown,
+    Ctor, Term, Unknown, UNK,
     grid as grid_term, pos_shape, rectangle, point, vec, bitmap as bitmap_term,
     FULL,
 )
-
-GREY = 5
-DEFAULT_GRID_SIZE = (10, 10)
-DEFAULT_RECT_SIZE = (2, 2)
 
 # recognition order for regular masks; crosses need odd dimensions
 _REGULAR_MASKS = ("Full", "Border", "EvenCheckboard", "OddCheckboard",
@@ -44,6 +40,18 @@ class ParseConfig:
     max_trees_before_sort: int = 64
     max_trees_kept: int = 3
     max_diffs: int = 0
+
+    def __post_init__(self):
+        check_floor(self, 1, "max_trees_before_sort", "max_trees_kept")
+        check_floor(self, 0, "max_diffs")
+
+
+def check_floor(cfg, floor: int, *names: str) -> None:
+    """Raise a ValueError naming the first of the fields `names` below `floor`."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not value >= floor:
+            raise ValueError(f"{name}: must be at least {floor}, got {value!r}")
 
 
 DEFAULT_PARSE = ParseConfig()
@@ -87,7 +95,8 @@ class Caches:
 
 def draw(tree: Term) -> Grid:
     """Paint a ground grid term: background first, then layers bottom-up
-    (the last list element first), clipping at the borders."""
+    (the last list element first), clipping at the borders. Grid and
+    rectangle sides must lie in 1..MAX_DIM, as in ARC."""
     if not (isinstance(tree, Ctor) and tree.name == "Grid"):
         raise lang.LangError("draw needs a Grid term")
     size, color, layers = tree.args
@@ -96,6 +105,8 @@ def draw(tree: Term) -> Grid:
     h, w = size.args
     if h < 1 or w < 1:
         raise GridError(f"degenerate grid size {h}x{w}")
+    if h > MAX_DIM or w > MAX_DIM:
+        raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
     arr = np.full((h, w), color, dtype=np.int8)
     for obj in reversed(layers):
         _paint(arr, obj)
@@ -112,6 +123,8 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
         return
     size, color, mask = shape.args
     sh, sw = size.args
+    if sh > MAX_DIM or sw > MAX_DIM:
+        raise GridError(f"rectangle size {sh}x{sw} exceeds {MAX_DIM}")
     bits = mask.args[0] if mask.name == "Bitmap" else None
     cells = mask_array(mask.name, sh, sw, bits)
     # clip the shape's box to the grid
@@ -127,12 +140,6 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
 # default instantiation
 
 def _default(sort: str, role: str) -> Term:
-    if sort == VEC:
-        if role == "pos":
-            return vec(0, 0)
-        if role == "grid_size":
-            return vec(*DEFAULT_GRID_SIZE)
-        return vec(*DEFAULT_RECT_SIZE)
     if sort == NAT:
         if role in ("pos_i", "pos_j"):
             return 0
@@ -140,24 +147,28 @@ def _default(sort: str, role: str) -> Term:
             return 10
         return 2
     if sort == COLOR:
-        return 0 if role == "bg" else GREY
+        return lang.BLACK if role == "bg" else lang.GREY
     if sort == MASK:
         return FULL
-    if sort == SHAPE:
-        return rectangle(vec(*DEFAULT_RECT_SIZE), GREY, FULL)
-    if sort == OBJECT:
-        return pos_shape(vec(0, 0), rectangle(vec(*DEFAULT_RECT_SIZE), GREY, FULL))
     raise lang.LangError(f"no default for sort {sort}")
 
 
-def generate(m: Term) -> Term:
+# what fills an unknown of a composite sort before its own unknowns take
+# their defaults: the sort's sole constructor, or a rectangle for a shape
+_DEFAULT_CTOR = {**lang.SOLE_CTORS, SHAPE: rectangle(UNK, UNK, UNK)}
+
+
+def generate(m: Term, sort: str = lang.GRID, role: str = "") -> Term:
     """Close an applied model by filling every unknown with the default of
     its slot's role: positions (0,0), grid sizes 10x10, rectangle sizes 2x2,
-    black backgrounds, grey shapes, full masks."""
+    black backgrounds, grey shapes, full masks. `sort` and `role` are those
+    of the slot `m` fills."""
     out = m
-    for path, sort, role, t in lang.slots(m):
+    for path, s, r, t in lang.slots(m, sort, role):
         if isinstance(t, Unknown):
-            out = lang.subst(out, path, _default(sort, role))
+            ctor = _DEFAULT_CTOR.get(s)
+            fill = _default(s, r) if ctor is None else generate(ctor, s, r)
+            out = lang.subst(out, path, fill)
         elif lang.is_expr(t):
             raise lang.LangError("generate needs an applied model")
     return out
@@ -333,20 +344,6 @@ def _bits_cells(mask: int, width: int, g: Grid):
     return out
 
 
-def _size_fit(size_t: Term, h: int, w: int) -> tuple:
-    """Diffs, relative to the size slot, that the model's size template needs
-    to admit the actual dimensions."""
-    if isinstance(size_t, Unknown):
-        return ()
-    i_t, j_t = size_t.args
-    diffs: tuple = ()
-    if isinstance(i_t, int) and i_t != h:
-        diffs += ((("i",), h),)
-    if isinstance(j_t, int) and j_t != w:
-        diffs += ((("j",), w),)
-    return diffs
-
-
 def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
           index: GridIndex | None = None) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
@@ -364,8 +361,10 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     if index is None:
         index = build_index(g)
     size_t, color_t, layer_ts = applied.args
+    size = vec(h, w)
 
-    size_diffs = _size_fit(size_t, h, w)
+    # diffs relative to the size slot
+    size_diffs = template_diffs(size_t, size)
     if len(size_diffs) > cfg.max_diffs:
         return ()
     budget = cfg.max_diffs - len(size_diffs)
@@ -397,7 +396,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     # reading terms: the grid's once, each colour's and each candidate's
     # when a combination first needs them
-    size_terms = coding.slot_terms(size_t, vec(h, w), size_diffs, dims, loc, VEC, "grid_size")
+    size_terms = coding.slot_terms(size_t, size, size_diffs, dims, loc, VEC, "grid_size")
     bg_terms: dict[int, tuple] = {}
 
     scored: list[tuple[float, list, int, int]] = []
@@ -454,7 +453,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     for dl, picks, bg, delta_mask in scored[:cfg.max_trees_kept]:
         diffs = grid_diffs + tuple((("layers", k) + p, t)
                                    for k, (_, d) in enumerate(picks) for p, t in d)
-        tree = grid_term(vec(h, w), bg, tuple(cand.tree for cand, _ in picks))
+        tree = grid_term(size, bg, tuple(cand.tree for cand, _ in picks))
         readings.append(Reading(tree, frozenset(_bits_cells(delta_mask, w, g)), diffs, dl))
     return tuple(readings)
 

@@ -148,6 +148,18 @@ def test_a_data_weight_that_is_not_finite_and_positive_is_a_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_a_timeout_that_is_not_finite_and_at_least_zero_is_a_usage_error(
+        nested_task_file, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(nested_task_file), "--timeout", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument --timeout: timeout must be" in err
+    assert "Traceback" not in err
+
+
 def test_readme_lists_exactly_the_search_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Search knobs", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
@@ -156,6 +168,9 @@ def test_readme_lists_exactly_the_search_flags():
     _add_search_flags(p)
     assert sorted(listed) == sorted(a.option_strings[0] for a in p._actions
                                     if a.option_strings and a.dest != "help")
+    shown = dict(re.findall(r"^(--[a-z-]+) (\S+)", block, re.M))
+    actions = p._option_string_actions
+    assert {f: actions[f].default for f in shown} == {f: actions[f].type(v) for f, v in shown.items()}
 
 
 def test_eval_marks_unknown_test_outputs(tmp_path, capsys):
@@ -214,6 +229,21 @@ def test_create_rejects_a_degenerate_grid_size(tmp_path, capsys):
     assert captured.err.startswith("error:") and "degenerate grid size 0x3" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("in: Grid(Vec(31, 3), black, [])", "grid size 31x3 exceeds 30"),
+    ("in: Grid(Vec(3, 3), black, [PosShape(Vec(0, 0), Rectangle(Vec(2, 31), red, Full))])",
+     "rectangle size 2x31 exceeds 30"),
+])
+def test_create_refuses_a_side_above_what_arc_allows(tmp_path, capsys, text, message):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text(text + "\nout: Grid(?, ?, [])\n")
+    rc = main(["create", str(model_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_render_prints_grids_and_images(nested_task_file, tmp_path, capsys):

@@ -119,6 +119,68 @@ def test_a_data_weight_that_is_not_finite_and_positive_is_refused(alpha):
         SearchConfig(alpha=alpha)
 
 
+@pytest.mark.parametrize("config, field, bad, least", [
+    (parsing.ParseConfig, "max_trees_before_sort", 0, 1),
+    (parsing.ParseConfig, "max_trees_kept", 0, 1),
+    (parsing.ParseConfig, "max_diffs", -1, 0),
+    (SearchConfig, "refinements", 0, 1),
+    (SearchConfig, "beam", 0, 1),
+    (SearchConfig, "predict_diffs", -1, 0),
+    (SearchConfig, "timeout", -1.0, 0.0),
+    (SearchConfig, "timeout", float("nan"), 0.0),
+    (SearchConfig, "timeout", float("inf"), 0.0),
+])
+def test_an_out_of_range_setting_is_refused_naming_its_field(config, field, bad, least):
+    with pytest.raises(ValueError, match=f"^{field}:? must be"):
+        config(**{field: bad})
+    assert getattr(config(**{field: least}), field) == least
+
+
+def _reading(tree):
+    return parsing.Reading(tree, frozenset(), (), 0.0)
+
+
+def _two_example_eval(model, example_pairs):
+    """A TaskEval over hand-made chained readings: one list of (input tree,
+    output tree) pairs per example."""
+    examples = [[parsing.ReadingPair(_reading(ti), _reading(to), 0.0) for ti, to in pairs]
+                for pairs in example_pairs]
+    return coding.TaskEval(model, 0.0, 0.0, 0.0, 0.0, examples)
+
+
+def test_a_pattern_is_proposed_only_when_a_reading_agrees_in_every_example():
+    gin = grid(vec(UNK, UNK), UNK, [pos_shape(UNK, UNK)])
+    model = in_out(gin, grid(UNK, UNK, []))
+    out = grid(vec(1, 1), 0, [])
+    a = grid(vec(7, 5), 0, [pos_shape(vec(1, 2), point(2))])
+    b = grid(vec(3, 5), 1, [pos_shape(vec(1, 2), rectangle(vec(2, 3), 2, lang.FULL))])
+    c = grid(vec(3, 4), 1, [pos_shape(vec(0, 0), rectangle(vec(3, 3), 3, lang.FULL))])
+    d = grid(vec(7, 4), 1, [pos_shape(vec(0, 0), rectangle(vec(1, 1), 3, lang.FULL))])
+    ev = _two_example_eval(model, [[(a, out), (b, out)], [(c, out), (d, out)]])
+    props = propose_refinements(model, ev, SearchConfig(order="Ei"))
+    assert [(p.path, p.template) for p in props] == [
+        (("size", "i"), 3), (("size", "i"), 7),   # both examples, ascending
+        (("color",), 1),                          # black is in the first example only
+        (("layers", 0, "pos"), vec(UNK, UNK)),
+        (("layers", 0, "shape"), rectangle(UNK, UNK, UNK)),  # no Point in the second
+    ]
+
+
+@pytest.mark.parametrize("aligned", [True, False])
+def test_an_expression_holds_only_on_an_aligned_chained_pair(aligned):
+    model = in_out(grid(vec(UNK, UNK), UNK, []), grid(vec(UNK, 2), 0, []))
+    a = grid(vec(7, 5), 0, [])
+    c, d = grid(vec(3, 4), 0, []), grid(vec(7, 4), 0, [])
+    out3, out7 = grid(vec(3, 2), 0, []), grid(vec(7, 2), 0, [])
+    # the second example holds both 3 and 7 on each side; only its pairing
+    # decides whether the output height is the input height
+    second = [(c, out3), (d, out7)] if aligned else [(c, out7), (d, out3)]
+    ev = _two_example_eval(model, [[(a, out7)], second])
+    props = propose_refinements(model, ev, SearchConfig(order="Eo"))
+    held = Refinement("replace", "out", ("size", "i"), Var(("size", "i")), lang.NAT)
+    assert (held in props) == aligned
+
+
 def test_learning_with_a_template_diff_per_reading_descends():
     """An input reading that takes a diff can hold a `Point` where the model
     has a `Rectangle`; the expression proposals then find no value there
