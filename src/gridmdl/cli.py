@@ -33,6 +33,17 @@ def _search_flag(p: argparse.ArgumentParser, flag: str, field: str, convert, hel
                    default=getattr(defaults, field), help=help)
 
 
+def _jobs(text: str) -> int:
+    """The --jobs type: a worker count of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
+_jobs.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     _search_flag(p, "--timeout", "timeout", float, "learning budget per task, seconds")
     _search_flag(p, "--alpha", "alpha", float, "weight of data against model bits")
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("eval", help="evaluate a batch of task files")
     p.add_argument("paths", nargs="+", help="task files or directories")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     p.add_argument("--out", help="write a JSON-lines report here")
     _add_search_flags(p)
     p.set_defaults(fn=cmd_eval)

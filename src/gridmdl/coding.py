@@ -176,18 +176,24 @@ def l_model(m: Term, sig: lang.EnvSig | None = None) -> float:
     return _l_term(m, GRID, "", None, (), sig)
 
 
-def l_pair_model(model: Ctor, caches=None) -> tuple[float, float]:
-    """(input, output) model costs of an InOut model; the pair node is free.
+def input_side(gin: Term, caches=None) -> tuple[float, lang.EnvSig]:
+    """An input model's cost and environment signature.
 
-    With a task's `parsing.Caches`, the input side's cost and signature are
-    computed once per input model: a learner step re-scores the same input
-    side with every output-side refinement."""
-    gin, gout = model.args
+    With a task's `parsing.Caches`, both are computed once per input model:
+    a learner step re-scores the same input side with every output-side
+    refinement, and proposes refinements against its signature."""
     memo = {} if caches is None else caches.inputs
     side = memo.get(gin)
     if side is None:
         side = memo[gin] = (l_model(gin, None), lang.signature(gin))
-    return side[0], l_model(gout, side[1])
+    return side
+
+
+def l_pair_model(model: Ctor, caches=None) -> tuple[float, float]:
+    """(input, output) model costs of an InOut model; the pair node is free."""
+    gin, gout = model.args
+    cost, sig = input_side(gin, caches)
+    return cost, l_model(gout, sig)
 
 
 # data coding: unknown fills, diffs, deltas

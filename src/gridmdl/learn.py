@@ -221,15 +221,16 @@ def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinem
     return out
 
 
-def propose_refinements(model: Ctor, ev: TaskEval,
-                        cfg: SearchConfig = DEFAULT_SEARCH) -> list[Refinement]:
+def propose_refinements(model: Ctor, ev: TaskEval, cfg: SearchConfig = DEFAULT_SEARCH,
+                        caches: Caches | None = None) -> list[Refinement]:
     """Candidate refinements of the model, in the configured group order.
 
     No group repeats itself or another's (kind, side, path, template): the
     groups differ in kind or side, except "Eo", whose expressions and
-    patterns differ in template."""
+    patterns differ in template. The input side's signature comes from the
+    task's `caches`, where scoring the model left it."""
     gin, gout = model.args
-    sig = lang.signature(gin)
+    sig = coding.input_side(gin, caches)[1]
     groups = {
         "So": lambda: _insertions(model, "out", sig),
         "Si": lambda: _insertions(model, "in", sig),
@@ -269,7 +270,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 timed_out = True
                 break
             kept = 0
-            for ref in propose_refinements(entry.ev.model, entry.ev, cfg):
+            for ref in propose_refinements(entry.ev.model, entry.ev, cfg, caches):
                 if time.monotonic() > deadline:
                     timed_out = True
                     break

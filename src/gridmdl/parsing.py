@@ -2,14 +2,16 @@
 
 Parsing runs in three stages: segmentation into one-colour parts, candidate
 objects built from parts (plus limited unions and point explosions), and a
-search over per-layer candidate combinations in increasing rank order. Each
-surviving combination yields a reading: a ground parse tree, the cell delta
-against the drawn tree, any template diffs, and its description length.
+walk over per-layer candidate combinations in increasing rank order. The walk
+is depth first over the layers, one rank sum at a time; it cuts a branch at
+the first candidate used twice or diff budget overrun, skips inner states
+that scored nothing before, and stops after `_MAX_STEPS` candidate tries.
+Each combination it meets yields a reading: a ground parse tree, the cell
+delta against the drawn tree, any template diffs, and its description length.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -28,10 +30,13 @@ from .lang import (
 _REGULAR_MASKS = ("Full", "Border", "EvenCheckboard", "OddCheckboard",
                   "PlusCross", "TimesCross")
 
-_MAX_POPS = 1024
+_MAX_STEPS = 16384
 _MAX_CANDIDATES = 512
 _MAX_PER_LAYER = 64
 _UNION_COLOR_LIMIT = 64
+
+# each background colour's prior, as `coding.slot_terms` charges a bg fill
+_BG_PRIOR = tuple(coding.l_dist(coding.P_BG[c]) for c in range(10))
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,13 @@ class ParseConfig:
 
 
 def check_floor(cfg, floor: int, *names: str) -> None:
-    """Raise a ValueError naming the first of the fields `names` below `floor`."""
+    """Raise a ValueError naming the first of the fields `names` that is not
+    an int (a bool is not one) or is below `floor`."""
     for name in names:
         value = getattr(cfg, name)
-        if not value >= floor:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name}: must be an int, got {value!r}")
+        if value < floor:
             raise ValueError(f"{name}: must be at least {floor}, got {value!r}")
 
 
@@ -203,10 +211,11 @@ class GridIndex:
     """Per-grid candidate table, colour bitmasks and layer memo.
 
     `layers` maps (layer template, diff budget, diff-location cost) to the
-    layer's admitted (candidate, diffs) pairs and a parallel list of their
-    reading terms, each filled when a parse first needs it. With the grid,
-    that key is every input of admission and of the terms, so the memo
-    holds for every parse of the grid."""
+    layer's admitted candidates and their reading terms (`_Layer`), the
+    terms each filled when a parse first needs them. With the grid, that
+    key is every input of admission and of the terms, so the memo holds for
+    every parse of the grid. A candidate's bit in the walk's used-set is its
+    place in `candidates`."""
     grid: Grid
     candidates: tuple
     color_cells: tuple  # bitmask per colour
@@ -333,6 +342,36 @@ def template_diffs(tmpl: Term, tree: Term, prefix: tuple = ()) -> tuple | None:
 
 # parsing proper
 
+@dataclass
+class _Layer:
+    """A layer template's admitted candidates on one grid, in candidate
+    order: each (candidate, diffs) pick; the walk's row for it, (bit of the
+    candidate's place in the index, diff count, cells, wrong cells); and its
+    reading terms, filled when a scored combination first needs them."""
+    template: Term
+    picks: list
+    rows: list
+    terms: list
+
+
+def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
+    """The layer's admitted candidates, from the index's memo when an
+    earlier parse of the grid met the same template, budget and `loc`."""
+    key = (tmpl, budget, loc)
+    layer = index.layers.get(key)
+    if layer is None:
+        picks, rows = [], []
+        for pos, cand in enumerate(index.candidates):
+            d = template_diffs(tmpl, cand.tree, ())
+            if d is not None and len(d) <= budget:
+                picks.append((cand, d))
+                rows.append((1 << pos, len(d), cand.cells, cand.wrong))
+                if len(picks) >= _MAX_PER_LAYER:
+                    break
+        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks))
+    return layer
+
+
 def _bits_cells(mask: int, width: int, g: Grid):
     out = []
     while mask:
@@ -348,6 +387,12 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
           index: GridIndex | None = None) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
     sorted by ascending description length.
+
+    A combination picks one admitted candidate per layer. The walk meets
+    them by rank sum, then in lexicographic order of their ranks, and
+    scores only those that use no candidate twice and stay within the diff
+    budget, until `max_trees_before_sort` are scored or `_MAX_STEPS`
+    candidate tries are spent; the readings scored by then are kept.
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
@@ -371,86 +416,51 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
 
-    # admissible candidates per layer, keeping the global order, and their
-    # reading terms; both come from the index's memo when an earlier parse
-    # of the grid met the same layer
-    per_layer: list[list[tuple[Candidate, tuple]]] = []
-    layer_terms: list[list] = []
+    layers = []
     for lt in layer_ts:
-        key = (lt, budget, loc)
-        entry = index.layers.get(key)
-        if entry is None:
-            admitted = []
-            for cand in index.candidates:
-                d = template_diffs(lt, cand.tree, ())
-                if d is not None and len(d) <= budget:
-                    admitted.append((cand, d))
-                    if len(admitted) >= _MAX_PER_LAYER:
-                        break
-            entry = index.layers[key] = (admitted, [None] * len(admitted))
-        admitted, terms = entry
-        if not admitted:
+        layer = _admitted(index, lt, budget, loc)
+        if not layer.picks:
             return ()
-        per_layer.append(admitted)
-        layer_terms.append(terms)
+        layers.append(layer)
 
     # reading terms: the grid's once, each colour's and each candidate's
     # when a combination first needs them
     size_terms = coding.slot_terms(size_t, size, size_diffs, dims, loc, VEC, "grid_size")
     bg_terms: dict[int, tuple] = {}
+    delta_costs = _DeltaCosts(dims)
+    fixed_bg = isinstance(color_t, int)
+    all_cells, color_cells = index.all_cells, index.color_cells
+    scored: list[tuple[float, tuple, int, int]] = []
 
-    scored: list[tuple[float, list, int, int]] = []
-    L = len(per_layer)
-    heap: list[tuple[int, tuple]] = [(0, (0,) * L)]
-    seen = {(0,) * L}
-    pops = 0
-    while heap and len(scored) < cfg.max_trees_before_sort and pops < _MAX_POPS:
-        rank, combo = heapq.heappop(heap)
-        pops += 1
-        for d in range(L):
-            if combo[d] + 1 < len(per_layer[d]):
-                nxt = combo[:d] + (combo[d] + 1,) + combo[d + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (rank + 1, nxt))
-        picks = [per_layer[d][combo[d]] for d in range(L)]
-        if L > 1 and len({id(c) for c, _ in picks}) < L:
-            continue
-        n_diffs = len(size_diffs) + sum(len(d) for _, d in picks)
-        if n_diffs > cfg.max_diffs:
-            continue
-
-        covered = 0
-        mismatch = 0
-        for cand, _ in picks:
-            mismatch |= cand.wrong & ~covered
-            covered |= cand.cells
-        uncovered = index.all_cells & ~covered
-        if isinstance(color_t, int):
+    def score(combo: list, n_diffs: int, covered: int, mismatch: int) -> None:
+        uncovered = all_cells & ~covered
+        if fixed_bg:
             bg = color_t
         else:
-            bg = _best_background(index, uncovered, mismatch, dims)
-        delta_mask = mismatch | (uncovered & ~index.color_cells[bg])
-
+            bg = _best_background(color_cells, uncovered, mismatch, delta_costs)
+        delta_mask = mismatch | (uncovered & ~color_cells[bg])
         bg_piece = bg_terms.get(bg)
         if bg_piece is None:
             bg_piece = bg_terms[bg] = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
         pieces = [size_terms, bg_piece]
-        for d, (cand, ld) in enumerate(picks):
-            terms = layer_terms[d][combo[d]]
+        for layer, i in zip(layers, combo):
+            terms = layer.terms[i]
             if terms is None:
-                terms = layer_terms[d][combo[d]] = coding.slot_terms(
-                    layer_ts[d], cand.tree, ld, dims, loc, OBJECT)
+                cand, ld = layer.picks[i]
+                terms = layer.terms[i] = coding.slot_terms(
+                    layer.template, cand.tree, ld, dims, loc, OBJECT)
             pieces.append(terms)
-        dl = coding.sum_terms(n_diffs, pieces) \
-            + coding.l_delta(range(delta_mask.bit_count()), dims)
-        scored.append((dl, picks, bg, delta_mask))
+        dl = coding.sum_terms(n_diffs, pieces) + delta_costs[delta_mask.bit_count()]
+        scored.append((dl, tuple(combo), bg, delta_mask))
 
-    # a stable sort: equal costs keep the order the search found them in
+    _walk(layers, cfg.max_trees_before_sort, cfg.max_diffs, len(size_diffs), scored, score)
+
+    # a stable sort: equal costs keep the order the walk met them in
     scored.sort(key=lambda s: s[0])
     grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
     readings = []
-    for dl, picks, bg, delta_mask in scored[:cfg.max_trees_kept]:
+    for dl, combo, bg, delta_mask in scored[:cfg.max_trees_kept]:
+        picks = [layer.picks[i] for layer, i in zip(layers, combo)]
         diffs = grid_diffs + tuple((("layers", k) + p, t)
                                    for k, (_, d) in enumerate(picks) for p, t in d)
         tree = grid_term(size, bg, tuple(cand.tree for cand, _ in picks))
@@ -458,21 +468,108 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     return tuple(readings)
 
 
-def _best_background(index: GridIndex, uncovered: int, mismatch: int, dims) -> int:
+def _walk(layers: list, cap: int, max_diffs: int, n_diffs: int, scored: list, score) -> None:
+    """Call `score(combo, diffs, covered, mismatch)` on each combination of
+    one pick per layer, given by its ranks `combo`, that uses no candidate
+    twice and has at most `max_diffs` diffs with the `n_diffs` it starts
+    from; by rank sum, then in lexicographic order of `combo`; until
+    `scored` holds `cap` or the walk has made `_MAX_STEPS` candidate tries.
+    `covered` and `mismatch` are folded over the picks in layer order.
+
+    Each rank sum is walked depth first from layer 0. At depth d, with
+    `left` of the sum still to place, rank i leaves `left - i` for the
+    layers below, which can take at most `room[d + 1]`; so the last layer's
+    rank is fixed. A branch ends at the first reused candidate (a bit of
+    `used`) or overrun budget. The state after a prefix, (depth, left,
+    used, diffs), decides its every completion, so an inner state whose
+    walk scored nothing is skipped when met again."""
+    L = len(layers)
+    combo = [0] * L
+    if L == 0:
+        score(combo, n_diffs, 0, 0)
+        return
+    if L == 1:
+        # injective by itself, and in rank order: at most _MAX_PER_LAYER tries
+        for i, (_, nd, cells, wrong) in enumerate(layers[0].rows):
+            if n_diffs + nd <= max_diffs:
+                combo[0] = i
+                score(combo, n_diffs + nd, cells, wrong)
+                if len(scored) >= cap:
+                    return
+        return
+    room = [0] * (L + 1)
+    for d in range(L - 1, -1, -1):
+        room[d] = room[d + 1] + len(layers[d].rows) - 1
+    last = layers[-1].rows
+    penult = L - 2
+    dead = set()
+    steps = 0
+
+    def visit(d: int, left: int, used: int, n: int, covered: int, mismatch: int) -> bool:
+        """Walk the picks of layers d.. (d < L - 1) with rank sum `left`;
+        whether any was scored."""
+        nonlocal steps
+        found = False
+        rows = layers[d].rows
+        lo = left - room[d + 1]
+        for i in range(lo if lo > 0 else 0, min(left, len(rows) - 1) + 1):
+            steps += 1
+            bit, nd, cells, wrong = rows[i]
+            if not used & bit and n + nd <= max_diffs:
+                combo[d] = i
+                used_i, n_i = used | bit, n + nd
+                covered_i, mismatch_i = covered | cells, mismatch | (wrong & ~covered)
+                if d == penult:
+                    steps += 1
+                    bit, nd, cells, wrong = last[left - i]
+                    if not used_i & bit and n_i + nd <= max_diffs:
+                        combo[-1] = left - i
+                        score(combo, n_i + nd, covered_i | cells, mismatch_i | (wrong & ~covered_i))
+                        found = True
+                else:
+                    state = (d + 1, left - i, used_i, n_i)
+                    if state not in dead:
+                        if visit(*state, covered_i, mismatch_i):
+                            found = True
+                        else:
+                            dead.add(state)
+            if len(scored) >= cap or steps >= _MAX_STEPS:
+                break
+        return found
+
+    for rank in range(room[0] + 1):
+        visit(0, rank, 0, n_diffs, 0, 0)
+        if len(scored) >= cap or steps >= _MAX_STEPS:
+            return
+
+
+class _DeltaCosts(dict):
+    """`coding.l_delta` of n cells on a grid of `dims`, by n, each computed
+    once."""
+
+    def __init__(self, dims: tuple[int, int]):
+        super().__init__()
+        self.dims = dims
+
+    def __missing__(self, n: int) -> float:
+        cost = self[n] = coding.l_delta(range(n), self.dims)
+        return cost
+
+
+def _best_background(color_cells: tuple, uncovered: int, mismatch: int,
+                     delta_costs: _DeltaCosts) -> int:
     """The background colour that minimises its prior plus the delta it
-    leaves, among black and the colours of the uncovered cells."""
-    options = {0}
-    for c in range(10):
-        if uncovered & index.color_cells[c]:
-            options.add(c)
-    best = None
+    leaves, among black and the colours of the uncovered cells; the
+    smaller colour on ties."""
     mism_n = mismatch.bit_count()
-    for c in sorted(options):
-        n = (uncovered & ~index.color_cells[c]).bit_count() + mism_n
-        cost = coding.l_dist(coding.P_BG[c]) + coding.l_delta(range(n), dims)
-        if best is None or cost < best[0]:
-            best = (cost, c)
-    return best[1]
+    best, best_c = None, 0
+    for c in range(10):
+        if c and not uncovered & color_cells[c]:
+            continue
+        cost = _BG_PRIOR[c] + delta_costs[(uncovered & ~color_cells[c]).bit_count() + mism_n]
+        if best is None or cost < best:
+            best, best_c = cost, c
+    return best_c
 
 
 # reading models against grids

@@ -186,9 +186,12 @@ def _evaluate_path(path: str, cfg: SearchConfig) -> TaskReport | TaskFailure:
 def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> BatchReport:
     """Evaluate many task files; order of reports is lexicographic by task id
     whatever the worker scheduling. A file that cannot be read becomes an
-    error record and does not stop the others."""
+    error record and does not stop the others. `jobs` worker processes
+    run them, or the calling process alone for 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs: must be at least 1, got {jobs!r}")
     paths = sorted(Path(p) for p in paths)
-    if jobs <= 1:
+    if jobs == 1:
         results = [_evaluate_path(str(p), cfg) for p in paths]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

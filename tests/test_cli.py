@@ -160,6 +160,16 @@ def test_a_timeout_that_is_not_finite_and_at_least_zero_is_a_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_fewer_than_one_job_is_a_usage_error(nested_task_file, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(nested_task_file), "--jobs", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument --jobs: must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_readme_lists_exactly_the_search_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Search knobs", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]

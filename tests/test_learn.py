@@ -136,6 +136,31 @@ def test_an_out_of_range_setting_is_refused_naming_its_field(config, field, bad,
     assert getattr(config(**{field: least}), field) == least
 
 
+@pytest.mark.parametrize("config, field, bad", [
+    (parsing.ParseConfig, "max_trees_before_sort", True),
+    (parsing.ParseConfig, "max_trees_kept", 1.5),
+    (parsing.ParseConfig, "max_diffs", "1"),
+    (SearchConfig, "refinements", 20.0),
+    (SearchConfig, "beam", False),
+    (SearchConfig, "predict_diffs", 3.0),
+])
+def test_a_setting_that_is_not_an_int_is_refused_naming_its_field(config, field, bad):
+    with pytest.raises(ValueError, match=f"^{field}: must be an int, got {bad!r}$"):
+        config(**{field: bad})
+
+
+def test_proposals_take_the_input_signature_from_the_task_caches(nested_train, monkeypatch):
+    cfg = SearchConfig()
+    model = apply_refinement(initial_model(), Refinement(
+        "insert", "in", ("layers", 0), pos_shape(UNK, rectangle(UNK, UNK, UNK)), lang.OBJECT))
+    caches = parsing.Caches()
+    ev = coding.l_task(model, nested_train, cfg.parse, caches)
+    fresh = propose_refinements(model, ev, cfg)
+    # scoring the model left its input side's signature in the caches
+    monkeypatch.setattr(lang, "signature", None)
+    assert propose_refinements(model, ev, cfg, caches) == fresh
+
+
 def _reading(tree):
     return parsing.Reading(tree, frozenset(), (), 0.0)
 
@@ -188,6 +213,31 @@ def test_learning_with_a_template_diff_per_reading_descends():
     result = learn(list(NESTED_TRAIN), SearchConfig(timeout=30, parse=parsing.ParseConfig(max_diffs=1)))
     scores = [s.lhat for s in result.trace]
     assert len(scores) > 1 and all(b < a for a, b in zip(scores, scores[1:]))
+
+
+def _rectangles(h: int, w: int, rects) -> Grid:
+    return parsing.draw(grid(vec(h, w), 0, [pos_shape(vec(i, j), rectangle(vec(rh, rw), c, lang.FULL))
+                                            for i, j, rh, rw, c in rects]))
+
+
+def test_an_identity_task_with_five_rectangles_is_solved():
+    """The input model needs five like layers. Their first combination of
+    five distinct rectangles comes after more than a thousand that use a
+    rectangle twice, so the parser must skip those, not count them."""
+    train = [_rectangles(12, 13, [(1, 1, 2, 3, 2), (1, 6, 3, 2, 3), (5, 9, 2, 2, 4),
+                                  (7, 1, 3, 3, 6), (9, 7, 2, 4, 8)]),
+             _rectangles(14, 12, [(0, 8, 3, 3, 1), (2, 1, 2, 4, 5), (6, 5, 3, 2, 2),
+                                  (10, 0, 2, 2, 7), (11, 8, 3, 3, 3)]),
+             _rectangles(13, 14, [(1, 2, 3, 2, 4), (0, 9, 2, 3, 6), (5, 6, 2, 2, 9),
+                                  (8, 0, 3, 4, 1), (9, 10, 3, 3, 5)])]
+    test = _rectangles(13, 13, [(0, 0, 2, 2, 3), (1, 5, 3, 3, 7), (6, 1, 2, 3, 2),
+                                (7, 8, 3, 2, 6), (11, 3, 2, 4, 4)])
+    result = learn([(g, g) for g in train], SearchConfig())
+    assert not result.timed_out
+    assert len(result.model.args[0].args[2]) == 5
+    assert result.lhat < 0.3
+    preds = predict(result.model, test)
+    assert preds and preds[0] == test
 
 
 def test_learning_is_deterministic(nested_train):

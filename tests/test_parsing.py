@@ -341,6 +341,47 @@ def test_parse_prefers_cheaper_object_reading_over_delta():
     assert with_layer[0].dl < without[0].dl
 
 
+def _scene(n_objects: int) -> Grid:
+    """Rectangles of distinct colours in rows of three on a black 20x20 grid."""
+    objects = [pos_shape(vec(1 + 6 * (k // 3), 1 + 6 * (k % 3)),
+                         rectangle(vec(2 + k % 3, 3), 1 + k, lang.FULL))
+               for k in range(n_objects)]
+    return draw(grid(vec(20, 20), 0, objects))
+
+
+def _like_layers(n: int):
+    return grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))] * n)
+
+
+def test_parse_reads_six_like_layers_over_six_objects():
+    g = _scene(6)
+    readings = parse(_like_layers(6), g)
+    assert readings
+    assert readings[0].delta == frozenset()
+    assert len(set(readings[0].tree.args[2])) == 6
+    assert all(reconstructs(r, g) for r in readings)
+
+
+def test_parse_keeps_the_readings_scored_when_the_step_bound_binds(monkeypatch):
+    g = _scene(6)
+    full = parse(_like_layers(6), g, cfg=ParseConfig(max_trees_kept=64))
+    # a bound that lets the walk reach some of the combinations, not all
+    monkeypatch.setattr(parsing, "_MAX_STEPS", 3500)
+    cut = parse(_like_layers(6), g, cfg=ParseConfig(max_trees_kept=64))
+    assert 0 < len(cut) < len(full)
+    assert set(cut) <= set(full)
+
+
+def test_parse_of_more_like_layers_than_candidates_reads_nothing(monkeypatch):
+    g = _scene(6)
+    assert len(build_index(g).candidates) == 8
+    assert parse(_like_layers(9), g) == ()
+    # without the bound the walk exhausts every combination: states that
+    # scored nothing are not walked again
+    monkeypatch.setattr(parsing, "_MAX_STEPS", 10 ** 9)
+    assert parse(_like_layers(9), g) == ()
+
+
 # read / read_pair
 
 def test_read_applies_the_environment():

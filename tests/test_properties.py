@@ -1,6 +1,7 @@
 """Randomized invariants over terms, masks, grid deltas and readings."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -216,3 +217,84 @@ def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing
         cfg = parsing.ParseConfig(max_diffs=max_diffs)
         assert (parsing.parse(template, g, cfg=cfg, index=index)
                 == parsing.parse(template, g, cfg=cfg))
+
+
+def _oracle_parse(template, g, index, cfg):
+    """Readings by brute force: every combination of admitted candidates
+    that uses no candidate twice and stays within the diff budget, sorted
+    stably by (rank sum, ranks) and cut at `max_trees_before_sort`; each
+    scored by the reference coders on its drawn tree, with the background
+    that minimises prior plus delta (the smaller colour on ties) unless
+    the model fixes it; then sorted stably by cost and cut at
+    `max_trees_kept`."""
+    size_t, color_t, layer_ts = template.args
+    dims = (g.height, g.width)
+    size = lang.vec(*dims)
+    size_diffs = parsing.template_diffs(size_t, size)
+    if len(size_diffs) > cfg.max_diffs:
+        return ()
+    admitted = []
+    for lt in layer_ts:
+        picks = [(c, parsing.template_diffs(lt, c.tree)) for c in index.candidates]
+        admitted.append([(c, d) for c, d in picks
+                         if d is not None and len(size_diffs) + len(d) <= cfg.max_diffs])
+    combos = []
+    for ranks in product(*(range(len(a)) for a in admitted)):
+        picks = [admitted[k][i] for k, i in enumerate(ranks)]
+        if (len({id(c) for c, _ in picks}) == len(picks)
+                and len(size_diffs) + sum(len(d) for _, d in picks) <= cfg.max_diffs):
+            combos.append((ranks, picks))
+    combos.sort(key=lambda rp: (sum(rp[0]), rp[0]))
+    readings = []
+    for _, picks in combos[:cfg.max_trees_before_sort]:
+        objects = tuple(c.tree for c, _ in picks)
+        diffs = (tuple((("size",) + p, t) for p, t in size_diffs)
+                 + tuple((("layers", k) + p, t) for k, (_, d) in enumerate(picks) for p, t in d))
+
+        def drawn(bg):
+            tree = lang.grid(size, bg, objects)
+            return tree, delta_between(g, parsing.draw(tree))
+
+        if isinstance(color_t, int):
+            bg = color_t
+        else:
+            bg = min(range(10), key=lambda c: coding.l_dist(coding.P_BG[c])
+                     + coding.l_delta(drawn(c)[1], dims))
+        tree, delta = drawn(bg)
+        dl = coding.l_parse_tree(tree, template, diffs, dims) + coding.l_delta(delta, dims)
+        readings.append(parsing.Reading(tree, delta, diffs, dl))
+    readings.sort(key=lambda r: r.dl)
+    return tuple(readings[:cfg.max_trees_kept])
+
+
+@pytest.mark.parametrize("max_diffs", [0, 3])
+@given(few_colour_grids(), st.data())
+def test_parse_reads_the_first_injective_in_budget_combinations_in_rank_order(max_diffs, g, data):
+    """`parse` equals the brute-force oracle, costs by `==`, on up to eight
+    candidates and up to four layers, identical layers included."""
+    full = parsing.build_index(g)
+    index = replace(full, candidates=full.candidates[:data.draw(st.sampled_from(range(8, -1, -1)))],
+                    layers={})
+    anything = lang.pos_shape(lang.UNK, lang.UNK)
+    pool = [anything, anything, anything,
+            lang.pos_shape(lang.UNK, lang.rectangle(lang.UNK, lang.UNK, lang.UNK)),
+            lang.pos_shape(lang.UNK, lang.point(lang.UNK))]
+    for cand in index.candidates:
+        # the candidate itself, or with a number changed: one diff to read it
+        numbers = [p for p, _, _, x in lang.slots(cand.tree, lang.OBJECT) if isinstance(x, int)]
+        p = data.draw(st.sampled_from([None] + numbers))
+        pool.append(cand.tree if p is None
+                    else lang.subst(cand.tree, p, (lang.resolve(cand.tree, p) + 1) % 10))
+    n_layers = data.draw(st.sampled_from(range(4, -1, -1)))
+    if data.draw(st.booleans()):
+        layers = [data.draw(st.sampled_from(pool))] * n_layers
+    else:
+        layers = [data.draw(st.sampled_from(pool)) for _ in range(n_layers)]
+    size = data.draw(st.sampled_from([lang.UNK, lang.vec(g.height, lang.UNK),
+                                      lang.vec(g.height + 1, g.width)]))
+    color = data.draw(st.sampled_from([lang.UNK, 0, g.rows[0][0]]))
+    template = lang.grid(size, color, layers)
+    cfg = parsing.ParseConfig(max_trees_before_sort=data.draw(st.sampled_from([1, 2, 5, 64])),
+                              max_trees_kept=data.draw(st.sampled_from([1, 3, 64])),
+                              max_diffs=max_diffs)
+    assert parsing.parse(template, g, cfg=cfg, index=index) == _oracle_parse(template, g, index, cfg)

@@ -115,6 +115,12 @@ def test_evaluate_batch_parallel_matches_order(tmp_path):
     assert [r.test_score for r in batch.reports] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_batch_refuses_fewer_than_one_job(tmp_path, jobs):
+    with pytest.raises(ValueError, match=f"^jobs: must be at least 1, got {jobs}$"):
+        evaluate_batch(_two_task_dir(tmp_path), jobs=jobs)
+
+
 def test_report_jsonl_one_object_per_task(tmp_path):
     batch = evaluate_batch(_two_task_dir(tmp_path))
     lines = report_jsonl(batch).strip().splitlines()
