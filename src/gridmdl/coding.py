@@ -13,10 +13,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import lang
-from .grids import MAX_DIM
+from .grids import MAX_DIM, NUM_COLORS
 from .lang import App, Ctor, Term, Unknown, Var, BITS, COLOR, GRID, MASK, NAT, SHAPE
 
-LOG2_COLORS = math.log2(10)
+LOG2_COLORS = math.log2(NUM_COLORS)
 
 # slot kind: plain value or constructor / expression / unknown
 P_TEMPLATE = {"value": 0.4, "expr": 0.5, "unknown": 0.1}
@@ -24,7 +24,7 @@ P_TEMPLATE = {"value": 0.4, "expr": 0.5, "unknown": 0.1}
 P_EXPR = {"app": 0.5, "var": 0.5}
 FUNCTIONS = ("zero", "plus", "minus")
 # background colours are mostly black
-P_BG = {c: (0.91 if c == 0 else 0.01) for c in range(10)}
+P_BG = {c: (0.91 if c == 0 else 0.01) for c in range(NUM_COLORS)}
 P_MASK = {
     "Full": 0.5, "Bitmap": 0.3, "Border": 0.1,
     "EvenCheckboard": 0.025, "OddCheckboard": 0.025,
@@ -77,14 +77,10 @@ def path_similarity(p: tuple, q: tuple) -> int:
     return n
 
 
-def l_var(path: tuple, slot_path: tuple, candidates: Sequence[tuple]) -> float:
+@lru_cache(maxsize=4096)
+def l_var(path: tuple, slot_path: tuple, candidates: tuple[tuple, ...]) -> float:
     """Code for a variable choice: softmax over same-sort environment paths,
     weighted by name similarity with the slot the expression occupies."""
-    return _l_var(path, slot_path, tuple(candidates))
-
-
-@lru_cache(maxsize=4096)
-def _l_var(path: tuple, slot_path: tuple, candidates: tuple) -> float:
     weights = [math.exp(path_similarity(p, slot_path)) for p in candidates]
     total = sum(weights)
     try:
@@ -96,13 +92,13 @@ def _l_var(path: tuple, slot_path: tuple, candidates: tuple) -> float:
 
 # model coding
 
-def _l_expr_body(e: Term, slot_path: tuple, sig: lang.EnvSig, sort: str) -> float:
+def _l_expr_body(e: Term, slot_path: tuple, sig: dict, sort: str) -> float:
     """Expression cost after the slot's kind charge."""
     if isinstance(e, Var):
-        cands = sig.paths_of_sort(sort)
+        cands = sig.get(sort)
         if not cands:
             raise lang.LangError(f"no environment path of sort {sort}")
-        return l_dist(P_EXPR["var"]) + _l_var(e.path, slot_path, cands)
+        return l_dist(P_EXPR["var"]) + l_var(e.path, slot_path, cands)
     if isinstance(e, App):
         cost = l_dist(P_EXPR["app"]) + l_uniform(len(FUNCTIONS))
         for a in e.args:
@@ -112,7 +108,7 @@ def _l_expr_body(e: Term, slot_path: tuple, sig: lang.EnvSig, sort: str) -> floa
 
 
 def _l_term(t: Term, sort: str, role: str, dims, slot_path: tuple,
-            sig: lang.EnvSig | None) -> float:
+            sig: dict | None) -> float:
     """Kind charge plus content for one slot, its role given by `lang.slot_role`.
 
     Position components ("pos_i"/"pos_j") are uniform over `dims`, which a
@@ -165,10 +161,10 @@ def _ground_vec(t: Term) -> tuple[int, int] | None:
     return None
 
 
-def l_model(m: Term, sig: lang.EnvSig | None = None) -> float:
+def l_model(m: Term, sig: dict | None = None) -> float:
     """Description length of one grid model.
 
-    `sig` is the input model's environment signature, required when `m`
+    `sig` is the input model's `lang.signature`, required when `m`
     contains expressions (the output side). Ground positions are coded
     uniformly over their grid's dimensions when the model pins them, over
     1..MAX_DIM otherwise.
@@ -176,7 +172,7 @@ def l_model(m: Term, sig: lang.EnvSig | None = None) -> float:
     return _l_term(m, GRID, "", None, (), sig)
 
 
-def input_side(gin: Term, caches=None) -> tuple[float, lang.EnvSig]:
+def input_side(gin: Term, caches=None) -> tuple[float, dict]:
     """An input model's cost and environment signature.
 
     With a task's `parsing.Caches`, both are computed once per input model:
@@ -197,17 +193,6 @@ def l_pair_model(model: Ctor, caches=None) -> tuple[float, float]:
 
 
 # data coding: unknown fills, diffs, deltas
-
-def l_fill(value: Term, sort: str, role: str, dims: tuple[int, int] | None) -> float:
-    """Code for a ground value standing where the template had an unknown:
-    the model code of the value as a slot of that sort and role, positions
-    uniform over `dims`."""
-    if not lang.is_ground(value):
-        raise lang.LangError(f"fill is not ground: {value!r}")
-    if role == "pos" and isinstance(value, int):
-        raise lang.LangError("a position fill is a vector or its component with axis role")
-    return _l_term(value, sort, role, dims, (), None)
-
 
 def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
                dims: tuple[int, int], loc: float, sort: str = GRID,

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy import ndimage
 
 NUM_COLORS = 10
 MAX_DIM = 30  # largest grid side ARC allows
+_COLORS = frozenset(range(NUM_COLORS))
+_SEQS = (list, tuple)
 
 # cell of a delta: (row, column, colour of the target grid)
 DeltaCell = tuple[int, int, int]
@@ -29,22 +32,34 @@ class GridError(Exception):
 
 
 class Grid:
-    """Immutable colour grid; rows of ints in 0..9."""
+    """Immutable ARC grid: 1..MAX_DIM rows of 1..MAX_DIM cells each, every
+    cell an int colour in 0..9. Anything else is refused with a GridError,
+    which names a bad cell as `[i][j]`."""
 
     __slots__ = ("height", "width", "rows", "_arr", "_hash")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(c) for c in row) for row in rows)
-        if not rows or not rows[0]:
+        if not (isinstance(rows, _SEQS) and rows):
+            raise GridError("grid must be a non-empty list of rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, _SEQS):
+                raise GridError(f"[{i}]: row is not a list of cells")
+        rows = tuple(map(tuple, rows))
+        h, w = len(rows), len(rows[0])
+        if not w:
             raise GridError("empty grid")
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
+        if set(map(len, rows)) != {w}:
             raise GridError("ragged grid")
-        for r in rows:
-            for c in r:
-                if not 0 <= c < NUM_COLORS:
-                    raise GridError(f"colour out of range: {c}")
-        object.__setattr__(self, "height", len(rows))
+        if h > MAX_DIM or w > MAX_DIM:
+            raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
+        cells = list(chain.from_iterable(rows))
+        # a bool is an int to Python, and 1.0 == 1, so types are checked first
+        if set(map(type, cells)) != {int} or not _COLORS.issuperset(cells):
+            i, j = divmod(next(k for k, c in enumerate(cells)
+                               if type(c) is not int or c not in _COLORS), w)
+            raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
+                            f"0-{NUM_COLORS - 1}")
+        object.__setattr__(self, "height", h)
         object.__setattr__(self, "width", w)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_arr", None)
@@ -93,17 +108,15 @@ def delta_apply(base: Grid, delta: Delta) -> Grid:
         return base
     h, w = base.size
     seen = set()
-    arr = np.array(base.array)
+    rows = [list(r) for r in base.rows]
     for i, j, c in delta:
         if not (0 <= i < h and 0 <= j < w):
             raise GridError(f"delta cell out of bounds: {(i, j)}")
         if (i, j) in seen:
             raise GridError(f"duplicate delta cell: {(i, j)}")
         seen.add((i, j))
-        if not 0 <= c < NUM_COLORS:
-            raise GridError(f"delta colour out of range: {c}")
-        arr[i, j] = c
-    return Grid.from_array(arr)
+        rows[i][j] = c
+    return Grid(rows)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from .grids import NUM_COLORS
+
 # sorts
 PAIR = "pair"
 GRID = "grid"
@@ -31,8 +33,7 @@ COLOR_NAMES = (
     "black", "blue", "red", "green", "yellow",
     "grey", "pink", "orange", "lightblue", "brown",
 )
-NUM_COLORS = 10
-BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, LIGHTBLUE, BROWN = range(10)
+BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, LIGHTBLUE, BROWN = range(NUM_COLORS)
 
 
 @dataclass(frozen=True)
@@ -369,34 +370,27 @@ def shift_layer_refs(t: Term, insert_pos: int) -> Term:
 
 # environment signatures
 
-@dataclass(frozen=True)
-class EnvSig:
-    """Statically guaranteed environment paths of an input model, with sorts."""
-    entries: tuple[tuple[tuple, str], ...]
-
-    def paths_of_sort(self, sort: str) -> tuple[tuple, ...]:
-        return tuple(p for p, s in self.entries if s == sort)
-
-
 # (relative path, sort) of each slot of a sole constructor, root first
 _SOLE_SLOTS = {sort: tuple((p, s) for p, s, _, _ in slots(t, sort)) for sort, t in SOLE_CTORS.items()}
 
 
-def signature(input_model: Term) -> EnvSig:
-    """Environment paths every parse of `input_model` is guaranteed to define.
+def signature(input_model: Term) -> dict[str, tuple[tuple, ...]]:
+    """Environment paths every parse of `input_model` is guaranteed to
+    define, by sort, each sort's paths in slot pre-order.
 
     Unknowns of vector and object sort expand (their fillings always use the
     sole constructor of the sort); other unknowns stop at the slot itself.
     """
-    out: list[tuple[tuple, str]] = []
+    out: dict[str, list[tuple]] = {}
     for path, sort, _, t in slots(input_model):
         if isinstance(t, Unknown) and sort in _SOLE_SLOTS:
-            out.extend((path + p, s) for p, s in _SOLE_SLOTS[sort])
+            for p, s in _SOLE_SLOTS[sort]:
+                out.setdefault(s, []).append(path + p)
         elif is_expr(t):
             raise LangError("input models carry no expressions")
         elif sort != BITS:
-            out.append((path, sort))
-    return EnvSig(tuple(out))
+            out.setdefault(sort, []).append(path)
+    return {sort: tuple(paths) for sort, paths in out.items()}
 
 
 def field_steps(path: tuple) -> tuple[str, ...]:

@@ -121,14 +121,14 @@ def apply_refinement(model: Ctor, ref: Refinement) -> Ctor:
 _OPEN_PATTERNS = {VEC: (vec(UNK, UNK),), SHAPE: (point(UNK), rectangle(UNK, UNK, UNK))}
 
 
-def _insertions(model: Ctor, side: str, sig: lang.EnvSig) -> list[Refinement]:
+def _insertions(model: Ctor, side: str, sig: dict) -> list[Refinement]:
     """Object seeds at every layer position: each open shape and, on the
     output side, each input object and shape."""
     layers = model.args[0 if side == "in" else 1].args[2]
     seeds = [pos_shape(UNK, shape) for shape in _OPEN_PATTERNS[SHAPE]]
     if side == "out":
-        seeds += [Var(p) for p in sig.paths_of_sort(OBJECT)]
-        seeds += [pos_shape(UNK, Var(p)) for p in sig.paths_of_sort(SHAPE)]
+        seeds += [Var(p) for p in sig.get(OBJECT, ())]
+        seeds += [pos_shape(UNK, Var(p)) for p in sig.get(SHAPE, ())]
     return [Refinement("insert", side, ("layers", k), seed, OBJECT)
             for k in range(len(layers) + 1) for seed in seeds]
 
@@ -192,7 +192,7 @@ def _nat_exprs(nat_paths: tuple) -> list[Term]:
             + [App("plus", (x, y)) for i, x in enumerate(xs) for y in xs[i:]])
 
 
-def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinement]:
+def _expr_proposals(model: Ctor, ev: TaskEval, sig: dict) -> list[Refinement]:
     """Expressions for output slots, checked against the chained readings:
     a candidate's value on a pair is `lang.eval_expr` of it on the input
     tree, the slot's value that of the output tree.
@@ -209,8 +209,8 @@ def _expr_proposals(model: Ctor, ev: TaskEval, sig: lang.EnvSig) -> list[Refinem
         if sort in (GRID, BITS) or lang.is_expr(sub) or (sort != NAT and isinstance(sub, int)):
             continue
         if sort not in cands:
-            es = (_nat_exprs(sig.paths_of_sort(NAT)) if sort == NAT
-                  else [Var(x) for x in sig.paths_of_sort(sort)])
+            es = (_nat_exprs(sig.get(NAT, ())) if sort == NAT
+                  else [Var(x) for x in sig.get(sort, ())])
             cands[sort] = [(e, []) for e in es]
         targets = [[_value(lang.resolve, p.rout.tree, path) for p in pairs]
                    for pairs in examples]
@@ -257,14 +257,14 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
     model = initial_model()
     ev = coding.l_task(model, examples, cfg.parse, caches)
     norm = Normalizer.from_initial(ev, cfg.alpha)
-    first = _Entry(ev.normalized(norm), ev, (TraceStep(0, ev.normalized(norm), None),))
+    lhat = ev.normalized(norm)
+    first = _Entry(lhat, ev, (TraceStep(0, lhat, None),))
     beam = [first]
     best = first
     timed_out = False
     step = 1
     while True:
-        found: list[tuple[float, int, _Entry]] = []
-        arrival = 0
+        found: list[tuple[int, _Entry]] = []
         for entry in beam:
             if time.monotonic() > deadline:
                 timed_out = True
@@ -284,9 +284,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                     trace2 = entry.trace + (TraceStep(step, lhat2, ref),)
                     # Quantize so ties within the descent epsilon fall back to
                     # proposal order rather than float-summation noise.
-                    found.append((round(lhat2 / _EPS), arrival,
-                                  _Entry(lhat2, ev2, trace2)))
-                    arrival += 1
+                    found.append((round(lhat2 / _EPS), _Entry(lhat2, ev2, trace2)))
                     kept += 1
                     if kept >= cfg.refinements:
                         break
@@ -294,10 +292,10 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 break
         if not found:
             break
-        found.sort(key=lambda t: (t[0], t[1]))
+        found.sort(key=lambda t: t[0])  # stable: ties keep proposal order
         beam = []
         models_seen = set()
-        for _, _, entry in found:
+        for _, entry in found:
             if entry.ev.model in models_seen:
                 continue
             models_seen.add(entry.ev.model)
@@ -314,12 +312,12 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
 
 
 def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
-            caches: Caches | None = None, attempts: int | None = None) -> list[Grid]:
+            attempts: int | None = None) -> list[Grid]:
     """Candidate output grids for an input, best reading first, deduplicated."""
     pcfg = replace(cfg.parse, max_diffs=cfg.predict_diffs)
     m_in, m_out = model.args
     outs: list[Grid] = []
-    readings = parsing.read(m_in, None, gi, pcfg, caches)
+    readings = parsing.read(m_in, None, gi, pcfg)
     if attempts is not None:
         readings = readings[:attempts]
     for r in readings:

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import coding, lang
-from .grids import MAX_DIM, Grid, GridError, Part, mask_array, part_from_cells, segment
+from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, mask_array, part_from_cells, segment
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown, UNK,
@@ -36,7 +36,7 @@ _MAX_PER_LAYER = 64
 _UNION_COLOR_LIMIT = 64
 
 # each background colour's prior, as `coding.slot_terms` charges a bg fill
-_BG_PRIOR = tuple(coding.l_dist(coding.P_BG[c]) for c in range(10))
+_BG_PRIOR = tuple(coding.l_dist(coding.P_BG[c]) for c in range(NUM_COLORS))
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def build_index(g: Grid) -> GridIndex:
     pair's union rectangles when their box is at most four times their
     cells, and a point per cell of each part under five cells."""
     w = g.width
-    color_cells = [0] * 10
+    color_cells = [0] * NUM_COLORS
     for i, row in enumerate(g.rows):
         base = i * w
         for j, c in enumerate(row):
@@ -563,7 +563,7 @@ def _best_background(color_cells: tuple, uncovered: int, mismatch: int,
     smaller colour on ties."""
     mism_n = mismatch.bit_count()
     best, best_c = None, 0
-    for c in range(10):
+    for c in range(NUM_COLORS):
         if c and not uncovered & color_cells[c]:
             continue
         cost = _BG_PRIOR[c] + delta_costs[(uncovered & ~color_cells[c]).bit_count() + mism_n]

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grids import MAX_DIM, Grid, GridError
+from .grids import MAX_DIM, Grid, GridError  # MAX_DIM: re-exported
 from .lang import model_to_text
 from .learn import SearchConfig, DEFAULT_SEARCH, learn, predict
 
@@ -37,19 +37,11 @@ class Task:
 
 
 def _grid_of(obj, where: str) -> Grid:
-    if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
-        raise TaskError(f"{where}: grid must be a non-empty list of rows")
-    if len(obj) > MAX_DIM or any(len(r) > MAX_DIM for r in obj):
-        raise TaskError(f"{where}: grid exceeds {MAX_DIM}x{MAX_DIM}")
-    for i, row in enumerate(obj):
-        for j, c in enumerate(row):
-            # JSON booleans are ints to Python, and Grid would truncate 1.7 or "3"
-            if type(c) is not int or not 0 <= c <= 9:
-                raise TaskError(f"{where}[{i}][{j}]: cell {c!r} is not a colour 0-9")
     try:
         return Grid(obj)
     except GridError as e:
-        raise TaskError(f"{where}: {e}") from None
+        msg = str(e)  # a bad row's or cell's message starts with its index
+        raise TaskError(f"{where}{'' if msg.startswith('[') else ': '}{msg}") from None
 
 
 def load_task(path: str | Path) -> Task:

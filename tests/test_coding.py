@@ -7,7 +7,7 @@ import pytest
 from gridmdl import coding, lang
 from gridmdl.coding import (
     ModelEvalError, Normalizer, format_eval_table, l_delta, l_dist,
-    l_fill, l_model, l_nat, l_pair_model, l_parse_tree, l_position, l_task,
+    l_model, l_nat, l_pair_model, l_parse_tree, l_position, l_task,
     l_uniform, l_var, path_similarity,
 )
 from gridmdl.grids import Grid
@@ -66,7 +66,7 @@ def test_path_similarity_is_longest_common_field_suffix():
 
 def test_l_var_softmax_prefers_similar_paths():
     slot = ("size", "i")
-    cands = [("size", "i"), ("layers", 0, "pos", "i")]
+    cands = (("size", "i"), ("layers", 0, "pos", "i"))
     # similarities 2 and 1, soft weights e^2 and e^1
     want = math.log2(1 + math.exp(-1))
     assert l_var(("size", "i"), slot, cands) == pytest.approx(want, abs=1e-12)
@@ -75,12 +75,12 @@ def test_l_var_softmax_prefers_similar_paths():
 
 
 def test_l_var_single_candidate_is_free():
-    assert l_var(("size",), ("size",), [("size",)]) == 0.0
+    assert l_var(("size",), ("size",), (("size",),)) == 0.0
 
 
 def test_l_var_unknown_path_raises():
     with pytest.raises(lang.LangError):
-        l_var(("color",), ("size",), [("size",)])
+        l_var(("color",), ("size",), (("size",),))
 
 
 # model costs
@@ -142,7 +142,7 @@ def test_function_application_cost():
     m = lang.subst(gout, ("size",), vec(e, UNK))
     # size slot: kind + i-slot + j-slot; the i slot pays expr kind, app branch,
     # a uniform function choice, then both arguments as slots themselves.
-    nat_paths = sig.paths_of_sort(lang.NAT)
+    nat_paths = sig[lang.NAT]
     arg_var = 1 + 1 + l_var(("size", "i"), ("size", "i"), nat_paths)
     arg_const = KIND + l_nat(1)
     i_slot = 1 + 1 + math.log2(3) + arg_var + arg_const
@@ -152,34 +152,37 @@ def test_function_application_cost():
 
 # fills
 
+def fill_cost(value, sort, role, dims):
+    """What a parse pays for a ground value where the model has an unknown
+    slot of that sort and role: the fill term of `coding.slot_terms`."""
+    dterms, (cost,) = coding.slot_terms(UNK, value, (), dims, 0.0, sort, role)
+    assert dterms == []
+    return cost
+
+
 def test_fill_costs_by_sort_and_role():
-    assert l_fill(7, lang.NAT, "size", None) == pytest.approx(KIND + l_nat(7))
-    assert l_fill(3, lang.NAT, "pos_i", (8, 5)) == pytest.approx(KIND + 3.0)
-    assert l_fill(3, lang.NAT, "pos_j", (8, 5)) == pytest.approx(KIND + math.log2(5))
-    assert l_fill(0, lang.COLOR, "bg", None) == pytest.approx(KIND + l_dist(0.91))
-    assert l_fill(4, lang.COLOR, "bg", None) == pytest.approx(KIND + l_dist(0.01))
-    assert l_fill(4, lang.COLOR, "", None) == pytest.approx(KIND + math.log2(10))
+    assert fill_cost(7, lang.NAT, "size", None) == pytest.approx(KIND + l_nat(7))
+    assert fill_cost(3, lang.NAT, "pos_i", (8, 5)) == pytest.approx(KIND + 3.0)
+    assert fill_cost(3, lang.NAT, "pos_j", (8, 5)) == pytest.approx(KIND + math.log2(5))
+    assert fill_cost(0, lang.COLOR, "bg", None) == pytest.approx(KIND + l_dist(0.91))
+    assert fill_cost(4, lang.COLOR, "bg", None) == pytest.approx(KIND + l_dist(0.01))
+    assert fill_cost(4, lang.COLOR, "", None) == pytest.approx(KIND + math.log2(10))
 
 
 def test_fill_vector_roles_propagate_to_components():
-    pos = l_fill(vec(2, 3), lang.VEC, "pos", (4, 8))
+    pos = fill_cost(vec(2, 3), lang.VEC, "pos", (4, 8))
     assert pos == pytest.approx(KIND + (KIND + 2) + (KIND + 3), abs=1e-12)
-    size = l_fill(vec(2, 3), lang.VEC, "size", (4, 8))
+    size = fill_cost(vec(2, 3), lang.VEC, "size", (4, 8))
     assert size == pytest.approx(KIND + (KIND + l_nat(2)) + (KIND + l_nat(3)), abs=1e-12)
 
 
 def test_fill_shapes_and_masks():
-    pt = l_fill(point(5), lang.SHAPE, "", None)
+    pt = fill_cost(point(5), lang.SHAPE, "", None)
     assert pt == pytest.approx(KIND + 1 + (KIND + math.log2(10)), abs=1e-12)
-    full = l_fill(lang.FULL, lang.MASK, "", None)
+    full = fill_cost(lang.FULL, lang.MASK, "", None)
     assert full == pytest.approx(KIND + 1, abs=1e-12)
-    bm = l_fill(lang.bitmap([[1, 0, 1], [0, 1, 0]]), lang.MASK, "", None)
+    bm = fill_cost(lang.bitmap([[1, 0, 1], [0, 1, 0]]), lang.MASK, "", None)
     assert bm == pytest.approx(KIND + l_dist(0.3) + 6, abs=1e-12)
-
-
-def test_fill_rejects_non_ground_terms():
-    with pytest.raises(lang.LangError):
-        l_fill(UNK, lang.NAT, "size", None)
 
 
 # parse-tree costs

@@ -30,10 +30,33 @@ def test_grid_equality_and_hash():
     [[0, 1], [2]],            # ragged
     [[0, 10]],                # colour out of range
     [[0, -1]],                # negative colour
+    [[0, 1.7]],               # a float is not a colour, not even truncated
+    [[True, 0]],              # nor is a bool
+    [[0, "3"]],               # nor a digit string
+    [[None]],
+    [[0] * 31],               # wider than ARC allows
+    [[0]] * 31,               # taller than ARC allows
+    ["012"],                  # a string row
 ])
 def test_grid_rejects_malformed_rows(rows):
     with pytest.raises(GridError):
         Grid(rows)
+
+
+@pytest.mark.parametrize("cell", [1.7, True, "3", None, 10, -1, [0]])
+def test_grid_names_the_bad_cell(cell):
+    with pytest.raises(GridError, match=r"^\[1\]\[2\]: cell .* is not a colour 0-9$"):
+        Grid([[0, 0, 0], [0, 0, cell]])
+
+
+def test_grid_from_a_float_array_is_refused():
+    with pytest.raises(GridError, match=r"^\[0\]\[0\]: cell 0.5 "):
+        Grid.from_array(np.array([[0.5, 2.9]]))
+
+
+def test_grid_takes_tuple_rows_and_array_cells_alike():
+    g = Grid(((0, 9), (3, 4)))
+    assert g == Grid([[0, 9], [3, 4]]) == Grid.from_array(np.array([[0, 9], [3, 4]], dtype=np.int8))
 
 
 def test_grid_to_text():
@@ -69,6 +92,7 @@ def test_delta_between_requires_matching_dims():
     {(0, 9, 1)},              # column out of bounds
     {(0, 0, 10)},             # colour out of range
     {(0, 0, 1), (0, 0, 2)},   # conflicting corrections for one cell
+    {(0, 0, 1.7)},            # a colour that is not an int
 ])
 def test_delta_apply_rejects_bad_entries(delta):
     with pytest.raises(GridError):

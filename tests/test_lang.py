@@ -251,11 +251,12 @@ def test_apply_model_without_environment_requires_no_expressions():
 
 def test_signature_expands_vector_and_object_unknowns():
     sig = lang.signature(grid(UNK, UNK, [pos_shape(UNK, UNK)]))
-    assert (("size", "i"), lang.NAT) in sig.entries
-    assert (("color",), lang.COLOR) in sig.entries
-    assert (("layers", 0), lang.OBJECT) in sig.entries
-    assert (("layers", 0, "pos", "j"), lang.NAT) in sig.entries
-    assert (("layers", 0, "shape"), lang.SHAPE) in sig.entries
+    # each sort's paths in slot pre-order: the order of the variable softmax
+    assert sig[lang.NAT] == (("size", "i"), ("size", "j"),
+                             ("layers", 0, "pos", "i"), ("layers", 0, "pos", "j"))
+    assert ("color",) in sig[lang.COLOR]
+    assert ("layers", 0) in sig[lang.OBJECT]
+    assert ("layers", 0, "shape") in sig[lang.SHAPE]
 
 
 def test_signature_rejects_expressions():
