@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -17,6 +17,9 @@ _SEQS = (list, tuple)
 # cell of a delta: (row, column, colour of the target grid)
 DeltaCell = tuple[int, int, int]
 Delta = frozenset
+
+# colour byte -> its digit's ASCII code, for `Grid.to_text`
+_DIGITS = bytes.maketrans(bytes(range(NUM_COLORS)), b"0123456789")
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -99,7 +102,8 @@ class Grid:
         return f"Grid({self.height}x{self.width})"
 
     def to_text(self) -> str:
-        return "\n".join("".join(str(c) for c in row) for row in self.rows)
+        """The rows as lines of colour digits."""
+        return "\n".join(bytes(row).translate(_DIGITS).decode() for row in self.rows)
 
 
 def delta_apply(base: Grid, delta: Delta) -> Grid:
@@ -121,44 +125,51 @@ def delta_apply(base: Grid, delta: Delta) -> Grid:
 
 @dataclass(frozen=True)
 class Part:
-    """Maximal connected one-colour region."""
+    """Maximal connected one-colour region. `mask` is the read-only boolean
+    array of its cells over its box; it takes no part in comparisons."""
     color: int
     cells: frozenset
     top: int
     left: int
     height: int
     width: int
+    mask: np.ndarray = field(compare=False, repr=False)
 
     @property
     def area(self) -> int:
         return len(self.cells)
 
 
-def part_from_cells(color: int, cells) -> Part:
-    cells = frozenset(cells)
-    if not cells:
-        raise GridError("empty part")
-    top = min(i for i, _ in cells)
-    left = min(j for _, j in cells)
-    bottom = max(i for i, _ in cells)
-    right = max(j for _, j in cells)
-    return Part(color, cells, top, left, bottom - top + 1, right - left + 1)
-
-
 def segment(g: Grid) -> tuple[Part, ...]:
     """Split the grid into 4-connected one-colour parts, in scanline order of
-    their first cell."""
+    their first cell.
+
+    One labelling covers every colour. It runs on a lattice of twice the
+    grid's resolution: cell (i, j) sits at (2i, 2j), and the point between
+    two neighbouring cells is set when their colours are equal. The points
+    between diagonal neighbours are never set, so two cells are 4-connected
+    on the lattice exactly when a one-colour 4-connected path joins them in
+    the grid."""
     arr = g.array
+    h, w = arr.shape
+    lattice = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    lattice[::2, ::2] = True
+    lattice[::2, 1::2] = arr[:, :-1] == arr[:, 1:]
+    lattice[1::2, ::2] = arr[:-1] == arr[1:]
+    labels, _ = ndimage.label(lattice, structure=_STRUCT4)
+    boxes = ndimage.find_objects(labels)
+    labels = labels[::2, ::2]  # the cells' labels
     keyed = []
-    for c in np.unique(arr):
-        labels, _ = ndimage.label(arr == c, structure=_STRUCT4)
-        for k, box in enumerate(ndimage.find_objects(labels), start=1):
-            rows, cols = box
-            ii, jj = np.nonzero(labels[box] == k)  # row-major: first cell first
-            ii, jj = (ii + rows.start).tolist(), (jj + cols.start).tolist()
-            part = Part(int(c), frozenset(zip(ii, jj)), rows.start, cols.start,
-                        rows.stop - rows.start, cols.stop - cols.start)
-            keyed.append((ii[0] * g.width + jj[0], part))
+    for k, (rows, cols) in enumerate(boxes, start=1):
+        # a part's lattice box starts and ends on cells, at even points
+        top, left = rows.start // 2, cols.start // 2
+        mask = labels[top:(rows.stop + 1) // 2, left:(cols.stop + 1) // 2] == k
+        mask.setflags(write=False)
+        ii, jj = np.nonzero(mask)  # row-major: first cell first
+        ii, jj = (ii + top).tolist(), (jj + left).tolist()
+        part = Part(g.rows[ii[0]][jj[0]], frozenset(zip(ii, jj)), top, left,
+                    *mask.shape, mask)
+        keyed.append((ii[0] * w + jj[0], part))
     keyed.sort(key=lambda kp: kp[0])
     return tuple(p for _, p in keyed)
 

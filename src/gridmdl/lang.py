@@ -132,7 +132,7 @@ def vec(i: Term, j: Term) -> Ctor:
 
 
 def bitmap(rows) -> Ctor:
-    return Ctor("Bitmap", (tuple(tuple(int(b) for b in row) for row in rows),))
+    return Ctor("Bitmap", (tuple(tuple(map(int, row)) for row in rows),))
 
 
 # the sorts with one constructor, as a term that every filling of an unknown

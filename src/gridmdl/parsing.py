@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import coding, lang
-from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, mask_array, part_from_cells, segment
+from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, mask_array, segment
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown, UNK,
@@ -223,11 +223,19 @@ class GridIndex:
     layers: dict = field(default_factory=dict)
 
 
-def _cells_mask(cells, width: int) -> int:
-    m = 0
-    for i, j in cells:
-        m |= 1 << (i * width + j)
-    return m
+def _bits(block: np.ndarray) -> int:
+    """Bitmask of a boolean array: bit k set for its k-th cell in row-major
+    order."""
+    return int.from_bytes(np.packbits(block, axis=None, bitorder="little").tobytes(), "little")
+
+
+def _mask_cells(mask: np.ndarray, top: int, left: int, width: int) -> int:
+    """Bitmask of a box-shaped mask placed at (top, left) in a grid of
+    `width` columns: the mask sits in a full-width block of its rows."""
+    h, w = mask.shape
+    block = np.zeros((h, width), dtype=bool)
+    block[:, left:left + w] = mask
+    return _bits(block) << (top * width)
 
 
 def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
@@ -238,51 +246,66 @@ def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
     return m
 
 
-def recognize_mask(cells: frozenset, h: int, w: int) -> Ctor:
-    """Smallest regular mask matching the relative cell set, else a bitmap."""
-    arr = np.zeros((h, w), dtype=bool)
-    for i, j in cells:
-        arr[i, j] = True
+def recognize_mask(mask: np.ndarray) -> Ctor:
+    """Smallest regular mask equal to the boolean cell array, else a bitmap."""
+    h, w = mask.shape
     for name in _REGULAR_MASKS:
         if name in ("PlusCross", "TimesCross") and (h % 2 == 0 or w % 2 == 0):
             continue
-        if np.array_equal(arr, mask_array(name, h, w)):
+        # same shape and dtype: equal bytes are equal cells
+        if mask.tobytes() == mask_array(name, h, w).tobytes():
             return Ctor(name)
-    return bitmap_term(arr.astype(int).tolist())
+    return bitmap_term(mask.tolist())
 
 
-def _rect_candidates(part: Part, width: int, color_cells, out: list) -> None:
-    """The part's box as a full rectangle and, when the part leaves holes in
-    its box, as a rectangle with the part's exact mask."""
-    tl, size = vec(part.top, part.left), vec(part.height, part.width)
-    box = _box_mask(part.top, part.left, part.height, part.width, width)
-    out.append(Candidate(pos_shape(tl, rectangle(size, part.color, FULL)), box,
-                         part.height * part.width, part.color, part.top, part.left, 0,
-                         box & ~color_cells[part.color]))
-    if part.area < part.height * part.width:
-        rel = frozenset((i - part.top, j - part.left) for i, j in part.cells)
-        mask = recognize_mask(rel, part.height, part.width)
-        out.append(Candidate(pos_shape(tl, rectangle(size, part.color, mask)),
-                             _cells_mask(part.cells, width), part.area, part.color,
-                             part.top, part.left, 1, 0))
+def _rect_candidates(color: int, top: int, left: int, mask: np.ndarray, area: int,
+                     width: int, color_cells, out: list) -> None:
+    """The box of `mask`, a shape of `area` cells at (top, left), as a full
+    rectangle and, when the shape leaves holes in its box, as a rectangle
+    with the shape's exact mask."""
+    h, w = mask.shape
+    tl, size = vec(top, left), vec(h, w)
+    box = _box_mask(top, left, h, w, width)
+    out.append(Candidate(pos_shape(tl, rectangle(size, color, FULL)), box, h * w, color,
+                         top, left, 0, box & ~color_cells[color]))
+    if area < h * w:
+        out.append(Candidate(pos_shape(tl, rectangle(size, color, recognize_mask(mask))),
+                             _mask_cells(mask, top, left, width), area, color,
+                             top, left, 1, 0))
+
+
+def _union_candidates(group: list, width: int, color_cells, out: list) -> None:
+    """Rectangles of each pair of same-colour parts whose union's box is at
+    most four times their cells. The bound is tested on the two boxes, so
+    only a pair that passes has its union's mask built."""
+    for a, b in combinations(group, 2):
+        top, left = min(a.top, b.top), min(a.left, b.left)
+        h = max(a.top + a.height, b.top + b.height) - top
+        w = max(a.left + a.width, b.left + b.width) - left
+        area = a.area + b.area  # distinct parts share no cell
+        if h * w > 4 * area:
+            continue
+        mask = np.zeros((h, w), dtype=bool)
+        for p in (a, b):
+            mask[p.top - top:p.top - top + p.height, p.left - left:p.left - left + p.width] |= p.mask
+        _rect_candidates(a.color, top, left, mask, area, width, color_cells, out)
 
 
 def build_index(g: Grid) -> GridIndex:
     """Segment the grid and assemble its ranked candidate objects: each
     part's rectangles (points alone for a single cell), each same-colour
     pair's union rectangles when their box is at most four times their
-    cells, and a point per cell of each part under five cells."""
+    cells, and a point per cell of each part under five cells. Colour
+    bitmasks and candidate cells come from boolean arrays over the grid and
+    over each shape's box."""
     w = g.width
-    color_cells = [0] * NUM_COLORS
-    for i, row in enumerate(g.rows):
-        base = i * w
-        for j, c in enumerate(row):
-            color_cells[c] |= 1 << (base + j)
+    arr = g.array
+    color_cells = [_bits(arr == c) for c in range(NUM_COLORS)]
     parts = segment(g)
     cands: list[Candidate] = []
     for p in parts:
         if p.area > 1:
-            _rect_candidates(p, w, color_cells, cands)
+            _rect_candidates(p.color, p.top, p.left, p.mask, p.area, w, color_cells, cands)
         if p.area < 5:
             for i, j in sorted(p.cells):
                 cands.append(Candidate(pos_shape(vec(i, j), point(p.color)),
@@ -290,13 +313,9 @@ def build_index(g: Grid) -> GridIndex:
     by_color: dict[int, list[Part]] = {}
     for p in parts:
         by_color.setdefault(p.color, []).append(p)
-    for c, group in by_color.items():
-        if len(group) > _UNION_COLOR_LIMIT:
-            continue
-        for a, b in combinations(group, 2):
-            u = part_from_cells(c, a.cells | b.cells)
-            if u.height * u.width <= 4 * u.area:
-                _rect_candidates(u, w, color_cells, cands)
+    for group in by_color.values():
+        if len(group) <= _UNION_COLOR_LIMIT:
+            _union_candidates(group, w, color_cells, cands)
     unique: dict = {}
     for cand in cands:
         unique.setdefault(cand.tree, cand)

@@ -178,15 +178,18 @@ def _evaluate_path(path: str, cfg: SearchConfig) -> TaskReport | TaskFailure:
 def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> BatchReport:
     """Evaluate many task files; order of reports is lexicographic by task id
     whatever the worker scheduling. A file that cannot be read becomes an
-    error record and does not stop the others. `jobs` worker processes
-    run them, or the calling process alone for 1."""
+    error record and does not stop the others. Up to `jobs` worker
+    processes run them, never more than there are files; with one, the
+    calling process runs them alone."""
     if jobs < 1:
         raise ValueError(f"jobs: must be at least 1, got {jobs!r}")
     paths = sorted(Path(p) for p in paths)
-    if jobs == 1:
+    # the pool starts all its workers at the first submit
+    workers = min(jobs, len(paths))
+    if workers <= 1:
         results = [_evaluate_path(str(p), cfg) for p in paths]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_path, [str(p) for p in paths],
                                     [cfg] * len(paths), chunksize=1))
     results.sort(key=lambda r: r.task_id)

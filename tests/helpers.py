@@ -1,16 +1,17 @@
 """Shared test data and oracles: a nested-rectangles task, a synthetic task
-suite, task files, corpus gating, and the cell-level oracles the grid and
-property tests check against. Fixtures over them live in `conftest.py`."""
+suite, task files, corpus gating, and the cell-level oracles the grid,
+parsing and property tests check against. Fixtures over them live in `conftest.py`."""
 
 import json
 import os
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from gridmdl import lang, parsing
-from gridmdl.grids import Grid, GridError, Part, part_from_cells
+from gridmdl.grids import NUM_COLORS, Grid, GridError, Part, mask_array
 
 
 def delta_between(target: Grid, base: Grid) -> frozenset:
@@ -64,6 +65,101 @@ def segment_by_scans(g: Grid) -> tuple[Part, ...]:
             parts.append(part_from_cells(int(c), ((int(i), int(j)) for i, j in zip(ii, jj))))
     parts.sort(key=lambda p: min(i * g.width + j for i, j in p.cells))
     return tuple(parts)
+
+
+def part_from_cells(color: int, cells) -> Part:
+    cells = frozenset(cells)
+    if not cells:
+        raise GridError("empty part")
+    top = min(i for i, _ in cells)
+    left = min(j for _, j in cells)
+    bottom = max(i for i, _ in cells)
+    right = max(j for _, j in cells)
+    mask = np.zeros((bottom - top + 1, right - left + 1), dtype=bool)
+    for i, j in cells:
+        mask[i - top, j - left] = True
+    mask.setflags(write=False)
+    return Part(color, cells, top, left, bottom - top + 1, right - left + 1, mask)
+
+
+def _cells_mask(cells, width: int) -> int:
+    m = 0
+    for i, j in cells:
+        m |= 1 << (i * width + j)
+    return m
+
+
+def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
+    row = ((1 << w) - 1) << left
+    m = 0
+    for i in range(top, top + h):
+        m |= row << (i * width)
+    return m
+
+
+def recognize_cells(cells: frozenset, h: int, w: int) -> lang.Ctor:
+    """Reference for `parsing.recognize_mask` on a relative cell set."""
+    arr = np.zeros((h, w), dtype=bool)
+    for i, j in cells:
+        arr[i, j] = True
+    for name in parsing._REGULAR_MASKS:
+        if name in ("PlusCross", "TimesCross") and (h % 2 == 0 or w % 2 == 0):
+            continue
+        if np.array_equal(arr, mask_array(name, h, w)):
+            return lang.Ctor(name)
+    return lang.bitmap(arr.astype(int).tolist())
+
+
+def _rect_candidates(part: Part, width: int, color_cells, out: list) -> None:
+    tl, size = lang.vec(part.top, part.left), lang.vec(part.height, part.width)
+    box = _box_mask(part.top, part.left, part.height, part.width, width)
+    out.append(parsing.Candidate(lang.pos_shape(tl, lang.rectangle(size, part.color, lang.FULL)),
+                                 box, part.height * part.width, part.color, part.top,
+                                 part.left, 0, box & ~color_cells[part.color]))
+    if part.area < part.height * part.width:
+        rel = frozenset((i - part.top, j - part.left) for i, j in part.cells)
+        mask = recognize_cells(rel, part.height, part.width)
+        out.append(parsing.Candidate(lang.pos_shape(tl, lang.rectangle(size, part.color, mask)),
+                                     _cells_mask(part.cells, width), part.area, part.color,
+                                     part.top, part.left, 1, 0))
+
+
+def build_index_by_scans(g: Grid) -> parsing.GridIndex:
+    """Reference for `parsing.build_index`: colour bitmasks by a loop over
+    the cells, parts by `segment_by_scans`, every same-colour union built
+    from its cell set before its box is tested, and each candidate's cells
+    and exact mask from its cell set."""
+    w = g.width
+    color_cells = [0] * NUM_COLORS
+    for i, row in enumerate(g.rows):
+        base = i * w
+        for j, c in enumerate(row):
+            color_cells[c] |= 1 << (base + j)
+    parts = segment_by_scans(g)
+    cands = []
+    for p in parts:
+        if p.area > 1:
+            _rect_candidates(p, w, color_cells, cands)
+        if p.area < 5:
+            for i, j in sorted(p.cells):
+                cands.append(parsing.Candidate(lang.pos_shape(lang.vec(i, j), lang.point(p.color)),
+                                               1 << (i * w + j), 1, p.color, i, j, 2, 0))
+    by_color: dict[int, list[Part]] = {}
+    for p in parts:
+        by_color.setdefault(p.color, []).append(p)
+    for c, group in by_color.items():
+        if len(group) > parsing._UNION_COLOR_LIMIT:
+            continue
+        for a, b in combinations(group, 2):
+            u = part_from_cells(c, a.cells | b.cells)
+            if u.height * u.width <= 4 * u.area:
+                _rect_candidates(u, w, color_cells, cands)
+    unique: dict = {}
+    for cand in cands:
+        unique.setdefault(cand.tree, cand)
+    ranked = sorted(unique.values(), key=lambda c: c.sort_key(w))
+    return parsing.GridIndex(g, tuple(ranked[:parsing._MAX_CANDIDATES]), tuple(color_cells),
+                             (1 << (g.height * w)) - 1)
 
 
 def nested_pair(outer_color, inner_color, h, w, outer_pos, outer_size, inner_pos, inner_size):

@@ -63,6 +63,12 @@ def test_grid_to_text():
     assert Grid([[0, 1], [9, 5]]).to_text() == "01\n95"
 
 
+@pytest.mark.parametrize("rows", [[[c]] for c in range(10)]
+                         + [[[(i * 30 + j) % 10 for j in range(30)] for i in range(30)]])
+def test_grid_to_text_matches_a_per_cell_reference(rows):
+    assert Grid(rows).to_text() == "\n".join("".join(str(c) for c in row) for row in rows)
+
+
 # deltas
 
 def test_delta_between_lists_changed_cells_with_target_colour():
@@ -130,6 +136,8 @@ def test_part_geometry_fields():
     part = next(p for p in segment(g) if p.color == 6)
     assert (part.top, part.left, part.height, part.width, part.area) == (0, 1, 2, 2, 3)
     assert part.cells == frozenset({(0, 1), (0, 2), (1, 1)})
+    assert part.mask.tolist() == [[True, True], [True, False]]
+    assert not part.mask.flags.writeable
 
 
 # masks

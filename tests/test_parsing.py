@@ -1,5 +1,6 @@
 """Parsing: drawing, generation, candidates, approximate reads, losslessness."""
 
+import numpy as np
 import pytest
 
 from gridmdl import coding, lang, parsing
@@ -94,6 +95,13 @@ def test_write_draws_the_generated_tree():
 
 # mask recognition
 
+def _cells_array(cells, h: int, w: int) -> np.ndarray:
+    arr = np.zeros((h, w), dtype=bool)
+    for i, j in cells:
+        arr[i, j] = True
+    return arr
+
+
 @pytest.mark.parametrize("cells,h,w,want", [
     ({(i, j) for i in range(2) for j in range(3)}, 2, 3, lang.FULL),
     ({(i, j) for i in range(3) for j in range(4) if i in (0, 2) or j in (0, 3)},
@@ -108,18 +116,18 @@ def test_write_draws_the_generated_tree():
      lang.TIMES_CROSS),
 ])
 def test_recognize_regular_masks(cells, h, w, want):
-    assert recognize_mask(frozenset(cells), h, w) == want
+    assert recognize_mask(_cells_array(cells, h, w)) == want
 
 
 def test_recognize_irregular_cells_as_bitmap():
-    got = recognize_mask(frozenset({(0, 0), (1, 1), (1, 2)}), 2, 3)
+    got = recognize_mask(_cells_array({(0, 0), (1, 1), (1, 2)}, 2, 3))
     assert got == bitmap([[1, 0, 0], [0, 1, 1]])
 
 
 def test_cross_masks_need_odd_extents():
     # a plus-shaped region in a 4-wide box cannot be the centred cross
     cells = {(1, j) for j in range(4)} | {(0, 1), (2, 1)}
-    got = recognize_mask(frozenset(cells), 3, 4)
+    got = recognize_mask(_cells_array(cells, 3, 4))
     assert got.name == "Bitmap"
 
 

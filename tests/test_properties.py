@@ -11,7 +11,7 @@ from gridmdl import coding, lang, parsing
 from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
-from helpers import delta_between, mask_member, segment_by_scans
+from helpers import build_index_by_scans, delta_between, mask_member, segment_by_scans
 
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -156,7 +156,34 @@ def few_colour_grids(draw):
 
 @given(few_colour_grids())
 def test_segment_matches_the_scanning_reference(g):
-    assert segment(g) == segment_by_scans(g)
+    parts, want = segment(g), segment_by_scans(g)
+    assert parts == want
+    # the masks take no part in ==
+    assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
+
+
+def _same_index(g):
+    got, want = parsing.build_index(g), build_index_by_scans(g)
+    assert got.candidates == want.candidates
+    assert got.color_cells == want.color_cells
+    assert got.all_cells == want.all_cells
+    return got
+
+
+@given(few_colour_grids())
+def test_build_index_matches_the_scanning_reference(g):
+    """Same candidates, every field and in order, and the same bitmasks as
+    the index built from cell sets: parts with holes (exact masks), unions
+    of like-coloured parts and points of small parts."""
+    _same_index(g)
+
+
+def test_build_index_of_a_checkerboard_skips_unions_and_cuts_at_the_cap():
+    # 450 one-cell parts per colour: over the union limit, 900 points in all
+    g = Grid([[(i + j) % 2 for j in range(30)] for i in range(30)])
+    index = _same_index(g)
+    assert len(index.candidates) == parsing._MAX_CANDIDATES
+    assert {c.variant for c in index.candidates} == {2}
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gridmdl import tasks
 from gridmdl.grids import Grid
 from gridmdl.learn import SearchConfig
 from gridmdl.tasks import (
@@ -113,6 +114,36 @@ def test_evaluate_batch_parallel_matches_order(tmp_path):
     batch = evaluate_batch(paths, jobs=2)
     assert [r.task_id for r in batch.reports] == ["n1", "n2"]
     assert [r.test_score for r in batch.reports] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("files,pools", [(3, [3]), (1, []), (0, [])])
+def test_evaluate_batch_starts_no_more_workers_than_files(tmp_path, monkeypatch, files, pools):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records `max_workers` and
+        maps in the calling process, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(tasks, "ProcessPoolExecutor", InProcessPool)
+    paths = []
+    for k in range(files):  # unreadable files: each becomes an error record
+        paths.append(tmp_path / f"bad{k}.json")
+        paths[-1].write_text("{}")
+    batch = evaluate_batch(paths, jobs=64)
+    assert sizes == pools
+    assert [e.task_id for e in batch.errors] == [f"bad{k}" for k in range(files)]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
