@@ -341,13 +341,40 @@ def map_exprs(t: Term, fn) -> Term:
     return t if new is None else Ctor(t.name, tuple(new))
 
 
-def apply_model(m: Term, env: Term | None) -> Term:
+def apply_model(m: Term, env: Term | None, memo: dict | None = None) -> Term:
     """Instantiate every expression in `m` against `env`; unknowns survive.
 
     `env` must be ground, as parse trees and generated trees are. Subterms
     without expressions are shared (see `map_exprs`), so an input side and
-    the untouched parts of an output side keep their cached hashes."""
-    return map_exprs(m, lambda e: eval_expr(e, env))
+    the untouched parts of an output side keep their cached hashes.
+
+    With `memo`, a dict keyed on (layer term, `env`), a grid model's
+    layers are each applied once per environment, and its size and colour
+    directly. A layer whose application fails is kept as its error's
+    message (no term is a str) and raises the same LangError again."""
+    def fn(e):
+        return eval_expr(e, env)
+
+    if memo is None or not (isinstance(m, Ctor) and m.name == "Grid"):
+        return map_exprs(m, fn)
+    size, color, objs = m.args
+    size_a, color_a = map_exprs(size, fn), map_exprs(color, fn)
+    objs_a = []
+    for obj in objs:
+        key = (obj, env)
+        a = memo.get(key)
+        if a is None:
+            try:
+                a = map_exprs(obj, fn)
+            except LangError as e:
+                a = str(e)
+            memo[key] = a
+        if isinstance(a, str):
+            raise LangError(a)
+        objs_a.append(a)
+    if size_a is size and color_a is color and all(a is o for a, o in zip(objs_a, objs)):
+        return m
+    return Ctor("Grid", (size_a, color_a, tuple(objs_a)))
 
 
 def shift_layer_refs(t: Term, insert_pos: int) -> Term:

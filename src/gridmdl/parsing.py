@@ -67,11 +67,27 @@ DEFAULT_PARSE = ParseConfig()
 
 @dataclass(frozen=True)
 class Reading:
-    """One way a grid instantiates a model side."""
+    """One way a grid instantiates a model side: the ground tree, the grid
+    read, the bitmask of the cells the drawn tree gets wrong (bit
+    `i * width + j`), the template diffs and the description length."""
     tree: Ctor
-    delta: frozenset
+    grid: Grid
+    delta_mask: int
     diffs: tuple
     dl: float
+
+    @property
+    def delta(self) -> frozenset:
+        """The delta as (i, j, colour) cells, coloured after the grid, so
+        that `delta_apply(draw(tree), delta) == grid`; built on each call."""
+        g, w = self.grid, self.grid.width
+        mask, out = self.delta_mask, []
+        while mask:
+            low = mask & -mask
+            i, j = divmod(low.bit_length() - 1, w)
+            out.append((i, j, g.rows[i][j]))
+            mask ^= low
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -89,12 +105,15 @@ class Caches:
     Input models map to their cost and environment signature
     (`coding.l_pair_model`). Applied models are keyed on the model side and
     its environment (the input tree, or None), with None standing for an
-    application that fails; readings on the applied model, the grid and the
-    whole ParseConfig; indexes on the grid alone. An index also carries the
-    per-layer memo of admitted candidates and their reading terms
-    (`GridIndex.layers`)."""
+    application that fails; applied layers on the layer term and the same
+    environment (`lang.apply_model`'s memo: a refinement changes one slot,
+    so a new side's other layers are found there); readings on the applied
+    model, the grid and the whole ParseConfig; indexes on the grid alone. An
+    index also carries the per-layer memo of admitted candidates and their
+    reading terms (`GridIndex.layers`)."""
     inputs: dict = field(default_factory=dict)
     applied: dict = field(default_factory=dict)
+    applied_layers: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -391,17 +410,6 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
     return layer
 
 
-def _bits_cells(mask: int, width: int, g: Grid):
-    out = []
-    while mask:
-        low = mask & -mask
-        b = low.bit_length() - 1
-        i, j = divmod(b, width)
-        out.append((i, j, g.rows[i][j]))
-        mask &= mask - 1
-    return out
-
-
 def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
           index: GridIndex | None = None) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
@@ -483,7 +491,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
         diffs = grid_diffs + tuple((("layers", k) + p, t)
                                    for k, (_, d) in enumerate(picks) for p, t in d)
         tree = grid_term(size, bg, tuple(cand.tree for cand, _ in picks))
-        readings.append(Reading(tree, frozenset(_bits_cells(delta_mask, w, g)), diffs, dl))
+        readings.append(Reading(tree, g, delta_mask, diffs, dl))
     return tuple(readings)
 
 
@@ -599,9 +607,10 @@ def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     Returns no readings when the environment does not support the model's
     expressions (dangling variable, negative difference). With `caches`,
-    each (model side, environment) pair is applied once per task, and each
-    grid parsed once per applied model and ParseConfig; without, the call
-    takes the same path through a fresh `Caches` of its own."""
+    each (model side, environment) pair is applied once per task, each of
+    its layers once per (layer, environment) pair, and each grid parsed
+    once per applied model and ParseConfig; without, the call takes the
+    same path through a fresh `Caches` of its own."""
     if caches is None:
         caches = Caches()
     akey = (m, env)
@@ -609,7 +618,7 @@ def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
         applied = caches.applied[akey]
     except KeyError:
         try:
-            applied = lang.apply_model(m, env)
+            applied = lang.apply_model(m, env, caches.applied_layers)
         except lang.LangError:
             applied = None
         caches.applied[akey] = applied

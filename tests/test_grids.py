@@ -194,10 +194,6 @@ def test_mask_array_is_read_only():
 
 # rendering
 
-def test_render_text_uses_colour_digits():
-    assert Grid([[0, 1], [9, 5]]).to_text() == "01\n95"
-
-
 def test_render_ppm_header_and_size():
     g = Grid([[1, 2], [3, 4]])
     data = render_ppm(g, cell=3)

@@ -162,7 +162,8 @@ def test_proposals_take_the_input_signature_from_the_task_caches(nested_train, m
 
 
 def _reading(tree):
-    return parsing.Reading(tree, frozenset(), (), 0.0)
+    """The reading of the tree's own drawing: no delta, no diffs."""
+    return parsing.Reading(tree, parsing.draw(tree), 0, (), 0.0)
 
 
 def _two_example_eval(model, example_pairs):
@@ -332,6 +333,52 @@ def test_task_memos_change_no_score_and_no_reading(synthetic_tasks):
                 (plain.l_model_in, plain.l_model_out, plain.data_in, plain.data_out)
             assert memo.examples == plain.examples
         assert caches.applied and caches.readings
+
+
+def _replay_view(pair):
+    """What a chained reading pair tells its scorer: trees, diffs and delta
+    cells by `==`, costs by `repr`."""
+    def one(r):
+        return r.tree, r.diffs, r.delta, repr(r.dl)
+    return one(pair.rin), one(pair.rout), repr(pair.dl)
+
+
+def test_every_score_through_shared_caches_replays_equal_through_fresh_ones(
+        nested_train, synthetic_tasks, monkeypatch):
+    """Shadow replay: every model the learner scores through its task's
+    shared `Caches` scores the same through a fresh `Caches`. The identity
+    and small-nested suite tasks fill output layers from input objects, so
+    output sides meet the applied-layer memo from refinement to refinement."""
+    real = coding.l_task
+    calls = []
+
+    def recording(model, examples, parse_cfg=None, caches=None):
+        assert caches is not None
+        try:
+            ev = real(model, examples, parse_cfg, caches)
+        except Exception as e:
+            calls.append((model, examples, parse_cfg, e))
+            raise
+        calls.append((model, examples, parse_cfg, ev))
+        return ev
+
+    monkeypatch.setattr(coding, "l_task", recording)
+    for train in (nested_train, synthetic_tasks[4], synthetic_tasks[5]):
+        learn(train, SearchConfig())
+    assert any(isinstance(ev, coding.TaskEval) and ev.model.args[1].args[2] for *_, ev in calls)
+    assert any(isinstance(ev, Exception) for *_, ev in calls)
+    for model, examples, parse_cfg, shared in calls:
+        try:
+            fresh = real(model, examples, parse_cfg, parsing.Caches())
+        except Exception as e:
+            assert (type(shared), str(shared)) == (type(e), str(e))
+            continue
+        assert isinstance(shared, coding.TaskEval), shared
+        costs = ("l_model_in", "l_model_out", "data_in", "data_out")
+        assert ([repr(getattr(shared, c)) for c in costs]
+                == [repr(getattr(fresh, c)) for c in costs])
+        assert ([[_replay_view(p) for p in pairs] for pairs in shared.examples]
+                == [[_replay_view(p) for p in pairs] for pairs in fresh.examples])
 
 
 def test_a_failed_application_is_kept_and_fails_the_same_way_again():

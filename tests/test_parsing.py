@@ -446,6 +446,30 @@ def test_read_passes_the_parse_config_by_keyword(monkeypatch):
     assert calls == [(2, cfg), (2, cfg)]
 
 
+def test_the_applied_layer_memo_keys_on_the_environment():
+    """`layers[0].pos.i - 3` fails on an input object in row 1 and applies
+    on one in row 5. Through one `Caches`, in either order and twice each,
+    with two sides sharing the layer (so the second meets the memo), the
+    failing tree reads nothing and the other reads as through a fresh one."""
+    shift = lang.App("minus", (Var(("layers", 0, "pos", "i")), 3))
+    layer = pos_shape(vec(shift, UNK), UNK)
+    sides = [grid(UNK, UNK, [layer]), grid(vec(8, 8), UNK, [layer])]
+    fails = grid(vec(8, 8), 0, [pos_shape(vec(1, 2), point(4))])
+    holds = grid(vec(8, 8), 0, [pos_shape(vec(5, 2), point(4))])
+    g = draw(grid(vec(8, 8), 0, [pos_shape(vec(2, 2), point(4))]))
+    want = {m: read(m, holds, g, caches=Caches()) for m in sides}
+    assert all(want.values())
+    for order in ((fails, holds), (holds, fails)):
+        caches = Caches()
+        for env in order * 2:
+            for m in sides:
+                assert read(m, env, g, caches=caches) == (() if env is fails else want[m])
+        assert caches.applied_layers[(layer, holds)] == pos_shape(vec(2, UNK), UNK)
+        # a failure found in the memo raises again, as traced calls must see
+        with pytest.raises(lang.LangError, match="negative difference"):
+            lang.apply_model(sides[0], fails, caches.applied_layers)
+
+
 def test_read_pair_chains_input_tree_into_output_model():
     model = in_out(
         grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))]),

@@ -115,6 +115,33 @@ def test_subst_then_resolve_returns_replacement(t, data):
     assert lang.resolve(replaced, path) is lang.UNK
 
 
+@given(st.lists(grid_terms(), min_size=1, max_size=3),
+       st.lists(grid_terms(exprs=False), min_size=1, max_size=3), st.data())
+def test_apply_model_through_a_shared_layer_memo_matches_a_plain_application(
+        models, env_models, data):
+    """Applications sharing one memo of applied layers, interleaving models
+    with layers in common and environments (None among them), give what
+    plain applications give: an equal term, or a LangError with the same
+    message."""
+    pool = [layer for m in models for layer in m.args[2]]
+    if pool:
+        models += [lang.grid(m.args[0], m.args[1],
+                             data.draw(st.lists(st.sampled_from(pool), max_size=3)))
+                   for m in models]
+    envs = [None] + [parsing.generate(m) for m in env_models]
+    memo = {}
+    for m, env in data.draw(st.lists(st.tuples(st.sampled_from(models), st.sampled_from(envs)),
+                                     min_size=1, max_size=10)):
+        try:
+            want = lang.apply_model(m, env)
+        except lang.LangError as e:
+            with pytest.raises(lang.LangError) as got:
+                lang.apply_model(m, env, memo)
+            assert str(got.value) == str(e)
+            continue
+        assert lang.apply_model(m, env, memo) == want
+
+
 @given(st.sampled_from(["Full", "Border", "EvenCheckboard", "OddCheckboard",
                         "PlusCross", "TimesCross"]),
        small_dims, small_dims)
@@ -247,19 +274,20 @@ def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing
 
 
 def _oracle_parse(template, g, index, cfg):
-    """Readings by brute force: every combination of admitted candidates
-    that uses no candidate twice and stays within the diff budget, sorted
-    stably by (rank sum, ranks) and cut at `max_trees_before_sort`; each
-    scored by the reference coders on its drawn tree, with the background
-    that minimises prior plus delta (the smaller colour on ties) unless
-    the model fixes it; then sorted stably by cost and cut at
-    `max_trees_kept`."""
+    """Readings by brute force, each as (tree, delta cells, diffs, dl):
+    every combination of admitted candidates that uses no candidate twice
+    and stays within the diff budget, sorted stably by (rank sum, ranks)
+    and cut at `max_trees_before_sort`; each scored by the reference coders
+    on its drawn tree, with the background that minimises prior plus delta
+    (the smaller colour on ties) unless the model fixes it, its delta the
+    cells where the drawing differs from the grid; then sorted stably by
+    cost and cut at `max_trees_kept`."""
     size_t, color_t, layer_ts = template.args
     dims = (g.height, g.width)
     size = lang.vec(*dims)
     size_diffs = parsing.template_diffs(size_t, size)
     if len(size_diffs) > cfg.max_diffs:
-        return ()
+        return []
     admitted = []
     for lt in layer_ts:
         picks = [(c, parsing.template_diffs(lt, c.tree)) for c in index.candidates]
@@ -289,9 +317,9 @@ def _oracle_parse(template, g, index, cfg):
                      + coding.l_delta(drawn(c)[1], dims))
         tree, delta = drawn(bg)
         dl = coding.l_parse_tree(tree, template, diffs, dims) + coding.l_delta(delta, dims)
-        readings.append(parsing.Reading(tree, delta, diffs, dl))
-    readings.sort(key=lambda r: r.dl)
-    return tuple(readings[:cfg.max_trees_kept])
+        readings.append((tree, delta, diffs, dl))
+    readings.sort(key=lambda r: r[3])
+    return readings[:cfg.max_trees_kept]
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])
@@ -324,4 +352,7 @@ def test_parse_reads_the_first_injective_in_budget_combinations_in_rank_order(ma
     cfg = parsing.ParseConfig(max_trees_before_sort=data.draw(st.sampled_from([1, 2, 5, 64])),
                               max_trees_kept=data.draw(st.sampled_from([1, 3, 64])),
                               max_diffs=max_diffs)
-    assert parsing.parse(template, g, cfg=cfg, index=index) == _oracle_parse(template, g, index, cfg)
+    readings = parsing.parse(template, g, cfg=cfg, index=index)
+    assert all(r.grid is g for r in readings)
+    assert ([(r.tree, r.delta, r.diffs, r.dl) for r in readings]
+            == _oracle_parse(template, g, index, cfg))
