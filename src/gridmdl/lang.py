@@ -348,30 +348,36 @@ def apply_model(m: Term, env: Term | None, memo: dict | None = None) -> Term:
     without expressions are shared (see `map_exprs`), so an input side and
     the untouched parts of an output side keep their cached hashes.
 
-    With `memo`, a dict keyed on (layer term, `env`), a grid model's
-    layers are each applied once per environment, and its size and colour
-    directly. A layer whose application fails is kept as its error's
+    `memo` (a fresh dict when none is given) maps (term, `env`) to its
+    application. A grid model's layers are applied by calls of their own,
+    so sides and layers share the table, and a refined side finds its
+    untouched layers there. A failed application is kept as its error's
     message (no term is a str) and raises the same LangError again."""
+    if memo is None:
+        memo = {}
+    key = (m, env)
+    a = memo.get(key)
+    if a is None:
+        try:
+            a = _apply(m, env, memo)
+        except LangError as e:
+            a = str(e)
+        memo[key] = a
+    if isinstance(a, str):
+        raise LangError(a)
+    return a
+
+
+def _apply(m: Term, env: Term | None, memo: dict) -> Term:
+    """`apply_model` on a memo miss: each layer goes through the memo."""
     def fn(e):
         return eval_expr(e, env)
 
-    if memo is None or not (isinstance(m, Ctor) and m.name == "Grid"):
+    if not (isinstance(m, Ctor) and m.name == "Grid"):
         return map_exprs(m, fn)
     size, color, objs = m.args
     size_a, color_a = map_exprs(size, fn), map_exprs(color, fn)
-    objs_a = []
-    for obj in objs:
-        key = (obj, env)
-        a = memo.get(key)
-        if a is None:
-            try:
-                a = map_exprs(obj, fn)
-            except LangError as e:
-                a = str(e)
-            memo[key] = a
-        if isinstance(a, str):
-            raise LangError(a)
-        objs_a.append(a)
+    objs_a = [apply_model(obj, env, memo) for obj in objs]
     if size_a is size and color_a is color and all(a is o for a, o in zip(objs_a, objs)):
         return m
     return Ctor("Grid", (size_a, color_a, tuple(objs_a)))
@@ -589,8 +595,9 @@ class _Parser:
             self.skip_ws()
             rows: list[tuple[int, ...]] = []
             row: list[int] = []
-            while self.peek() != ")":
-                c = self.text[self.pos]
+            while (c := self.peek()) != ")":
+                if not c:
+                    self.error("unterminated bitmap")
                 self.pos += 1
                 if c == "/":
                     rows.append(tuple(row))

@@ -3,11 +3,11 @@
 Parsing runs in three stages: segmentation into one-colour parts, candidate
 objects built from parts (plus limited unions and point explosions), and a
 walk over per-layer candidate combinations in increasing rank order. The walk
-is depth first over the layers, one rank sum at a time; it cuts a branch at
-the first candidate used twice or diff budget overrun, skips inner states
-that scored nothing before, and stops after `_MAX_STEPS` candidate tries.
-Each combination it meets yields a reading: a ground parse tree, the cell
-delta against the drawn tree, any template diffs, and its description length.
+only enumerates: depth first, one rank sum at a time, it cuts a branch at the
+first candidate used twice or diff budget overrun, and returns what it met
+within `_MAX_STEPS` candidate tries. `parse` costs each combination; the
+cheapest become readings: a ground parse tree, the cell delta against the
+drawn tree, any template diffs, and its description length.
 """
 
 from __future__ import annotations
@@ -103,17 +103,15 @@ class Caches:
     """Per-task memo tables; safe to share across refinement evaluations.
 
     Input models map to their cost and environment signature
-    (`coding.l_pair_model`). Applied models are keyed on the model side and
-    its environment (the input tree, or None), with None standing for an
-    application that fails; applied layers on the layer term and the same
-    environment (`lang.apply_model`'s memo: a refinement changes one slot,
-    so a new side's other layers are found there); readings on the applied
-    model, the grid and the whole ParseConfig; indexes on the grid alone. An
-    index also carries the per-layer memo of admitted candidates and their
+    (`coding.l_pair_model`). `applied` is `lang.apply_model`'s memo: model
+    sides and their layers, each keyed with its environment (the input
+    tree, or None), map to their application, or to the error message of
+    an application that fails. Readings are keyed on the applied model, the
+    grid and the whole ParseConfig; indexes on the grid alone. An index
+    also carries the per-layer memo of admitted candidates and their
     reading terms (`GridIndex.layers`)."""
     inputs: dict = field(default_factory=dict)
     applied: dict = field(default_factory=dict)
-    applied_layers: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -385,7 +383,7 @@ class _Layer:
     """A layer template's admitted candidates on one grid, in candidate
     order: each (candidate, diffs) pick; the walk's row for it, (bit of the
     candidate's place in the index, diff count, cells, wrong cells); and its
-    reading terms, filled when a scored combination first needs them."""
+    reading terms, filled when a costed combination first needs them."""
     template: Term
     picks: list
     rows: list
@@ -415,11 +413,11 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     """All retained readings of `g` under an expression-free grid model,
     sorted by ascending description length.
 
-    A combination picks one admitted candidate per layer. The walk meets
-    them by rank sum, then in lexicographic order of their ranks, and
-    scores only those that use no candidate twice and stay within the diff
-    budget, until `max_trees_before_sort` are scored or `_MAX_STEPS`
-    candidate tries are spent; the readings scored by then are kept.
+    A combination picks one admitted candidate per layer. `_walk` returns
+    the first `max_trees_before_sort` that use no candidate twice and stay
+    within the diff budget, by rank sum, then in lexicographic order of
+    their ranks; fewer when `_MAX_STEPS` candidate tries are spent. Each is
+    costed here, and the cheapest `max_trees_kept` become readings.
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
@@ -457,37 +455,36 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     delta_costs = _DeltaCosts(dims)
     fixed_bg = isinstance(color_t, int)
     all_cells, color_cells = index.all_cells, index.color_cells
+    combos = _walk([layer.rows for layer in layers], cfg.max_trees_before_sort, budget)
     scored: list[tuple[float, tuple, int, int]] = []
-
-    def score(combo: list, n_diffs: int, covered: int, mismatch: int) -> None:
+    for ranks, n_diffs, covered, wrong in combos:
         uncovered = all_cells & ~covered
         if fixed_bg:
             bg = color_t
         else:
-            bg = _best_background(color_cells, uncovered, mismatch, delta_costs)
-        delta_mask = mismatch | (uncovered & ~color_cells[bg])
+            bg = _best_background(color_cells, uncovered, wrong, delta_costs)
+        delta_mask = wrong | (uncovered & ~color_cells[bg])
         bg_piece = bg_terms.get(bg)
         if bg_piece is None:
             bg_piece = bg_terms[bg] = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
         pieces = [size_terms, bg_piece]
-        for layer, i in zip(layers, combo):
+        for layer, i in zip(layers, ranks):
             terms = layer.terms[i]
             if terms is None:
                 cand, ld = layer.picks[i]
                 terms = layer.terms[i] = coding.slot_terms(
                     layer.template, cand.tree, ld, dims, loc, OBJECT)
             pieces.append(terms)
-        dl = coding.sum_terms(n_diffs, pieces) + delta_costs[delta_mask.bit_count()]
-        scored.append((dl, tuple(combo), bg, delta_mask))
-
-    _walk(layers, cfg.max_trees_before_sort, cfg.max_diffs, len(size_diffs), scored, score)
+        dl = (coding.sum_terms(len(size_diffs) + n_diffs, pieces)
+              + delta_costs[delta_mask.bit_count()])
+        scored.append((dl, ranks, bg, delta_mask))
 
     # a stable sort: equal costs keep the order the walk met them in
     scored.sort(key=lambda s: s[0])
     grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
     readings = []
-    for dl, combo, bg, delta_mask in scored[:cfg.max_trees_kept]:
-        picks = [layer.picks[i] for layer, i in zip(layers, combo)]
+    for dl, ranks, bg, delta_mask in scored[:cfg.max_trees_kept]:
+        picks = [layer.picks[i] for layer, i in zip(layers, ranks)]
         diffs = grid_diffs + tuple((("layers", k) + p, t)
                                    for k, (_, d) in enumerate(picks) for p, t in d)
         tree = grid_term(size, bg, tuple(cand.tree for cand, _ in picks))
@@ -495,79 +492,78 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     return tuple(readings)
 
 
-def _walk(layers: list, cap: int, max_diffs: int, n_diffs: int, scored: list, score) -> None:
-    """Call `score(combo, diffs, covered, mismatch)` on each combination of
-    one pick per layer, given by its ranks `combo`, that uses no candidate
-    twice and has at most `max_diffs` diffs with the `n_diffs` it starts
-    from; by rank sum, then in lexicographic order of `combo`; until
-    `scored` holds `cap` or the walk has made `_MAX_STEPS` candidate tries.
-    `covered` and `mismatch` are folded over the picks in layer order.
+def _walk(rows: list, cap: int, budget: int) -> list:
+    """The first `cap` combinations of one row per layer (`rows[d]` holds
+    layer d's rows, each (bit, diff count, cells, wrong cells)) that use no
+    bit twice and have at most `budget` diffs, by rank sum, then in
+    lexicographic order of their ranks; fewer when the walk has made
+    `_MAX_STEPS` candidate tries. Each comes as (ranks, diffs, covered,
+    wrong): `covered` folds in each pick's cells, `wrong` each pick's wrong
+    cells that earlier picks do not cover.
 
     Each rank sum is walked depth first from layer 0. At depth d, with
     `left` of the sum still to place, rank i leaves `left - i` for the
     layers below, which can take at most `room[d + 1]`; so the last layer's
-    rank is fixed. A branch ends at the first reused candidate (a bit of
-    `used`) or overrun budget. The state after a prefix, (depth, left,
-    used, diffs), decides its every completion, so an inner state whose
-    walk scored nothing is skipped when met again."""
-    L = len(layers)
-    combo = [0] * L
+    rank is fixed. A branch ends at the first reused bit or overrun budget.
+    The state after a prefix, (depth, left, used, diffs), decides its every
+    completion, so an inner state whose walk found nothing is skipped when
+    met again."""
+    L = len(rows)
     if L == 0:
-        score(combo, n_diffs, 0, 0)
-        return
+        return [((), 0, 0, 0)]
     if L == 1:
         # injective by itself, and in rank order: at most _MAX_PER_LAYER tries
-        for i, (_, nd, cells, wrong) in enumerate(layers[0].rows):
-            if n_diffs + nd <= max_diffs:
-                combo[0] = i
-                score(combo, n_diffs + nd, cells, wrong)
-                if len(scored) >= cap:
-                    return
-        return
+        return [((i,), nd, cells, wrong)
+                for i, (_, nd, cells, wrong) in enumerate(rows[0]) if nd <= budget][:cap]
     room = [0] * (L + 1)
     for d in range(L - 1, -1, -1):
-        room[d] = room[d + 1] + len(layers[d].rows) - 1
-    last = layers[-1].rows
+        room[d] = room[d + 1] + len(rows[d]) - 1
+    last = rows[-1]
     penult = L - 2
+    ranks = [0] * L
+    out = []
     dead = set()
     steps = 0
 
-    def visit(d: int, left: int, used: int, n: int, covered: int, mismatch: int) -> bool:
+    def visit(d: int, left: int, used: int, n: int, covered: int, wrong: int) -> bool:
         """Walk the picks of layers d.. (d < L - 1) with rank sum `left`;
-        whether any was scored."""
+        whether any combination was found."""
         nonlocal steps
         found = False
-        rows = layers[d].rows
+        layer = rows[d]
         lo = left - room[d + 1]
-        for i in range(lo if lo > 0 else 0, min(left, len(rows) - 1) + 1):
+        for i in range(lo if lo > 0 else 0, min(left, len(layer) - 1) + 1):
             steps += 1
-            bit, nd, cells, wrong = rows[i]
-            if not used & bit and n + nd <= max_diffs:
-                combo[d] = i
+            bit, nd, cells, wr = layer[i]
+            if not used & bit and n + nd <= budget:
+                ranks[d] = i
                 used_i, n_i = used | bit, n + nd
-                covered_i, mismatch_i = covered | cells, mismatch | (wrong & ~covered)
+                covered_i, wrong_i = covered | cells, wrong | (wr & ~covered)
                 if d == penult:
+                    # the last layer, inlined rather than visited: its rank is fixed
                     steps += 1
-                    bit, nd, cells, wrong = last[left - i]
-                    if not used_i & bit and n_i + nd <= max_diffs:
-                        combo[-1] = left - i
-                        score(combo, n_i + nd, covered_i | cells, mismatch_i | (wrong & ~covered_i))
+                    bit, nd, cells, wr = last[left - i]
+                    if not used_i & bit and n_i + nd <= budget:
+                        ranks[-1] = left - i
+                        out.append((tuple(ranks), n_i + nd, covered_i | cells,
+                                    wrong_i | (wr & ~covered_i)))
                         found = True
                 else:
                     state = (d + 1, left - i, used_i, n_i)
                     if state not in dead:
-                        if visit(*state, covered_i, mismatch_i):
+                        if visit(*state, covered_i, wrong_i):
                             found = True
                         else:
                             dead.add(state)
-            if len(scored) >= cap or steps >= _MAX_STEPS:
+            if len(out) >= cap or steps >= _MAX_STEPS:
                 break
         return found
 
     for rank in range(room[0] + 1):
-        visit(0, rank, 0, n_diffs, 0, 0)
-        if len(scored) >= cap or steps >= _MAX_STEPS:
-            return
+        visit(0, rank, 0, 0, 0, 0)
+        if len(out) >= cap or steps >= _MAX_STEPS:
+            break
+    return out
 
 
 class _DeltaCosts(dict):
@@ -607,22 +603,15 @@ def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     Returns no readings when the environment does not support the model's
     expressions (dangling variable, negative difference). With `caches`,
-    each (model side, environment) pair is applied once per task, each of
-    its layers once per (layer, environment) pair, and each grid parsed
-    once per applied model and ParseConfig; without, the call takes the
-    same path through a fresh `Caches` of its own."""
+    each model side and each of its layers is applied once per environment
+    (`lang.apply_model`), and each grid parsed once per applied model and
+    ParseConfig; without, the call takes the same path through a fresh
+    `Caches` of its own."""
     if caches is None:
         caches = Caches()
-    akey = (m, env)
     try:
-        applied = caches.applied[akey]
-    except KeyError:
-        try:
-            applied = lang.apply_model(m, env, caches.applied_layers)
-        except lang.LangError:
-            applied = None
-        caches.applied[akey] = applied
-    if applied is None:
+        applied = lang.apply_model(m, env, caches.applied)
+    except lang.LangError:
         return ()
     key = (applied, g, cfg)
     hit = caches.readings.get(key)

@@ -230,6 +230,17 @@ def test_create_rejects_a_bare_number_in_a_vector_slot(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_create_rejects_an_unterminated_bitmap(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("in: Grid(Vec(3, 3), black, [PosShape(Vec(0, 0), "
+                          "Rectangle(Vec(1, 2), red, Bitmap(01\nout: Grid(?, ?, [])\n")
+    rc = main(["create", str(model_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "unterminated bitmap" in err
+    assert "Traceback" not in err
+
+
 def test_create_rejects_a_degenerate_grid_size(tmp_path, capsys):
     model_file = tmp_path / "model.txt"
     model_file.write_text("in: Grid(Vec(0, 3), black, [])\nout: Grid(?, ?, [])\n")

@@ -247,6 +247,19 @@ def test_apply_model_without_environment_requires_no_expressions():
         lang.apply_model(grid(Var(("size",)), 0, []), None)
 
 
+def test_a_failed_side_application_is_kept_and_raises_the_same_message_again():
+    env = sample_grid_term()
+    m = grid(vec(App("minus", (Var(("size", "i")), 99)), 1), UNK, [])
+    memo = {}
+    messages = []
+    for _ in range(2):
+        with pytest.raises(LangError) as e:
+            lang.apply_model(m, env, memo)
+        messages.append(str(e.value))
+    assert messages == ["negative difference"] * 2
+    assert memo[(m, env)] == "negative difference"
+
+
 # environment signatures
 
 def test_signature_expands_vector_and_object_unknowns():
@@ -320,6 +333,12 @@ def test_parse_term_rejects_garbage():
     for bad in ["Grid(", "Quad(1)", "Grid(Vec(1, 2), black)", "layers[x].pos"]:
         with pytest.raises(LangError):
             lang.parse_term(bad)
+
+
+def test_parse_term_rejects_an_unterminated_bitmap():
+    for bad in ["Bitmap(01", "Bitmap(01/1", "Bitmap( "]:
+        with pytest.raises(LangError, match="unterminated bitmap"):
+            lang.parse_term(bad, lang.MASK)
 
 
 def test_parse_term_takes_bare_numbers_in_nat_and_colour_slots_only():

@@ -388,7 +388,11 @@ def test_a_failed_application_is_kept_and_fails_the_same_way_again():
     caches = parsing.Caches()
     with pytest.raises(coding.ModelEvalError) as first:
         coding.l_task(m, train, caches=caches)
-    assert None in caches.applied.values()
+    # the failure is kept as its message, and reads nothing again
+    failed = [key for key, a in caches.applied.items() if isinstance(a, str)]
+    assert failed
+    for side, env in failed:
+        assert parsing.read(side, env, train[0][1], caches=caches) == ()
     with pytest.raises(coding.ModelEvalError) as again:
         coding.l_task(m, train, caches=caches)
     assert str(again.value) == str(first.value)

@@ -450,7 +450,9 @@ def test_the_applied_layer_memo_keys_on_the_environment():
     """`layers[0].pos.i - 3` fails on an input object in row 1 and applies
     on one in row 5. Through one `Caches`, in either order and twice each,
     with two sides sharing the layer (so the second meets the memo), the
-    failing tree reads nothing and the other reads as through a fresh one."""
+    failing tree reads nothing and the other reads as through a fresh one.
+    Sides and layers share `Caches.applied`; a failure is kept as its
+    message."""
     shift = lang.App("minus", (Var(("layers", 0, "pos", "i")), 3))
     layer = pos_shape(vec(shift, UNK), UNK)
     sides = [grid(UNK, UNK, [layer]), grid(vec(8, 8), UNK, [layer])]
@@ -464,10 +466,11 @@ def test_the_applied_layer_memo_keys_on_the_environment():
         for env in order * 2:
             for m in sides:
                 assert read(m, env, g, caches=caches) == (() if env is fails else want[m])
-        assert caches.applied_layers[(layer, holds)] == pos_shape(vec(2, UNK), UNK)
+        assert caches.applied[(layer, holds)] == pos_shape(vec(2, UNK), UNK)
+        assert caches.applied[(layer, fails)] == "negative difference"
         # a failure found in the memo raises again, as traced calls must see
         with pytest.raises(lang.LangError, match="negative difference"):
-            lang.apply_model(sides[0], fails, caches.applied_layers)
+            lang.apply_model(sides[0], fails, caches.applied)
 
 
 def test_read_pair_chains_input_tree_into_output_model():

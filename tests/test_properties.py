@@ -119,10 +119,11 @@ def test_subst_then_resolve_returns_replacement(t, data):
        st.lists(grid_terms(exprs=False), min_size=1, max_size=3), st.data())
 def test_apply_model_through_a_shared_layer_memo_matches_a_plain_application(
         models, env_models, data):
-    """Applications sharing one memo of applied layers, interleaving models
-    with layers in common and environments (None among them), give what
-    plain applications give: an equal term, or a LangError with the same
-    message."""
+    """Applications sharing one memo, interleaving models with layers in
+    common and environments (None among them), give what a plain rewrite
+    of every expression gives: an equal term, or a LangError with the same
+    message. The reference is `map_exprs`, since `apply_model` without a
+    memo takes the memo path too."""
     pool = [layer for m in models for layer in m.args[2]]
     if pool:
         models += [lang.grid(m.args[0], m.args[1],
@@ -133,7 +134,7 @@ def test_apply_model_through_a_shared_layer_memo_matches_a_plain_application(
     for m, env in data.draw(st.lists(st.tuples(st.sampled_from(models), st.sampled_from(envs)),
                                      min_size=1, max_size=10)):
         try:
-            want = lang.apply_model(m, env)
+            want = lang.map_exprs(m, lambda e: lang.eval_expr(e, env))
         except lang.LangError as e:
             with pytest.raises(lang.LangError) as got:
                 lang.apply_model(m, env, memo)
@@ -320,6 +321,52 @@ def _oracle_parse(template, g, index, cfg):
         readings.append((tree, delta, diffs, dl))
     readings.sort(key=lambda r: r[3])
     return readings[:cfg.max_trees_kept]
+
+
+@st.composite
+def walk_rows(draw):
+    """0-4 layers of up to 6 walk rows, (bit, diffs, cells, wrong cells),
+    whose candidates come from a pool of four, so that layers share bits
+    (and a layer may list a candidate twice); each row has 0-2 diffs."""
+    cells = st.integers(0, (1 << 12) - 1)
+    pool = []
+    for k in range(4):
+        covered = draw(cells)
+        pool.append((1 << k, covered, covered & draw(cells)))
+    return [[(bit, draw(st.integers(0, 2)), covered, wrong)
+             for bit, covered, wrong in draw(st.lists(st.sampled_from(pool), max_size=6))]
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+def _oracle_walk(rows: list, cap: int, budget: int) -> list:
+    """Every combination of one row per layer that uses no bit twice and
+    has at most `budget` diffs, by (rank sum, ranks), the first `cap`."""
+    combos = []
+    for ranks in product(*(range(len(layer)) for layer in rows)):
+        picks = [layer[i] for layer, i in zip(rows, ranks)]
+        bits = [bit for bit, _, _, _ in picks]
+        n = sum(nd for _, nd, _, _ in picks)
+        if len(set(bits)) < len(bits) or n > budget:
+            continue
+        covered = wrong = 0
+        for _, _, cells, wr in picks:
+            wrong |= wr & ~covered
+            covered |= cells
+        combos.append((ranks, n, covered, wrong))
+    combos.sort(key=lambda c: (sum(c[0]), c[0]))
+    return combos[:cap]
+
+
+# cheap examples; enough of them to meet prefixes that reach one inner
+# state with different diff counts
+@settings(max_examples=300)
+@given(walk_rows(), st.integers(0, 3), st.integers(1, 20))
+def test_walk_returns_the_first_injective_in_budget_combinations(rows, budget, cap):
+    """`_walk`, with no step bound in reach, equals the brute-force oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parsing, "_MAX_STEPS", 10 ** 9)
+        got = parsing._walk(rows, cap, budget)
+    assert got == _oracle_walk(rows, cap, budget)
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])
