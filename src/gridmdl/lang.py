@@ -657,17 +657,17 @@ def parse_model(text: str) -> Ctor:
         if not (isinstance(t, Ctor) and t.name == "InOut"):
             raise LangError("expected an InOut model")
         return t
-    gin = gout = None
+    sides: dict[str, Term] = {}
     for line in stripped.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("in:"):
-            gin = parse_term(line[3:], GRID)
-        elif line.startswith("out:"):
-            gout = parse_term(line[4:], GRID)
-        else:
+        side, colon, rest = line.partition(":")
+        if not colon or side not in ("in", "out"):
             raise LangError(f"unexpected model line: {line!r}")
-    if gin is None or gout is None:
+        if side in sides:
+            raise LangError(f"repeated {side}: line: {line!r}")
+        sides[side] = parse_term(rest, GRID)
+    if len(sides) < 2:
         raise LangError("model text needs both in: and out: lines")
-    return in_out(gin, gout)
+    return in_out(sides["in"], sides["out"])

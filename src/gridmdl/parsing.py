@@ -5,9 +5,10 @@ objects built from parts (plus limited unions and point explosions), and a
 walk over per-layer candidate combinations in increasing rank order. The walk
 only enumerates: depth first, one rank sum at a time, it cuts a branch at the
 first candidate used twice or diff budget overrun, and returns what it met
-within `_MAX_STEPS` candidate tries. `parse` costs each combination; the
-cheapest become readings: a ground parse tree, the cell delta against the
-drawn tree, any template diffs, and its description length.
+within `_MAX_STEPS` candidate tries, once per row set per grid. `parse` costs
+each combination it gets back; the cheapest become readings: a ground parse
+tree, the cell delta against the drawn tree, any template diffs, and its
+description length.
 """
 
 from __future__ import annotations
@@ -109,7 +110,9 @@ class Caches:
     an application that fails. Readings are keyed on the applied model, the
     grid and the whole ParseConfig; indexes on the grid alone. An index
     also carries the per-layer memo of admitted candidates and their
-    reading terms (`GridIndex.layers`)."""
+    reading terms (`GridIndex.layers`) and the memo of walked combinations
+    (`GridIndex.walks`), so the walk runs once per row set per grid and
+    each parse costs what it gets back."""
     inputs: dict = field(default_factory=dict)
     applied: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
@@ -225,19 +228,30 @@ class Candidate:
 
 @dataclass
 class GridIndex:
-    """Per-grid candidate table, colour bitmasks and layer memo.
+    """Per-grid candidate table, colour bitmasks and two memos.
 
     `layers` maps (layer template, diff budget, diff-location cost) to the
     layer's admitted candidates and their reading terms (`_Layer`), the
     terms each filled when a parse first needs them. With the grid, that
     key is every input of admission and of the terms, so the memo holds for
     every parse of the grid. A candidate's bit in the walk's used-set is its
-    place in `candidates`."""
+    place in `candidates`.
+
+    `walks` maps (each layer's row-set key, `max_trees_before_sort`, diff
+    budget, fixed background colour or None) to the walk's combinations,
+    each with what its cost takes from the grid alone: its background and
+    its delta (`_combos`). With the grid, that key is every input of the
+    walk, so the walk runs once per row set per grid, and `parse` costs
+    what it gets back under each template.
+
+    Neither memo is part of the index's value: `dataclasses.replace` gives
+    a derived index empty ones."""
     grid: Grid
     candidates: tuple
     color_cells: tuple  # bitmask per colour
     all_cells: int
-    layers: dict = field(default_factory=dict)
+    layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _bits(block: np.ndarray) -> int:
@@ -382,12 +396,15 @@ def template_diffs(tmpl: Term, tree: Term, prefix: tuple = ()) -> tuple | None:
 class _Layer:
     """A layer template's admitted candidates on one grid, in candidate
     order: each (candidate, diffs) pick; the walk's row for it, (bit of the
-    candidate's place in the index, diff count, cells, wrong cells); and its
-    reading terms, filled when a costed combination first needs them."""
+    candidate's place in the index, diff count, cells, wrong cells); its
+    reading terms, filled when a costed combination first needs them; and
+    the rows' key, (bitmask of the candidates' places, their diff counts),
+    which with the index fixes every row."""
     template: Term
     picks: list
     rows: list
     terms: list
+    key: tuple
 
 
 def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
@@ -404,7 +421,8 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
                 rows.append((1 << pos, len(d), cand.cells, cand.wrong))
                 if len(picks) >= _MAX_PER_LAYER:
                     break
-        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks))
+        rows_key = (sum(row[0] for row in rows), bytes(row[1] for row in rows))
+        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks), rows_key)
     return layer
 
 
@@ -416,14 +434,17 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     A combination picks one admitted candidate per layer. `_walk` returns
     the first `max_trees_before_sort` that use no candidate twice and stay
     within the diff budget, by rank sum, then in lexicographic order of
-    their ranks; fewer when `_MAX_STEPS` candidate tries are spent. Each is
-    costed here, and the cheapest `max_trees_kept` become readings.
+    their ranks; fewer when `_MAX_STEPS` candidate tries are spent. The walk
+    runs once per row set per grid for as long as the index lives
+    (`_combos`), and each call costs what it gets back under its own
+    template; the cheapest `max_trees_kept` become readings.
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
     only the kept readings are built. The grid size and colours are costed
-    once per call; a layer's admitted candidates and their terms once per
-    grid for as long as its index lives."""
+    once per call; a layer's admitted candidates and their terms, and a
+    combination's background and delta, once per grid for as long as its
+    index lives."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
@@ -452,18 +473,10 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     # when a combination first needs them
     size_terms = coding.slot_terms(size_t, size, size_diffs, dims, loc, VEC, "grid_size")
     bg_terms: dict[int, tuple] = {}
-    delta_costs = _DeltaCosts(dims)
-    fixed_bg = isinstance(color_t, int)
-    all_cells, color_cells = index.all_cells, index.color_cells
-    combos = _walk([layer.rows for layer in layers], cfg.max_trees_before_sort, budget)
+    fixed_bg = color_t if isinstance(color_t, int) else None
     scored: list[tuple[float, tuple, int, int]] = []
-    for ranks, n_diffs, covered, wrong in combos:
-        uncovered = all_cells & ~covered
-        if fixed_bg:
-            bg = color_t
-        else:
-            bg = _best_background(color_cells, uncovered, wrong, delta_costs)
-        delta_mask = wrong | (uncovered & ~color_cells[bg])
+    for ranks, n_diffs, bg, delta_mask, delta_cost in _combos(
+            index, layers, cfg.max_trees_before_sort, budget, fixed_bg):
         bg_piece = bg_terms.get(bg)
         if bg_piece is None:
             bg_piece = bg_terms[bg] = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
@@ -475,8 +488,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
                 terms = layer.terms[i] = coding.slot_terms(
                     layer.template, cand.tree, ld, dims, loc, OBJECT)
             pieces.append(terms)
-        dl = (coding.sum_terms(len(size_diffs) + n_diffs, pieces)
-              + delta_costs[delta_mask.bit_count()])
+        dl = coding.sum_terms(len(size_diffs) + n_diffs, pieces) + delta_cost
         scored.append((dl, ranks, bg, delta_mask))
 
     # a stable sort: equal costs keep the order the walk met them in
@@ -564,6 +576,30 @@ def _walk(rows: list, cap: int, budget: int) -> list:
         if len(out) >= cap or steps >= _MAX_STEPS:
             break
     return out
+
+
+def _combos(index: GridIndex, layers: list, cap: int, budget: int,
+            fixed_bg: int | None) -> tuple:
+    """The walk's combinations of the layers' rows, each as (ranks, diffs,
+    background, delta bitmask, delta cost), from the index's memo when an
+    earlier parse of the grid walked the same row sets, cap, budget and
+    background mode. The background is `fixed_bg`, or, when that is None,
+    the one `_best_background` picks for the combination."""
+    key = (tuple(layer.key for layer in layers), cap, budget, fixed_bg)
+    combos = index.walks.get(key)
+    if combos is None:
+        all_cells, color_cells = index.all_cells, index.color_cells
+        delta_costs = _DeltaCosts((index.grid.height, index.grid.width))
+        out = []
+        for ranks, n_diffs, covered, wrong in _walk([layer.rows for layer in layers], cap, budget):
+            uncovered = all_cells & ~covered
+            bg = fixed_bg
+            if bg is None:
+                bg = _best_background(color_cells, uncovered, wrong, delta_costs)
+            delta_mask = wrong | (uncovered & ~color_cells[bg])
+            out.append((ranks, n_diffs, bg, delta_mask, delta_costs[delta_mask.bit_count()]))
+        combos = index.walks[key] = tuple(out)
+    return combos
 
 
 class _DeltaCosts(dict):

@@ -241,6 +241,18 @@ def test_create_rejects_an_unterminated_bitmap(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_create_rejects_a_repeated_input_line(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("in: Grid(Vec(1, 1), black, [])\nout: Grid(?, ?, [])\n"
+                          "in: Grid(Vec(2, 2), blue, [])\n")
+    rc = main(["create", str(model_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "repeated in: line" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_create_rejects_a_degenerate_grid_size(tmp_path, capsys):
     model_file = tmp_path / "model.txt"
     model_file.write_text("in: Grid(Vec(0, 3), black, [])\nout: Grid(?, ?, [])\n")

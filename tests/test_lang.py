@@ -323,6 +323,20 @@ def test_model_text_round_trip():
     assert lang.parse_model(text) == m
 
 
+@pytest.mark.parametrize("text,repeated", [
+    ("in: Grid(Vec(1, 1), black, [])\nout: Grid(?, ?, [])\nin: Grid(Vec(2, 2), blue, [])",
+     "in: Grid(Vec(2, 2), blue, [])"),
+    ("out: Grid(?, ?, [])\nin: Grid(?, ?, [])\nout: Grid(Vec(3, 3), ?, [])",
+     "out: Grid(Vec(3, 3), ?, [])"),
+], ids=["in", "out"])
+def test_model_text_refuses_a_repeated_side_line(text, repeated):
+    """A second in: or out: line is an error that names it, not a silent
+    override of the first."""
+    with pytest.raises(LangError, match="repeated") as e:
+        lang.parse_model(text)
+    assert repeated in str(e.value)
+
+
 def test_path_text_round_trip():
     p = ("layers", 2, "shape", "size", "i")
     assert lang.path_to_text(p) == "layers[2].shape.size.i"

@@ -1,5 +1,7 @@
 """Parsing: drawing, generation, candidates, approximate reads, losslessness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,50 @@ def test_parse_of_more_like_layers_than_candidates_reads_nothing(monkeypatch):
     # scored nothing are not walked again
     monkeypatch.setattr(parsing, "_MAX_STEPS", 10 ** 9)
     assert parse(_like_layers(9), g) == ()
+
+
+def test_parses_sharing_one_index_read_as_through_a_fresh_one():
+    """The walk memo keys on each layer's row set, the cap, the diff budget
+    and the background mode. `rect` and `rect_parts` admit the same
+    candidates with the same diff counts but pay different fills; `anything`
+    admits them too, but a point takes no diff under it. Interleaved through
+    one index, every parse reads what it reads through a fresh index, and
+    the index holds fewer walks than there are parses that read."""
+    g = draw(grid(vec(8, 8), 0, [
+        pos_shape(vec(1, 1), rectangle(vec(2, 3), 2, lang.FULL)),
+        pos_shape(vec(5, 5), rectangle(vec(2, 2), 1, lang.FULL)),
+        pos_shape(vec(6, 1), point(3)),
+        pos_shape(vec(0, 6), rectangle(vec(1, 2), 4, lang.FULL))]))
+    rect = pos_shape(UNK, rectangle(UNK, UNK, UNK))
+    rect_parts = pos_shape(vec(UNK, UNK), rectangle(vec(UNK, UNK), UNK, UNK))
+    anything = pos_shape(UNK, UNK)
+    index = build_index(g)
+    parses = 0
+    for layer in (anything, rect, rect_parts) * 2:
+        # free and fixed backgrounds; sizes taking 0 and 2 diffs, so budgets
+        # max_diffs and max_diffs - 2
+        for color in (UNK, 4):
+            for size in (UNK, vec(9, 9)):
+                for cap in (1, 64):
+                    for max_diffs in (0, 1, 3):
+                        template = grid(size, color, [layer, layer])
+                        cfg = ParseConfig(max_trees_before_sort=cap, max_trees_kept=64,
+                                          max_diffs=max_diffs)
+                        got = parse(template, g, cfg=cfg, index=index)
+                        parses += bool(got)
+                        want = parse(template, g, cfg=cfg)
+                        assert ([(r.tree, r.delta, r.diffs, r.dl) for r in got]
+                                == [(r.tree, r.delta, r.diffs, r.dl) for r in want])
+    assert len(index.walks) < parses
+
+
+def test_a_derived_index_starts_with_empty_memos():
+    g = draw(grid(vec(4, 4), 0, [pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.FULL))]))
+    index = build_index(g)
+    assert parse(grid(UNK, UNK, [pos_shape(UNK, UNK)]), g, index=index)
+    assert index.layers and index.walks
+    derived = replace(index, candidates=index.candidates[:1])
+    assert (derived.layers, derived.walks) == ({}, {})
 
 
 # read / read_pair

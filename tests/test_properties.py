@@ -241,9 +241,11 @@ def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, 
 @given(grid_terms(exprs=False), grid_pairs(), st.booleans(), st.data())
 def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing, data):
     """The index's layer memo is keyed on every input of admission and of the
-    reading terms: parses that share one index, interleaving diff budgets,
-    candidate caps, node counts (so diff-location costs) and templates with
-    layers in common, read exactly what parses with a fresh index read."""
+    reading terms, and its walk memo on every input of the walk: parses
+    that share one index, interleaving diff budgets, candidate caps, node
+    counts (so diff-location costs), free and fixed backgrounds, combo caps
+    and templates with layers in common, read exactly what parses with a
+    fresh index read."""
     g = pair[0]
     if own_drawing:
         try:
@@ -265,11 +267,12 @@ def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing
     h, w = g.height, g.width
     # sizes taking 0, 0, 1 and 2 diffs; the first has fewer nodes
     sizes = [lang.UNK, lang.vec(h, lang.UNK), lang.vec(h + 1, lang.UNK), lang.vec(h + 1, w + 1)]
-    calls = [(size, layers, max_diffs)
-             for size in sizes for layers in layer_lists for max_diffs in (0, 3)]
-    for size, layers, max_diffs in data.draw(st.permutations(calls)):
-        template = lang.grid(size, t.args[1], layers)
-        cfg = parsing.ParseConfig(max_diffs=max_diffs)
+    calls = [(size, color, layers, cap, max_diffs)
+             for size in sizes for color in (t.args[1], lang.UNK) for layers in layer_lists
+             for cap in (1, 64) for max_diffs in (0, 3)]
+    for size, color, layers, cap, max_diffs in data.draw(st.permutations(calls)):
+        template = lang.grid(size, color, layers)
+        cfg = parsing.ParseConfig(max_trees_before_sort=cap, max_diffs=max_diffs)
         assert (parsing.parse(template, g, cfg=cfg, index=index)
                 == parsing.parse(template, g, cfg=cfg))
 
@@ -375,8 +378,8 @@ def test_parse_reads_the_first_injective_in_budget_combinations_in_rank_order(ma
     """`parse` equals the brute-force oracle, costs by `==`, on up to eight
     candidates and up to four layers, identical layers included."""
     full = parsing.build_index(g)
-    index = replace(full, candidates=full.candidates[:data.draw(st.sampled_from(range(8, -1, -1)))],
-                    layers={})
+    # a derived index starts with empty memos
+    index = replace(full, candidates=full.candidates[:data.draw(st.sampled_from(range(8, -1, -1)))])
     anything = lang.pos_shape(lang.UNK, lang.UNK)
     pool = [anything, anything, anything,
             lang.pos_shape(lang.UNK, lang.rectangle(lang.UNK, lang.UNK, lang.UNK)),
