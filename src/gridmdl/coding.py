@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 from . import lang
@@ -202,19 +203,35 @@ def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
     per unknown fill of the diff-patched model, in slot pre-order.
 
     `sort` and `role` are those of the slot `model` fills; diff paths are
-    relative to it. A replaced subtree takes its unknowns with it.
+    relative to it. A replaced subtree takes its unknowns with it. The
+    slots come from `slot_plan`.
     """
-    effective = model
+    slot_of, unknowns = slot_plan(model, sort, role)
     dterms = []
     if diffs:
-        slot_of = {path: (s, r) for path, s, r, _ in lang.slots(model, sort, role)}
+        effective = model
         for path, ground in diffs:
             s, r = slot_of[path]
             dterms.append(loc + _l_term(ground, s, r, dims, path, None))
             effective = lang.subst(effective, path, ground)
+        unknowns = slot_plan(effective, sort, role)[1]
     fterms = [_l_term(lang.resolve(tree, path), s, r, dims, path, None)
-              for path, s, r, t in lang.slots(effective, sort, role) if isinstance(t, Unknown)]
+              for path, s, r in unknowns]
     return dterms, fterms
+
+
+@lru_cache(maxsize=4096)
+def slot_plan(model: Term, sort: str, role: str) -> tuple[MappingProxyType, tuple]:
+    """`lang.slots` of a model filling a slot of `sort` and `role`, walked
+    once per key and kept in a bounded process-wide cache: each slot's
+    (sort, role) by path, read-only since every caller shares it, and
+    (path, sort, role) of each unknown, in slot pre-order."""
+    slot_of, unknowns = {}, []
+    for path, s, r, t in lang.slots(model, sort, role):
+        slot_of[path] = (s, r)
+        if isinstance(t, Unknown):
+            unknowns.append((path, s, r))
+    return MappingProxyType(slot_of), tuple(unknowns)
 
 
 def sum_terms(n_diffs: int, pieces: Sequence[tuple[list[float], list[float]]]) -> float:

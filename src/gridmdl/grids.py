@@ -123,21 +123,38 @@ def delta_apply(base: Grid, delta: Delta) -> Grid:
     return Grid(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Part:
-    """Maximal connected one-colour region. `mask` is the read-only boolean
-    array of its cells over its box; it takes no part in comparisons."""
+    """Maximal connected one-colour region: its colour, its box, its `area`
+    (cell count) and `mask`, the read-only boolean array of its cells over
+    its box.
+
+    `cells`, the set of its (row, column) cells, is derived from the mask on
+    each use. Parts compare and hash as the tuple (color, cells, top, left,
+    height, width): the mask takes part only through its cells."""
     color: int
-    cells: frozenset
     top: int
     left: int
     height: int
     width: int
-    mask: np.ndarray = field(compare=False, repr=False)
+    area: int
+    mask: np.ndarray = field(repr=False)
 
     @property
-    def area(self) -> int:
-        return len(self.cells)
+    def cells(self) -> frozenset:
+        ii, jj = np.nonzero(self.mask)
+        return frozenset(zip((ii + self.top).tolist(), (jj + self.left).tolist()))
+
+    def _key(self) -> tuple:
+        return (self.color, self.cells, self.top, self.left, self.height, self.width)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def segment(g: Grid) -> tuple[Part, ...]:
@@ -149,7 +166,9 @@ def segment(g: Grid) -> tuple[Part, ...]:
     two neighbouring cells is set when their colours are equal. The points
     between diagonal neighbours are never set, so two cells are 4-connected
     on the lattice exactly when a one-colour 4-connected path joins them in
-    the grid."""
+    the grid. Each part's first cell comes from one `np.unique` over the
+    cells' labels, its area from one `np.bincount`; only its mask is cut
+    per part."""
     arr = g.array
     h, w = arr.shape
     lattice = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
@@ -159,19 +178,20 @@ def segment(g: Grid) -> tuple[Part, ...]:
     labels, _ = ndimage.label(lattice, structure=_STRUCT4)
     boxes = ndimage.find_objects(labels)
     labels = labels[::2, ::2]  # the cells' labels
-    keyed = []
-    for k, (rows, cols) in enumerate(boxes, start=1):
+    flat = labels.ravel()
+    # labels run 1..n, so `first[k - 1]` is label k's first cell in row-major order
+    _, first = np.unique(flat, return_index=True)
+    colors = arr.ravel()[first].tolist()
+    areas = np.bincount(flat).tolist()
+    parts = []
+    for k in np.argsort(first).tolist():
+        rows, cols = boxes[k]
         # a part's lattice box starts and ends on cells, at even points
         top, left = rows.start // 2, cols.start // 2
-        mask = labels[top:(rows.stop + 1) // 2, left:(cols.stop + 1) // 2] == k
+        mask = labels[top:(rows.stop + 1) // 2, left:(cols.stop + 1) // 2] == k + 1
         mask.setflags(write=False)
-        ii, jj = np.nonzero(mask)  # row-major: first cell first
-        ii, jj = (ii + top).tolist(), (jj + left).tolist()
-        part = Part(g.rows[ii[0]][jj[0]], frozenset(zip(ii, jj)), top, left,
-                    *mask.shape, mask)
-        keyed.append((ii[0] * w + jj[0], part))
-    keyed.sort(key=lambda kp: kp[0])
-    return tuple(p for _, p in keyed)
+        parts.append(Part(colors[k], top, left, *mask.shape, areas[k + 1], mask))
+    return tuple(parts)
 
 
 @lru_cache(maxsize=4096)

@@ -14,6 +14,7 @@ list indices (ints, valid right after a `"layers"` step), and the pair roots
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Union
 
 from .grids import NUM_COLORS
@@ -283,7 +284,11 @@ def slots(t: Term, sort: str = GRID, role: str = "") -> Iterator[tuple[tuple, st
                 stack.append((path + (fname,), fsort, frole, arg))
 
 
+@lru_cache(maxsize=4096)
 def node_count(t: Term) -> int:
+    """Number of slots of the term, root included; kept in a bounded
+    process-wide cache, since `parsing.parse` with a diff budget asks it on
+    every call."""
     return sum(1 for _ in slots(t))
 
 

@@ -14,6 +14,7 @@ description length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +39,15 @@ _UNION_COLOR_LIMIT = 64
 
 # each background colour's prior, as `coding.slot_terms` charges a bg fill
 _BG_PRIOR = tuple(coding.l_dist(coding.P_BG[c]) for c in range(NUM_COLORS))
+
+_COLOR_COLUMN = np.arange(NUM_COLORS).reshape(-1, 1)
+
+
+@lru_cache(maxsize=(MAX_DIM + 1) ** 2)
+def _vec(i: int, j: int) -> Ctor:
+    """`Vec(i, j)` of a candidate's position or size (0 <= i, j <= MAX_DIM),
+    built once per process, so that each hashes once."""
+    return vec(i, j)
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,8 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
         return
     size, color, mask = shape.args
     sh, sw = size.args
+    if sh < 1 or sw < 1:
+        raise GridError(f"degenerate rectangle size {sh}x{sw}")
     if sh > MAX_DIM or sw > MAX_DIM:
         raise GridError(f"rectangle size {sh}x{sw} exceeds {MAX_DIM}")
     bits = mask.args[0] if mask.name == "Bitmap" else None
@@ -270,23 +282,24 @@ def _mask_cells(mask: np.ndarray, top: int, left: int, width: int) -> int:
 
 
 def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
-    row = ((1 << w) - 1) << left
-    m = 0
-    for i in range(top, top + h):
-        m |= row << (i * width)
-    return m
+    """Bitmask of the h x w box at (top, left) in a grid of `width` columns:
+    its row times the repunit that has one bit per grid row of the box."""
+    repunit = ((1 << (h * width)) - 1) // ((1 << width) - 1)
+    return (((1 << w) - 1) << left) * repunit << (top * width)
 
 
 def recognize_mask(mask: np.ndarray) -> Ctor:
     """Smallest regular mask equal to the boolean cell array, else a bitmap."""
     h, w = mask.shape
+    cells = mask.tobytes()
     for name in _REGULAR_MASKS:
         if name in ("PlusCross", "TimesCross") and (h % 2 == 0 or w % 2 == 0):
             continue
         # same shape and dtype: equal bytes are equal cells
-        if mask.tobytes() == mask_array(name, h, w).tobytes():
+        if cells == mask_array(name, h, w).tobytes():
             return Ctor(name)
-    return bitmap_term(mask.tolist())
+    # rows of 0/1 ints, read in one call
+    return bitmap_term(mask.view(np.uint8).tolist())
 
 
 def _rect_candidates(color: int, top: int, left: int, mask: np.ndarray, area: int,
@@ -295,7 +308,7 @@ def _rect_candidates(color: int, top: int, left: int, mask: np.ndarray, area: in
     rectangle and, when the shape leaves holes in its box, as a rectangle
     with the shape's exact mask."""
     h, w = mask.shape
-    tl, size = vec(top, left), vec(h, w)
+    tl, size = _vec(top, left), _vec(h, w)
     box = _box_mask(top, left, h, w, width)
     out.append(Candidate(pos_shape(tl, rectangle(size, color, FULL)), box, h * w, color,
                          top, left, 0, box & ~color_cells[color]))
@@ -330,8 +343,9 @@ def build_index(g: Grid) -> GridIndex:
     bitmasks and candidate cells come from boolean arrays over the grid and
     over each shape's box."""
     w = g.width
-    arr = g.array
-    color_cells = [_bits(arr == c) for c in range(NUM_COLORS)]
+    # one row of bits per colour, packed in one call
+    planes = np.packbits(g.array.ravel() == _COLOR_COLUMN, axis=1, bitorder="little")
+    color_cells = [int.from_bytes(row.tobytes(), "little") for row in planes]
     parts = segment(g)
     cands: list[Candidate] = []
     for p in parts:
@@ -339,7 +353,7 @@ def build_index(g: Grid) -> GridIndex:
             _rect_candidates(p.color, p.top, p.left, p.mask, p.area, w, color_cells, cands)
         if p.area < 5:
             for i, j in sorted(p.cells):
-                cands.append(Candidate(pos_shape(vec(i, j), point(p.color)),
+                cands.append(Candidate(pos_shape(_vec(i, j), point(p.color)),
                                        1 << (i * w + j), 1, p.color, i, j, 2, 0))
     by_color: dict[int, list[Part]] = {}
     for p in parts:
@@ -359,7 +373,9 @@ def build_index(g: Grid) -> GridIndex:
 
 def template_diffs(tmpl: Term, tree: Term, prefix: tuple = ()) -> tuple | None:
     """Diffs turning the template into the ground tree, or None when the
-    structures are incompatible. Unknowns absorb anything."""
+    structures are incompatible. Unknowns absorb anything.
+
+    The reference of `_matcher`, which the parser calls instead."""
     if isinstance(tmpl, Unknown):
         return ()
     if lang.is_expr(tmpl):
@@ -390,6 +406,76 @@ def template_diffs(tmpl: Term, tree: Term, prefix: tuple = ()) -> tuple | None:
     return () if tmpl == tree else ((prefix, tree),)
 
 
+@lru_cache(maxsize=4096)
+def _matcher(tmpl: Term):
+    """`template_diffs(tmpl, tree)` as a function of the tree, compiled once
+    per template and kept in a bounded process-wide cache: a fresh grid's
+    candidates meet the same layer templates as every grid before it.
+
+    The compiled form drops the template's unknowns, which absorb anything,
+    and builds a diff's path only when it emits the diff. It meets the
+    template's fields in the same order, so it returns None, or raises the
+    LangError of an expression, exactly where `template_diffs` does."""
+    return _compile(tmpl) or _match_any
+
+
+def _match_any(tree: Term) -> tuple:
+    return ()
+
+
+def _compile(tmpl: Term):
+    """The matcher of one template node, diff paths relative to the node;
+    None for an unknown."""
+    if isinstance(tmpl, Unknown):
+        return None
+    if lang.is_expr(tmpl):
+        def expression(tree):
+            raise lang.LangError("template still carries expressions")
+        return expression
+    if not isinstance(tmpl, Ctor) or tmpl.name == "Bitmap":
+        # a leaf, or a bitmap, which matches only as a whole
+        def leaf(tree):
+            return () if tmpl == tree else (((), tree),)
+        return leaf
+    name = tmpl.name
+    # (argument index, field, list length or None, the field's matcher or
+    # its elements' (index, matcher) pairs), unknowns left out
+    plan = []
+    for k, ((fname, _, is_list), ta) in enumerate(zip(lang.ctor_fields(name), tmpl.args)):
+        if is_list:
+            subs = [(i, m) for i, m in enumerate(map(_compile, ta)) if m is not None]
+            plan.append((k, fname, len(ta), subs))
+        else:
+            m = _compile(ta)
+            if m is not None:
+                plan.append((k, fname, None, m))
+
+    def node(tree):
+        if not isinstance(tree, Ctor) or tree.name != name:
+            return (((), tree),)
+        args = tree.args
+        out = ()
+        for k, fname, n, sub in plan:
+            if n is None:
+                d = sub(args[k])
+                if d is None:
+                    return None
+                if d:
+                    out += tuple(((fname,) + p, t) for p, t in d)
+                continue
+            items = args[k]
+            if len(items) != n:
+                return None
+            for i, m in sub:
+                d = m(items[i])
+                if d is None:
+                    return None
+                if d:
+                    out += tuple(((fname, i) + p, t) for p, t in d)
+        return out
+    return node
+
+
 # parsing proper
 
 @dataclass
@@ -413,9 +499,10 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
     key = (tmpl, budget, loc)
     layer = index.layers.get(key)
     if layer is None:
+        match = _matcher(tmpl)
         picks, rows = [], []
         for pos, cand in enumerate(index.candidates):
-            d = template_diffs(tmpl, cand.tree, ())
+            d = match(cand.tree)
             if d is not None and len(d) <= budget:
                 picks.append((cand, d))
                 rows.append((1 << pos, len(d), cand.cells, cand.wrong))
@@ -452,10 +539,10 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     if index is None:
         index = build_index(g)
     size_t, color_t, layer_ts = applied.args
-    size = vec(h, w)
+    size = _vec(h, w)
 
     # diffs relative to the size slot
-    size_diffs = template_diffs(size_t, size)
+    size_diffs = _matcher(size_t)(size)
     if len(size_diffs) > cfg.max_diffs:
         return ()
     budget = cfg.max_diffs - len(size_diffs)

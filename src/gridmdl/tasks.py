@@ -48,9 +48,11 @@ def load_task(path: str | Path) -> Task:
     """Read and validate one ARC task file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise TaskError(f"{path.name}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise TaskError(f"{path.name}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise TaskError(f"{path.name}: bad JSON: {e}") from None
     if not isinstance(data, dict) or "train" not in data or "test" not in data:

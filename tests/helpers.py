@@ -79,7 +79,7 @@ def part_from_cells(color: int, cells) -> Part:
     for i, j in cells:
         mask[i - top, j - left] = True
     mask.setflags(write=False)
-    return Part(color, cells, top, left, bottom - top + 1, right - left + 1, mask)
+    return Part(color, top, left, bottom - top + 1, right - left + 1, len(cells), mask)
 
 
 def _cells_mask(cells, width: int) -> int:

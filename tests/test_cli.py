@@ -47,6 +47,28 @@ def test_solve_rejects_bad_json(tmp_path, capsys):
     assert "error:" in err and "bad JSON" in err
 
 
+def test_solve_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rc = main(["solve", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: latin.json: not UTF-8 text" in err
+
+
+def test_eval_records_a_file_that_is_not_utf8_and_keeps_the_others(tmp_path, capsys):
+    write_task(tmp_path / "good.json", NESTED_TRAIN, [NESTED_TEST])
+    (tmp_path / "latin.json").write_bytes(b"\xff\xfe{}")
+    out_file = tmp_path / "report.jsonl"
+    rc = main(["eval", str(tmp_path), "--out", str(out_file)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1
+    assert lines[0].startswith("+ good ")
+    assert lines[1].startswith("! latin  error: latin.json: not UTF-8 text")
+    records = [json.loads(s) for s in out_file.read_text().splitlines()]
+    assert [r["task"] for r in records] == ["good", "latin"]
+
+
 def test_solve_rejects_missing_file(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -261,6 +283,18 @@ def test_create_rejects_a_degenerate_grid_size(tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("error:") and "degenerate grid size 0x3" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_create_refuses_a_rectangle_side_below_one(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("in: Grid(Vec(3, 3), black, "
+                          "[PosShape(Vec(0, 0), Rectangle(Vec(0, 2), red, Full))])\n"
+                          "out: Grid(?, ?, [])\n")
+    rc = main(["create", str(model_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "degenerate rectangle size 0x2" in captured.err
     assert captured.out == ""
 
 

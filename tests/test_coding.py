@@ -160,6 +160,21 @@ def fill_cost(value, sort, role, dims):
     return cost
 
 
+def test_slot_plan_is_keyed_on_the_sort_and_role_the_model_fills():
+    """One vector template under three roles, then one unknown under three
+    sorts, in one process-wide cache: each plan is the `lang.slots` walk of
+    its own key, so a key without the role or the sort gives a wrong plan."""
+    keys = [(vec(UNK, UNK), lang.VEC, role) for role in ("grid_size", "size", "pos")]
+    keys += [(UNK, sort, "") for sort in (lang.NAT, lang.COLOR, lang.VEC)]
+    for model, sort, role in keys * 2:
+        slot_of, unknowns = coding.slot_plan(model, sort, role)
+        walk = list(lang.slots(model, sort, role))
+        assert slot_of == {p: (s, r) for p, s, r, _ in walk}
+        assert unknowns == tuple((p, s, r) for p, s, r, t in walk if t == UNK)
+    _, unknowns = coding.slot_plan(vec(UNK, UNK), lang.VEC, "pos")
+    assert [r for _, _, r in unknowns] == ["pos_i", "pos_j"]
+
+
 def test_fill_costs_by_sort_and_role():
     assert fill_cost(7, lang.NAT, "size", None) == pytest.approx(KIND + l_nat(7))
     assert fill_cost(3, lang.NAT, "pos_i", (8, 5)) == pytest.approx(KIND + 3.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridmdl.grids import Grid, GridError, delta_apply, mask_array, render_ppm, segment
+from gridmdl.grids import Grid, GridError, Part, delta_apply, mask_array, render_ppm, segment
 
 from helpers import delta_between, mask_member
 
@@ -128,6 +128,22 @@ def test_segment_orders_parts_by_first_scanline_cell():
 def test_segment_keeps_diagonal_cells_apart():
     g = Grid([[3, 0], [0, 3]])
     assert len([p for p in segment(g) if p.color == 3]) == 2
+
+
+def test_part_equality_and_hash_are_those_of_its_colour_cells_and_box():
+    g = Grid([[0, 6, 6],
+              [0, 6, 0]])
+    part = next(p for p in segment(g) if p.color == 6)
+    cells = frozenset({(0, 1), (0, 2), (1, 1)})
+    # what a frozen dataclass of these fields compares and hashes
+    assert hash(part) == hash((6, cells, 0, 1, 2, 2))
+    copy = Part(6, 0, 1, 2, 2, 3, part.mask.copy())
+    assert copy == part and hash(copy) == hash(part)
+    assert len({part, copy}) == 1
+    # the same box and area with other cells, or another colour, differ
+    assert Part(6, 0, 1, 2, 2, 3, np.array([[True, True], [False, True]])) != part
+    assert Part(5, 0, 1, 2, 2, 3, part.mask) != part
+    assert part != (6, cells, 0, 1, 2, 2)
 
 
 def test_part_geometry_fields():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridmdl import coding, lang, parsing
-from gridmdl.grids import Grid, delta_apply
+from gridmdl.grids import Grid, GridError, delta_apply
 from gridmdl.lang import UNK, Var, bitmap, grid, in_out, point, pos_shape, rectangle, vec
 from gridmdl.parsing import (
     Caches, ParseConfig, build_index, draw, generate, parse, read, read_pair,
@@ -57,6 +57,13 @@ def test_draw_points_and_bitmaps():
     g = draw(grid(vec(2, 3), 0, [pos_shape(vec(0, 0), bm), pos_shape(vec(0, 2), point(2))]))
     assert g.rows == ((0, 9, 2),
                       (9, 0, 0))
+
+
+@pytest.mark.parametrize("size", [(0, 2), (2, 0), (0, 0)])
+def test_draw_refuses_a_rectangle_side_below_one(size):
+    obj = pos_shape(vec(0, 0), rectangle(vec(*size), 2, lang.FULL))
+    with pytest.raises(GridError, match=f"degenerate rectangle size {size[0]}x{size[1]}"):
+        draw(grid(vec(3, 3), 0, [obj]))
 
 
 def test_draw_requires_ground_term():

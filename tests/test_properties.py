@@ -98,6 +98,42 @@ def test_model_text_round_trips(gin, gout):
     assert lang.parse_model(lang.model_to_text(model)) == model
 
 
+@given(st.lists(grid_terms(), min_size=1, max_size=4))
+def test_node_count_counts_the_slot_walk(terms):
+    for t in terms + terms:
+        assert lang.node_count(t) == sum(1 for _ in lang.slots(t))
+
+
+def _diffs_or_error(match, tmpl, tree):
+    try:
+        return match(tmpl, tree)
+    except lang.LangError as e:
+        return "LangError", str(e)
+
+
+@given(grid_terms(), grid_terms(exprs=False), st.data())
+def test_compiled_matcher_gives_what_template_diffs_gives(tmpl, other, data):
+    """`parsing._matcher`, compiled once per template and cached process-wide,
+    against the recursive `template_diffs`: whole grid templates and each of
+    their subterms (int leaves, bitmaps, masks, layers) against trees of the
+    template's shape with some numbers changed, and against other grids,
+    whose layer lists may be shorter or longer. A template's expressions
+    raise the same LangError where `template_diffs` meets them."""
+    shaped = parsing.generate(lang.map_exprs(tmpl, lambda e: lang.UNK))
+    numbers = [p for p, _, _, x in lang.slots(shaped) if isinstance(x, int)]
+    for p in data.draw(st.lists(st.sampled_from(numbers), max_size=3, unique=True)):
+        shaped = lang.subst(shaped, p, lang.resolve(shaped, p) + 1)
+    trees = [shaped, parsing.generate(other)]
+    for path, _, _, sub in lang.slots(tmpl):
+        for tree in trees:
+            try:
+                at = lang.resolve(tree, path)
+            except lang.LangError:
+                at = tree  # no such slot in this tree: a mismatch at the root
+            want = _diffs_or_error(parsing.template_diffs, sub, at)
+            assert _diffs_or_error(lambda t, x: parsing._matcher(t)(x), sub, at) == want
+
+
 @given(grid_terms(), st.data())
 def test_subst_inverts_resolve(t, data):
     paths = [p for p, _, _, _ in lang.slots(t)]
@@ -188,6 +224,26 @@ def test_segment_matches_the_scanning_reference(g):
     assert parts == want
     # the masks take no part in ==
     assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
+
+
+# fixed 30 x 30 grids: one part, 900 one-cell parts, and 360 parts of one to
+# six cells in every shape a small part takes
+SEGMENT_CASES = {
+    "one-colour": Grid([[4] * 30 for _ in range(30)]),
+    "checkerboard": Grid([[(i + j) % 2 for j in range(30)] for i in range(30)]),
+    "many-small-parts": Grid([[((i // 2) * 3 + j // 3 + i * j % 3) % 4 for j in range(30)]
+                              for i in range(30)]),
+}
+
+
+@pytest.mark.parametrize("name", SEGMENT_CASES)
+def test_segment_matches_the_scanning_reference_on_full_size_grids(name):
+    g = SEGMENT_CASES[name]
+    parts, want = segment(g), segment_by_scans(g)
+    assert parts == want
+    assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
+    assert [p.area for p in parts] == [len(p.cells) for p in want]
+    assert sum(p.area for p in parts) == 900
 
 
 def _same_index(g):

@@ -70,6 +70,13 @@ def test_load_task_rejects_invalid_json(tmp_path):
         load_task(p)
 
 
+def test_load_task_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'{"train": [], "test": [], "note": "caf\xe9"}')
+    with pytest.raises(TaskError, match=r"latin.json: not UTF-8 text: .* at byte 38"):
+        load_task(p)
+
+
 def test_evaluate_task_solves_the_nested_task(nested_task_file):
     report = evaluate_task(load_task(nested_task_file))
     assert report.train_score == 1.0
