@@ -117,7 +117,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_create(args) -> int:
-    model = lang.parse_model(Path(args.model).read_text())
+    model = lang.parse_model(tasks.read_text(args.model))
     pair = create(model)
     print(lang.model_to_text(model))
     _print_grid(pair.input_grid, "input:")

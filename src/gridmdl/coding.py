@@ -42,6 +42,11 @@ class ModelEvalError(Exception):
     """A model failed to describe some example (no reading)."""
 
 
+class NotCompressive(ModelEvalError):
+    """A bounded evaluation stopped: the examples read so far already score
+    at least the bound, so the whole task would too."""
+
+
 def l_nat(n: int) -> float:
     """Universal code for naturals: 2*log2(n+1) + 1 bits."""
     if n < 0:
@@ -323,27 +328,42 @@ class Normalizer:
         return cls(t["in"][2], t["out"][2], alpha)
 
 
-def l_task(model: Ctor, examples, parse_cfg=None, caches=None) -> TaskEval:
+def l_task(model: Ctor, examples, parse_cfg=None, caches=None, bound=None) -> TaskEval:
     """Evaluate a task model over example pairs.
 
-    Examples are (input Grid, output Grid) pairs. Each example contributes its
-    best chained reading; an example with no reading raises ModelEvalError.
+    Examples are (input Grid, output Grid) pairs, read and summed in their
+    given order. Each example contributes its best chained reading; an
+    example with no reading raises ModelEvalError. The model is costed
+    once the first example reads, so a model with no reading never pays
+    for its own description.
+
+    With `bound=(norm, threshold)`, scoring stops with NotCompressive as
+    soon as the normalized score of the model and the examples read so far
+    is at least `threshold`. The stop is exact: every reading cost is
+    non-negative and the normalized score grows with each one, so the whole
+    task scores at least the threshold too. A returned TaskEval is the one
+    an unbounded call gives.
     """
     from . import parsing  # read_pair needs the parser
 
     if parse_cfg is None:
         parse_cfg = parsing.DEFAULT_PARSE
 
-    lm_i, lm_o = l_pair_model(model, caches)
-    ev = TaskEval(model, lm_i, lm_o, 0.0, 0.0)
+    ev = None
     for gi, go in examples:
         pairs = parsing.read_pair(model, gi, go, parse_cfg, caches)
         if not pairs:
             raise ModelEvalError("example admits no chained reading")
+        if ev is None:
+            ev = TaskEval(model, *l_pair_model(model, caches), 0.0, 0.0)
         ev.examples.append(pairs)
         best = pairs[0]
         ev.data_in += best.rin.dl
         ev.data_out += best.rout.dl
+        if bound is not None and ev.normalized(bound[0]) >= bound[1]:
+            raise NotCompressive("the examples read so far reach the bound")
+    if ev is None:
+        ev = TaskEval(model, *l_pair_model(model, caches), 0.0, 0.0)
     return ev
 
 

@@ -274,20 +274,22 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
+                # a refinement that cannot beat the entry stops scoring with
+                # NotCompressive, so every one that returns is compressive
                 try:
                     m2 = apply_refinement(entry.ev.model, ref)
-                    ev2 = coding.l_task(m2, examples, cfg.parse, caches)
+                    ev2 = coding.l_task(m2, examples, cfg.parse, caches,
+                                        bound=(norm, entry.lhat - _EPS))
                 except (lang.LangError, ModelEvalError, GridError):
                     continue
                 lhat2 = ev2.normalized(norm)
-                if lhat2 < entry.lhat - _EPS:
-                    trace2 = entry.trace + (TraceStep(step, lhat2, ref),)
-                    # Quantize so ties within the descent epsilon fall back to
-                    # proposal order rather than float-summation noise.
-                    found.append((round(lhat2 / _EPS), _Entry(lhat2, ev2, trace2)))
-                    kept += 1
-                    if kept >= cfg.refinements:
-                        break
+                trace2 = entry.trace + (TraceStep(step, lhat2, ref),)
+                # Quantize so ties within the descent epsilon fall back to
+                # proposal order rather than float-summation noise.
+                found.append((round(lhat2 / _EPS), _Entry(lhat2, ev2, trace2)))
+                kept += 1
+                if kept >= cfg.refinements:
+                    break
             if timed_out:
                 break
         if not found:

@@ -135,11 +135,16 @@ def draw(tree: Term) -> Grid:
     """Paint a ground grid term: background first, then layers bottom-up
     (the last list element first), clipping at the borders. Grid and
     rectangle sides must lie in 1..MAX_DIM, as in ARC."""
+    if not lang.is_ground(tree):
+        raise lang.LangError("draw needs a ground term")
+    return _draw_ground(tree)
+
+
+def _draw_ground(tree: Term) -> Grid:
+    """`draw` for a term known to be ground, such as `generate` leaves."""
     if not (isinstance(tree, Ctor) and tree.name == "Grid"):
         raise lang.LangError("draw needs a Grid term")
     size, color, layers = tree.args
-    if not lang.is_ground(tree):
-        raise lang.LangError("draw needs a ground term")
     h, w = size.args
     if h < 1 or w < 1:
         raise GridError(f"degenerate grid size {h}x{w}")
@@ -215,9 +220,11 @@ def generate(m: Term, sort: str = lang.GRID, role: str = "") -> Term:
 
 
 def write(m: Term, env: Term | None) -> tuple[Term, Grid]:
-    """Instantiate and draw a model side; returns the tree and its grid."""
+    """Instantiate and draw a model side; returns the tree and its grid.
+    `generate` leaves no unknown and no expression, so the tree is drawn
+    without walking it again for `draw`'s ground check."""
     tree = generate(lang.apply_model(m, env))
-    return tree, draw(tree)
+    return tree, _draw_ground(tree)
 
 
 # candidates
@@ -341,7 +348,14 @@ def build_index(g: Grid) -> GridIndex:
     pair's union rectangles when their box is at most four times their
     cells, and a point per cell of each part under five cells. Colour
     bitmasks and candidate cells come from boolean arrays over the grid and
-    over each shape's box."""
+    over each shape's box.
+
+    Candidates with equal trees are kept once, the first made. They are
+    told apart by (is a point, colour, cells), ints that are equal exactly
+    when the trees are: a rectangle's box is its cells' bounding box, an
+    exact mask is recognized from its cells alone, a full box and a holey
+    mask never share cells, and the flag tells a point from a rectangle.
+    Hashing these is cheaper than hashing the trees."""
     w = g.width
     # one row of bits per colour, packed in one call
     planes = np.packbits(g.array.ravel() == _COLOR_COLUMN, axis=1, bitorder="little")
@@ -363,7 +377,7 @@ def build_index(g: Grid) -> GridIndex:
             _union_candidates(group, w, color_cells, cands)
     unique: dict = {}
     for cand in cands:
-        unique.setdefault(cand.tree, cand)
+        unique.setdefault((cand.variant == 2, cand.color, cand.cells), cand)
     ranked = sorted(unique.values(), key=lambda c: c.sort_key(w))
     return GridIndex(g, tuple(ranked[:_MAX_CANDIDATES]), tuple(color_cells),
                      (1 << (g.height * w)) - 1)

@@ -44,15 +44,24 @@ def _grid_of(obj, where: str) -> Grid:
         raise TaskError(f"{where}{'' if msg.startswith('[') else ': '}{msg}") from None
 
 
-def load_task(path: str | Path) -> Task:
-    """Read and validate one ARC task file."""
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; a file that cannot be read or decoded raises
+    TaskError naming the file and, for bad text, the first bad byte."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except OSError as e:
         raise TaskError(f"{path.name}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise TaskError(f"{path.name}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
+def load_task(path: str | Path) -> Task:
+    """Read and validate one ARC task file."""
+    path = Path(path)
+    text = read_text(path)
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise TaskError(f"{path.name}: bad JSON: {e}") from None
     if not isinstance(data, dict) or "train" not in data or "test" not in data:

@@ -242,6 +242,16 @@ def test_create_rejects_bad_model_text(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_create_refuses_a_model_file_that_is_not_utf8(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_bytes(b"in: Grid(?, ?, [])\nout: Grid(?, \xff, [])\n")
+    rc = main(["create", str(model_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: model.txt: not UTF-8 text: invalid start byte at byte 32")
+    assert "Traceback" not in err
+
+
 def test_create_rejects_a_bare_number_in_a_vector_slot(tmp_path, capsys):
     model_file = tmp_path / "model.txt"
     model_file.write_text("in: Grid(7, black, [])\nout: Grid(?, ?, [])\n")

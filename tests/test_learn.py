@@ -1,9 +1,11 @@
 """Refinement search: proposals, application, full learning runs, prediction."""
 
+import math
+
 import pytest
 
 from gridmdl import coding, lang, parsing
-from gridmdl.grids import Grid
+from gridmdl.grids import Grid, GridError
 from gridmdl.lang import UNK, Var, grid, in_out, point, pos_shape, rectangle, vec
 from gridmdl.learn import (
     Refinement, SearchConfig, apply_refinement, create, initial_model, learn,
@@ -343,33 +345,44 @@ def _replay_view(pair):
     return one(pair.rin), one(pair.rout), repr(pair.dl)
 
 
-def test_every_score_through_shared_caches_replays_equal_through_fresh_ones(
-        nested_train, synthetic_tasks, monkeypatch):
-    """Shadow replay: every model the learner scores through its task's
-    shared `Caches` scores the same through a fresh `Caches`. The identity
-    and small-nested suite tasks fill output layers from input objects, so
-    output sides meet the applied-layer memo from refinement to refinement."""
+def _record_scores(trains, monkeypatch) -> list:
+    """Learn each task and record every `coding.l_task` call the learner
+    makes, as (model, examples, parse_cfg, bound, result), the result being
+    the TaskEval returned or the exception raised."""
     real = coding.l_task
     calls = []
 
-    def recording(model, examples, parse_cfg=None, caches=None):
+    def recording(model, examples, parse_cfg=None, caches=None, bound=None):
         assert caches is not None
         try:
-            ev = real(model, examples, parse_cfg, caches)
+            ev = real(model, examples, parse_cfg, caches, bound)
         except Exception as e:
-            calls.append((model, examples, parse_cfg, e))
+            calls.append((model, examples, parse_cfg, bound, e))
             raise
-        calls.append((model, examples, parse_cfg, ev))
+        calls.append((model, examples, parse_cfg, bound, ev))
         return ev
 
     monkeypatch.setattr(coding, "l_task", recording)
-    for train in (nested_train, synthetic_tasks[4], synthetic_tasks[5]):
+    for train in trains:
         learn(train, SearchConfig())
+    monkeypatch.undo()
+    return calls
+
+
+def test_every_score_through_shared_caches_replays_equal_through_fresh_ones(
+        nested_train, synthetic_tasks, monkeypatch):
+    """Shadow replay: every model the learner scores through its task's
+    shared `Caches` scores the same through a fresh `Caches`, under the same
+    bound. The identity and small-nested suite tasks fill output layers from
+    input objects, so output sides meet the applied-layer memo from
+    refinement to refinement."""
+    real = coding.l_task
+    calls = _record_scores((nested_train, synthetic_tasks[4], synthetic_tasks[5]), monkeypatch)
     assert any(isinstance(ev, coding.TaskEval) and ev.model.args[1].args[2] for *_, ev in calls)
     assert any(isinstance(ev, Exception) for *_, ev in calls)
-    for model, examples, parse_cfg, shared in calls:
+    for model, examples, parse_cfg, bound, shared in calls:
         try:
-            fresh = real(model, examples, parse_cfg, parsing.Caches())
+            fresh = real(model, examples, parse_cfg, parsing.Caches(), bound)
         except Exception as e:
             assert (type(shared), str(shared)) == (type(e), str(e))
             continue
@@ -379,6 +392,57 @@ def test_every_score_through_shared_caches_replays_equal_through_fresh_ones(
                 == [repr(getattr(fresh, c)) for c in costs])
         assert ([[_replay_view(p) for p in pairs] for pairs in shared.examples]
                 == [[_replay_view(p) for p in pairs] for pairs in fresh.examples])
+
+
+def test_a_bounded_score_returns_the_unbounded_one_or_stops_exactly(
+        nested_train, synthetic_tasks, monkeypatch):
+    """For every model the learner scores, a bound just below, at and just
+    above its unbounded score either gives back the unbounded TaskEval,
+    scoring below the bound, or stops with NotCompressive when the unbounded
+    score reaches the bound: the stop never changes what the learner keeps."""
+    calls = _record_scores((nested_train, synthetic_tasks[4], synthetic_tasks[5]), monkeypatch)
+    costs = ("l_model_in", "l_model_out", "data_in", "data_out")
+    stopped = returned = 0
+    norm = None
+    for model, examples, parse_cfg, bound, _ in calls:
+        caches = parsing.Caches()
+        try:
+            full = coding.l_task(model, examples, parse_cfg, caches)
+        except (lang.LangError, coding.ModelEvalError, GridError):
+            continue
+        if bound is None:  # the initial model, which sets the task's normalizer
+            norm = coding.Normalizer.from_initial(full, SearchConfig().alpha)
+        else:
+            assert bound[0] == norm
+        score = full.normalized(norm)
+        for t in (math.nextafter(score, -math.inf), score, math.nextafter(score, math.inf)):
+            try:
+                ev = coding.l_task(model, examples, parse_cfg, caches, bound=(norm, t))
+            except coding.NotCompressive:
+                assert score >= t
+                stopped += 1
+                continue
+            assert score < t
+            assert [repr(getattr(ev, c)) for c in costs] == [repr(getattr(full, c)) for c in costs]
+            assert ev.examples == full.examples
+            assert ev.normalized(norm) < t
+            returned += 1
+    assert stopped and returned
+
+
+def test_a_model_that_reads_no_first_example_is_never_costed(monkeypatch):
+    train = list(NESTED_TRAIN)
+    m = in_out(grid(UNK, UNK, []),
+               grid(vec(lang.App("minus", (Var(("size", "i")), 99)), 1), UNK, []))
+    norm = coding.Normalizer(1.0, 1.0, SearchConfig().alpha)
+
+    def costed(*args, **kwargs):
+        raise AssertionError("l_pair_model called")
+
+    monkeypatch.setattr(coding, "l_pair_model", costed)
+    for bound in (None, (norm, 2.0)):
+        with pytest.raises(coding.ModelEvalError, match="no chained reading"):
+            coding.l_task(m, train, caches=parsing.Caches(), bound=bound)
 
 
 def test_a_failed_application_is_kept_and_fails_the_same_way_again():

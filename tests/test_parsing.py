@@ -12,6 +12,7 @@ from gridmdl.parsing import (
     Caches, ParseConfig, build_index, draw, generate, parse, read, read_pair,
     recognize_mask, template_diffs, write,
 )
+from helpers import NESTED_SOLUTION_TEXT
 
 
 def reconstructs(reading, g: Grid) -> bool:
@@ -69,6 +70,10 @@ def test_draw_refuses_a_rectangle_side_below_one(size):
 def test_draw_requires_ground_term():
     with pytest.raises(lang.LangError):
         draw(grid(UNK, 0, []))
+    # an unknown deep in a layer is refused too, with no grid painted
+    deep = grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(vec(2, 2), UNK, lang.FULL))])
+    with pytest.raises(lang.LangError, match="ground"):
+        draw(deep)
 
 
 # generation
@@ -100,6 +105,19 @@ def test_write_draws_the_generated_tree():
     tree, g = write(grid(vec(2, 2), 3, []), None)
     assert tree == grid(vec(2, 2), 3, [])
     assert g == Grid([[3, 3], [3, 3]])
+
+
+def test_write_paints_what_draw_paints():
+    # `write` skips `draw`'s ground check on the tree `generate` built
+    m_in, m_out = lang.parse_model(NESTED_SOLUTION_TEXT).args
+    sides = [(grid(UNK, UNK, []), None), (m_in, None),
+             (grid(vec(UNK, 4), UNK, [pos_shape(vec(UNK, 1), rectangle(vec(3, UNK), UNK, UNK)),
+                                      pos_shape(UNK, point(UNK))]), None)]
+    sides.append((m_out, write(m_in, None)[0]))
+    for m, env in sides:
+        tree, g = write(m, env)
+        assert lang.is_ground(tree)
+        assert g == draw(tree)
 
 
 # mask recognition
