@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,9 +100,12 @@ def cmd_eval(args) -> int:
     if not paths:
         print("no task files found", file=sys.stderr)
         return 2
-    batch = tasks.evaluate_batch(paths, cfg, jobs=args.jobs)
-    if args.out:
-        Path(args.out).write_text(tasks.report_jsonl(batch))
+    # open the report before evaluating, so that a path that cannot be
+    # written fails at once rather than after the whole batch
+    with open(args.out, "w") if args.out else nullcontext() as out:
+        batch = tasks.evaluate_batch(paths, cfg, jobs=args.jobs)
+        if out:
+            out.write(tasks.report_jsonl(batch))
     for r in batch.reports:
         if r.test_score is None:
             mark, test = "?", "?"

@@ -457,8 +457,12 @@ def term_to_text(t: Term, sort: str = GRID) -> str:
     if isinstance(t, App):
         if t.fn == "zero":
             return "zero"
-        op = " + " if t.fn == "plus" else " - "
-        return op.join(term_to_text(a, NAT) for a in t.args)
+        # arithmetic reads left to right, so a compound right operand
+        # takes parentheses: x - (y + 1), not x - y + 1
+        left, right = (term_to_text(a, NAT) for a in t.args)
+        if isinstance(t.args[1], App) and t.args[1].args:
+            right = f"({right})"
+        return f"{left} {'+' if t.fn == 'plus' else '-'} {right}"
     if isinstance(t, int):
         if sort == COLOR:
             if not 0 <= t < NUM_COLORS:
@@ -579,6 +583,11 @@ class _Parser:
                 return left
 
     def atom(self) -> Term:
+        if self.peek() == "(":
+            self.eat("(")
+            t = self.maybe_arith(self.atom())
+            self.eat(")")
+            return t
         if self.peek().isdigit():
             return self.number()
         w = self.word()
@@ -643,15 +652,6 @@ def parse_term(text: str, sort: str = GRID) -> Term:
     if p.pos != len(p.text):
         p.error("trailing input")
     return t
-
-
-def parse_path(text: str) -> tuple:
-    p = _Parser(text)
-    path = p.path()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        p.error("trailing input")
-    return path
 
 
 def parse_model(text: str) -> Ctor:

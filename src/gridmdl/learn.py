@@ -244,9 +244,32 @@ def propose_refinements(model: Ctor, ev: TaskEval, cfg: SearchConfig = DEFAULT_S
 
 @dataclass
 class _Entry:
-    lhat: float
     ev: TaskEval   # the entry's model is `ev.model`
-    trace: tuple
+    trace: tuple   # the steps that built the model; the last one holds its score
+
+
+def _evaluate(entry: _Entry, ref: Refinement, examples, parse_cfg: ParseConfig,
+              caches: Caches, norm: Normalizer) -> _Entry | None:
+    """The entry that `ref` refines `entry` into, or None when the refined
+    model does not compress: it raises when applied or read, or its score
+    reaches the entry's less 1e-9, where scoring stops with NotCompressive."""
+    try:
+        m2 = apply_refinement(entry.ev.model, ref)
+        ev = coding.l_task(m2, examples, parse_cfg, caches,
+                           bound=(norm, entry.trace[-1].lhat - _EPS))
+    except (lang.LangError, ModelEvalError, GridError):
+        return None
+    return _Entry(ev, entry.trace + (TraceStep(len(entry.trace), ev.normalized(norm), ref),))
+
+
+def _select(found: list[_Entry], width: int) -> list[_Entry]:
+    """The next beam: the first entry of each distinct model, best score
+    first, `width` entries wide. Scores are quantized to 1e-9, so that ties
+    keep proposal order rather than float-summation noise."""
+    firsts: dict[Ctor, _Entry] = {}
+    for entry in sorted(found, key=lambda e: round(e.trace[-1].lhat / _EPS)):  # stable
+        firsts.setdefault(entry.ev.model, entry)
+    return list(firsts.values())[:width]
 
 
 def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
@@ -254,75 +277,49 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
     start = time.monotonic()
     deadline = start + cfg.timeout
     caches = Caches()
-    model = initial_model()
-    ev = coding.l_task(model, examples, cfg.parse, caches)
+    ev = coding.l_task(initial_model(), examples, cfg.parse, caches)
     norm = Normalizer.from_initial(ev, cfg.alpha)
-    lhat = ev.normalized(norm)
-    first = _Entry(lhat, ev, (TraceStep(0, lhat, None),))
-    beam = [first]
-    best = first
+    best = _Entry(ev, (TraceStep(0, ev.normalized(norm), None),))
+    beam = [best]
     timed_out = False
-    step = 1
-    while True:
-        found: list[tuple[int, _Entry]] = []
+    while not timed_out:
+        found: list[_Entry] = []
         for entry in beam:
             if time.monotonic() > deadline:
                 timed_out = True
                 break
-            kept = 0
+            wanted = len(found) + cfg.refinements
             for ref in propose_refinements(entry.ev.model, entry.ev, cfg, caches):
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
-                # a refinement that cannot beat the entry stops scoring with
-                # NotCompressive, so every one that returns is compressive
-                try:
-                    m2 = apply_refinement(entry.ev.model, ref)
-                    ev2 = coding.l_task(m2, examples, cfg.parse, caches,
-                                        bound=(norm, entry.lhat - _EPS))
-                except (lang.LangError, ModelEvalError, GridError):
-                    continue
-                lhat2 = ev2.normalized(norm)
-                trace2 = entry.trace + (TraceStep(step, lhat2, ref),)
-                # Quantize so ties within the descent epsilon fall back to
-                # proposal order rather than float-summation noise.
-                found.append((round(lhat2 / _EPS), _Entry(lhat2, ev2, trace2)))
-                kept += 1
-                if kept >= cfg.refinements:
-                    break
+                refined = _evaluate(entry, ref, examples, cfg.parse, caches, norm)
+                if refined is not None:
+                    found.append(refined)
+                    if len(found) == wanted:
+                        break
             if timed_out:
                 break
         if not found:
             break
-        found.sort(key=lambda t: t[0])  # stable: ties keep proposal order
-        beam = []
-        models_seen = set()
-        for _, entry in found:
-            if entry.ev.model in models_seen:
-                continue
-            models_seen.add(entry.ev.model)
-            beam.append(entry)
-            if len(beam) >= cfg.beam:
-                break
-        if beam[0].lhat < best.lhat - _EPS:
+        beam = _select(found, cfg.beam)
+        if beam[0].trace[-1].lhat < best.trace[-1].lhat - _EPS:
             best = beam[0]
-        step += 1
-        if timed_out:
-            break
     return LearnResult(best.ev.model, best.trace, best.ev, norm,
                        time.monotonic() - start, timed_out)
 
 
 def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
             attempts: int | None = None) -> list[Grid]:
-    """Candidate output grids for an input, best reading first, deduplicated."""
+    """Candidate output grids for an input, best reading first, deduplicated:
+    those of the first `attempts` readings (an int of at least 1), or of all
+    of them when `attempts` is None."""
+    if attempts is not None:
+        parsing.check_count("attempts", attempts, 1)
     pcfg = replace(cfg.parse, max_diffs=cfg.predict_diffs)
     m_in, m_out = model.args
     outs: list[Grid] = []
-    readings = parsing.read(m_in, None, gi, pcfg)
-    if attempts is not None:
-        readings = readings[:attempts]
-    for r in readings:
+    for r in parsing.read(m_in, None, gi, pcfg)[:attempts]:
         try:
             _, g = parsing.write(m_out, r.tree)
         except (lang.LangError, GridError):

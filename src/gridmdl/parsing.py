@@ -66,11 +66,16 @@ def check_floor(cfg, floor: int, *names: str) -> None:
     """Raise a ValueError naming the first of the fields `names` that is not
     an int (a bool is not one) or is below `floor`."""
     for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name}: must be an int, got {value!r}")
-        if value < floor:
-            raise ValueError(f"{name}: must be at least {floor}, got {value!r}")
+        check_count(name, getattr(cfg, name), floor)
+
+
+def check_count(name: str, value, floor: int) -> None:
+    """Raise a ValueError naming `name` when `value` is not an int (a bool
+    is not one) or is below `floor`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name}: must be an int, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name}: must be at least {floor}, got {value!r}")
 
 
 DEFAULT_PARSE = ParseConfig()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gridmdl import tasks
 from gridmdl.cli import _add_search_flags, main
 
 from helpers import NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN, write_task
@@ -89,6 +90,21 @@ def test_eval_reports_and_writes_jsonl(tmp_path, capsys):
     records = [json.loads(s) for s in out_file.read_text().splitlines()]
     assert [r["task"] for r in records] == ["n1", "n2"]
     assert all(r["solved"] for r in records)
+
+
+def test_eval_refuses_a_report_path_it_cannot_write_before_evaluating(
+        tmp_path, capsys, monkeypatch):
+    write_task(tmp_path / "n1.json", NESTED_TRAIN, [NESTED_TEST])
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluate_batch called")
+
+    monkeypatch.setattr(tasks, "evaluate_batch", evaluated)
+    rc = main(["eval", str(tmp_path), "--out", str(tmp_path / "missing" / "r.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "r.jsonl" in captured.err
 
 
 def test_eval_parallel_jobs(tmp_path, capsys):

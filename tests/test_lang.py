@@ -340,7 +340,7 @@ def test_model_text_refuses_a_repeated_side_line(text, repeated):
 def test_path_text_round_trip():
     p = ("layers", 2, "shape", "size", "i")
     assert lang.path_to_text(p) == "layers[2].shape.size.i"
-    assert lang.parse_path("layers[2].shape.size.i") == p
+    assert lang.parse_term("layers[2].shape.size.i", lang.NAT) == Var(p)
 
 
 def test_parse_term_rejects_garbage():

@@ -1,6 +1,10 @@
 """Refinement search: proposals, application, full learning runs, prediction."""
 
+import importlib
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,18 @@ def test_predict_deduplicates_and_bounds_attempts(nested_result):
     assert len(set(preds)) == len(preds)
 
 
+@pytest.mark.parametrize("attempts, message", [
+    (0, "must be at least 1, got 0"),
+    (-1, "must be at least 1, got -1"),
+    (True, "must be an int, got True"),
+    (2.0, "must be an int, got 2.0"),
+])
+def test_predict_refuses_attempts_that_are_not_a_count(nested_result, attempts, message):
+    gi, _ = NESTED_TEST
+    with pytest.raises(ValueError, match=f"^attempts: {re.escape(message)}$"):
+        predict(nested_result.model, gi, attempts=attempts)
+
+
 def test_predict_on_untrained_model_falls_back_to_generation_defaults():
     preds = predict(initial_model(), parsing.draw(grid(vec(3, 3), 2, [])))
     assert preds
@@ -460,3 +476,55 @@ def test_a_failed_application_is_kept_and_fails_the_same_way_again():
     with pytest.raises(coding.ModelEvalError) as again:
         coding.l_task(m, train, caches=caches)
     assert str(again.value) == str(first.value)
+
+
+_GOLDEN_TRACES = json.loads((Path(__file__).parent / "golden_search_traces.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_TRACES))
+def test_a_search_off_the_default_width_keeps_its_recorded_trace(
+        key, nested_train, synthetic_tasks):
+    """Beams of 2 and 3 and 1 or 5 refinements per step keep the traces
+    and models recorded for them: each step's score to the last bit, its
+    refinement and its index."""
+    setting, task = key.split("/")
+    field, value = setting.split("=")
+    train = nested_train if task == "nested" else synthetic_tasks[int(task.removeprefix("suite"))]
+    result = learn(train, SearchConfig(**{field: int(value)}))
+    assert not result.timed_out
+    assert [s.index for s in result.trace] == list(range(len(result.trace)))
+    assert [f"{s.lhat!r}  {s.refinement.describe() if s.refinement else ''}".rstrip()
+            for s in result.trace] == _GOLDEN_TRACES[key]["steps"]
+    assert lang.model_to_text(result.model).splitlines() == _GOLDEN_TRACES[key]["model"]
+
+
+class _Clock:
+    """A monotonic clock that reads 0 until `past` readings have been
+    made, and 2 after that."""
+
+    def __init__(self, past: int):
+        self.readings = 0
+        self.past = past
+
+    def monotonic(self) -> float:
+        self.readings += 1
+        return 0.0 if self.readings <= self.past else 2.0
+
+
+@pytest.mark.parametrize("past", [1, 2, 3, 10, 60, 300])
+def test_no_score_starts_after_the_deadline(nested_train, monkeypatch, past):
+    clock = _Clock(past)
+    real = coding.l_task
+    started = []
+
+    def recording(*args, **kwargs):
+        started.append(clock.readings)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module("gridmdl.learn"), "time", clock)
+    monkeypatch.setattr(coding, "l_task", recording)
+    result = learn(nested_train, SearchConfig(timeout=1.0))
+    assert result.timed_out
+    assert started and all(k <= past for k in started)
+    lhats = [s.lhat for s in result.trace]
+    assert all(b < a - 1e-9 for a, b in zip(lhats, lhats[1:]))

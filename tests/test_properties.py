@@ -98,6 +98,37 @@ def test_model_text_round_trips(gin, gout):
     assert lang.parse_model(lang.model_to_text(model)) == model
 
 
+def _arith(operands):
+    return st.builds(lambda fn, a, b: App(fn, (a, b)), st.sampled_from(["plus", "minus"]),
+                     operands, operands)
+
+
+# plus and minus nested on either side, over naturals, zero and the
+# natural slots of `_ARITH_ENV`
+nested_arith = _arith(st.recursive(
+    st.one_of(naturals, st.just(lang.ZERO), st.sampled_from([
+        Var(("size", "i")), Var(("size", "j")), Var(("layers", 0, "pos", "i")),
+        Var(("layers", 1, "shape", "size", "j"))])),
+    _arith, max_leaves=6))
+_ARITH_ENV = lang.grid(lang.vec(5, 2), 0, [
+    lang.pos_shape(lang.vec(3, 4), lang.point(1)),
+    lang.pos_shape(lang.vec(0, 1), lang.rectangle(lang.vec(2, 7), 3, lang.FULL))])
+
+
+def _value_or_error(e):
+    try:
+        return lang.eval_expr(e, _ARITH_ENV)
+    except lang.LangError as err:
+        return str(err)
+
+
+@given(nested_arith)
+def test_arithmetic_text_reads_back_as_the_same_expression(e):
+    back = lang.parse_term(lang.term_to_text(e, lang.NAT), lang.NAT)
+    assert back == e
+    assert _value_or_error(back) == _value_or_error(e)
+
+
 @given(st.lists(grid_terms(), min_size=1, max_size=4))
 def test_node_count_counts_the_slot_walk(terms):
     for t in terms + terms:
