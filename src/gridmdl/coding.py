@@ -217,12 +217,28 @@ def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
         effective = model
         for path, ground in diffs:
             s, r = slot_of[path]
-            dterms.append(loc + _l_term(ground, s, r, dims, path, None))
+            dterms.append(loc + _l_data(ground, s, r, dims))
             effective = lang.subst(effective, path, ground)
         unknowns = slot_plan(effective, sort, role)[1]
-    fterms = [_l_term(lang.resolve(tree, path), s, r, dims, path, None)
-              for path, s, r in unknowns]
+    fterms = [_l_data(lang.resolve(tree, path), s, r, dims) for path, s, r in unknowns]
     return dterms, fterms
+
+
+def _l_data(t: Term, sort: str, role: str, dims: tuple[int, int]) -> float:
+    """`_l_term` of a subterm a reading pays for, which holds no expression.
+    With no environment, a slot's path matters to expressions alone, so a
+    constructor's cost is taken from `_l_ground`; an int's is computed."""
+    if isinstance(t, Ctor):
+        return _l_ground(t, sort, role, dims)
+    return _l_term(t, sort, role, dims, (), None)
+
+
+@lru_cache(maxsize=4096)
+def _l_ground(t: Ctor, sort: str, role: str, dims: tuple[int, int]) -> float:
+    """`_l_term` of an expression-free constructor subterm, kept in a bounded
+    process-wide cache: a grid's candidates are read under one layer
+    template after another, and their subterms recur across grids."""
+    return _l_term(t, sort, role, dims, (), None)
 
 
 @lru_cache(maxsize=4096)

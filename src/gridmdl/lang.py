@@ -13,7 +13,7 @@ list indices (ints, valid right after a `"layers"` step), and the pair roots
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Union
 
@@ -37,16 +37,19 @@ COLOR_NAMES = (
 BLACK, BLUE, RED, GREEN, YELLOW, GREY, PINK, ORANGE, LIGHTBLUE, BROWN = range(NUM_COLORS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ctor:
     """Constructor node; `args` holds one entry per field (list fields hold a tuple).
 
     The hash is computed on first use and kept, as `grids.Grid` keeps its
     own: every memo table of a task keys on terms, and shared subterms then
-    hash once."""
+    hash once. Slotted, a node is one object without an instance dict, so
+    a parse's many candidate and reading terms weigh less on the garbage
+    collector."""
     name: str
     args: tuple = ()
-    _hash = None  # not a field: no annotation
+    # out of init, repr and compare: equality and hash stay those of (name, args)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         h = self._hash
@@ -550,7 +553,8 @@ class _Parser:
     def term(self, sort: str) -> Term:
         if self.peek() == "?":
             self.eat("?")
-            return UNK
+            # an unknown may be an operand, as `term_to_text` prints it
+            return self.maybe_arith(UNK) if sort == NAT else UNK
         if sort == NAT and self.peek().isdigit():
             n = self.number()
             return self.maybe_arith(n)
@@ -588,6 +592,9 @@ class _Parser:
             t = self.maybe_arith(self.atom())
             self.eat(")")
             return t
+        if self.peek() == "?":
+            self.eat("?")
+            return UNK
         if self.peek().isdigit():
             return self.number()
         w = self.word()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -511,6 +512,13 @@ class _Layer:
     terms: list
     key: tuple
 
+    def fill(self, i: int, dims: tuple[int, int], loc: float) -> tuple:
+        """Compute and keep pick i's reading terms."""
+        cand, diffs = self.picks[i]
+        terms = self.terms[i] = coding.slot_terms(self.template, cand.tree, diffs,
+                                                  dims, loc, OBJECT)
+        return terms
+
 
 def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
     """The layer's admitted candidates, from the index's memo when an
@@ -547,10 +555,14 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
-    only the kept readings are built. The grid size and colours are costed
-    once per call; a layer's admitted candidates and their terms, and a
-    combination's background and delta, once per grid for as long as its
-    index lives."""
+    only the kept readings are built. The grid size and each background
+    colour are costed once per model slots, grid size and diff-location
+    cost (`_size_and_bg_terms`); a layer's admitted candidates and their
+    terms, and a combination's background and delta, once per grid for as
+    long as its index lives. A combination with diffs is summed by
+    `coding.sum_terms`. One without adds its layers' fills, one float at a
+    time, to the running sum of the size's and its colour's fills: the same
+    additions in the same order, so the same float."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
@@ -562,9 +574,10 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     # diffs relative to the size slot
     size_diffs = _matcher(size_t)(size)
-    if len(size_diffs) > cfg.max_diffs:
+    n_size = len(size_diffs)
+    if n_size > cfg.max_diffs:
         return ()
-    budget = cfg.max_diffs - len(size_diffs)
+    budget = cfg.max_diffs - n_size
 
     loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
 
@@ -575,30 +588,36 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
             return ()
         layers.append(layer)
 
-    # reading terms: the grid's once, each colour's and each candidate's
-    # when a combination first needs them
-    size_terms = coding.slot_terms(size_t, size, size_diffs, dims, loc, VEC, "grid_size")
+    # by background colour: the size's and the colour's reading terms, and
+    # the running sum of their fills; each candidate's terms when a
+    # combination first needs them
     bg_terms: dict[int, tuple] = {}
     fixed_bg = color_t if isinstance(color_t, int) else None
     scored: list[tuple[float, tuple, int, int]] = []
     for ranks, n_diffs, bg, delta_mask, delta_cost in _combos(
             index, layers, cfg.max_trees_before_sort, budget, fixed_bg):
-        bg_piece = bg_terms.get(bg)
-        if bg_piece is None:
-            bg_piece = bg_terms[bg] = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
-        pieces = [size_terms, bg_piece]
-        for layer, i in zip(layers, ranks):
-            terms = layer.terms[i]
-            if terms is None:
-                cand, ld = layer.picks[i]
-                terms = layer.terms[i] = coding.slot_terms(
-                    layer.template, cand.tree, ld, dims, loc, OBJECT)
-            pieces.append(terms)
-        dl = coding.sum_terms(len(size_diffs) + n_diffs, pieces) + delta_cost
+        entry = bg_terms.get(bg)
+        if entry is None:
+            entry = bg_terms[bg] = _size_and_bg_terms(size_t, color_t, bg, dims, loc)
+        size_terms, bg_piece, base = entry
+        n_diffs += n_size
+        if n_diffs:
+            pieces = [size_terms, bg_piece]
+            for layer, i in zip(layers, ranks):
+                pieces.append(layer.terms[i] or layer.fill(i, dims, loc))
+            dl = coding.sum_terms(n_diffs, pieces) + delta_cost
+        else:
+            # `sum_terms` with no diffs: 0.0, then every fill in slot order,
+            # the size's and the colour's being the colour's running sum
+            dl = base
+            for layer, i in zip(layers, ranks):
+                for x in (layer.terms[i] or layer.fill(i, dims, loc))[1]:
+                    dl += x
+            dl += delta_cost
         scored.append((dl, ranks, bg, delta_mask))
 
     # a stable sort: equal costs keep the order the walk met them in
-    scored.sort(key=lambda s: s[0])
+    scored.sort(key=itemgetter(0))
     grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
     readings = []
     for dl, ranks, bg, delta_mask in scored[:cfg.max_trees_kept]:
@@ -608,6 +627,25 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
         tree = grid_term(size, bg, tuple(cand.tree for cand, _ in picks))
         readings.append(Reading(tree, g, delta_mask, diffs, dl))
     return tuple(readings)
+
+
+@lru_cache(maxsize=4096)
+def _size_and_bg_terms(size_t: Term, color_t: Term, bg: int, dims: tuple[int, int],
+                       loc: float) -> tuple:
+    """The reading terms of the grid size and of background colour `bg`
+    under the model's size and colour slots, and the running sum of their
+    fills as `coding.sum_terms` adds them. Kept in a bounded process-wide
+    cache, since the learner parses its grids under one template after
+    another that share these slots; every caller shares the lists and only
+    reads them."""
+    size = _vec(*dims)
+    size_terms = coding.slot_terms(size_t, size, _matcher(size_t)(size), dims, loc, VEC,
+                                   "grid_size")
+    bg_piece = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
+    base = 0.0
+    for x in size_terms[1] + bg_piece[1]:
+        base += x
+    return size_terms, bg_piece, base
 
 
 def _walk(rows: list, cap: int, budget: int) -> list:
@@ -695,13 +733,15 @@ def _combos(index: GridIndex, layers: list, cap: int, budget: int,
     combos = index.walks.get(key)
     if combos is None:
         all_cells, color_cells = index.all_cells, index.color_cells
+        # black, and each colour the grid has: no other can be the best
+        colours = [(c, cells) for c, cells in enumerate(color_cells) if cells or not c]
         delta_costs = _DeltaCosts((index.grid.height, index.grid.width))
         out = []
         for ranks, n_diffs, covered, wrong in _walk([layer.rows for layer in layers], cap, budget):
             uncovered = all_cells & ~covered
             bg = fixed_bg
             if bg is None:
-                bg = _best_background(color_cells, uncovered, wrong, delta_costs)
+                bg = _best_background(colours, uncovered, wrong, delta_costs)
             delta_mask = wrong | (uncovered & ~color_cells[bg])
             out.append((ranks, n_diffs, bg, delta_mask, delta_costs[delta_mask.bit_count()]))
         combos = index.walks[key] = tuple(out)
@@ -721,17 +761,20 @@ class _DeltaCosts(dict):
         return cost
 
 
-def _best_background(color_cells: tuple, uncovered: int, mismatch: int,
+def _best_background(colours: list, uncovered: int, mismatch: int,
                      delta_costs: _DeltaCosts) -> int:
     """The background colour that minimises its prior plus the delta it
     leaves, among black and the colours of the uncovered cells; the
-    smaller colour on ties."""
-    mism_n = mismatch.bit_count()
+    smaller colour on ties. `colours` holds (colour, its cells' bitmask)
+    in ascending colour order, black first; colour c leaves every
+    mismatched cell and every uncovered cell not of colour c."""
+    left = uncovered.bit_count() + mismatch.bit_count()
     best, best_c = None, 0
-    for c in range(NUM_COLORS):
-        if c and not uncovered & color_cells[c]:
+    for c, cells in colours:
+        own = uncovered & cells
+        if c and not own:
             continue
-        cost = _BG_PRIOR[c] + delta_costs[(uncovered & ~color_cells[c]).bit_count() + mism_n]
+        cost = _BG_PRIOR[c] + delta_costs[left - own.bit_count()]
         if best is None or cost < best:
             best, best_c = cost, c
     return best_c

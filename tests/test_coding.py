@@ -191,6 +191,20 @@ def test_fill_vector_roles_propagate_to_components():
     assert size == pytest.approx(KIND + (KIND + l_nat(2)) + (KIND + l_nat(3)), abs=1e-12)
 
 
+def test_fill_costs_are_keyed_on_the_role_and_grid_size_they_are_read_under():
+    """One vector read under two roles on three grid sizes, and two shapes,
+    twice over through one process-wide cache of constructor costs: each
+    cost is `_l_term`'s for its own key, so a key without the role or the
+    grid size gives a wrong cost."""
+    cases = [(vec(2, 3), lang.VEC, role, dims)
+             for role in ("pos", "size") for dims in ((4, 8), (16, 2), (30, 30))]
+    cases += [(point(5), lang.SHAPE, "", (4, 8)),
+              (rectangle(vec(2, 3), 4, lang.BORDER), lang.SHAPE, "", (16, 2))]
+    for value, sort, role, dims in cases * 2:
+        assert fill_cost(value, sort, role, dims) == coding._l_term(value, sort, role, dims,
+                                                                    (), None)
+
+
 def test_fill_shapes_and_masks():
     pt = fill_cost(point(5), lang.SHAPE, "", None)
     assert pt == pytest.approx(KIND + 1 + (KIND + math.log2(10)), abs=1e-12)

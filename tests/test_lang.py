@@ -1,5 +1,6 @@
 """Term model: constructors, paths, substitution, matching, evaluation, text."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -294,6 +295,9 @@ TEXT_TERMS = [
     (App("plus", (Var(("size", "i")), 2)), lang.NAT, "size.i + 2"),
     (App("minus", (Var(("size", "j")), Var(("size", "i")))), lang.NAT, "size.j - size.i"),
     (lang.ZERO, lang.NAT, "zero"),
+    # unknown operands, on either side and inside parentheses
+    (App("plus", (UNK, 1)), lang.NAT, "? + 1"),
+    (App("minus", (Var(("size", "j")), App("plus", (2, UNK)))), lang.NAT, "size.j - (2 + ?)"),
 ]
 
 
@@ -380,6 +384,18 @@ def test_apply_model_shares_the_untouched_subterms():
     assert applied.args[1] is m.args[1]
     assert applied.args[2][0] is kept
     assert applied.args[2][1].args[0] is m.args[2][1].args[0]
+
+
+def test_a_ctor_is_slotted_and_equal_and_hashed_as_its_name_and_args():
+    t = sample_grid_term()
+    hash(t)  # cache the hash on every node before copying
+    assert not hasattr(t, "__dict__")
+    for node in (t, t.args[0], t.args[2][0]):
+        assert node == Ctor(node.name, node.args)
+        assert hash(node) == hash((node.name, node.args))
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and copied is not t
+        assert hash(copied) == hash(t)
 
 
 _CHILD = """

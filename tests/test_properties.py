@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmdl import coding, lang, parsing
 from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
@@ -301,11 +301,7 @@ def test_build_index_of_a_checkerboard_skips_unions_and_cuts_at_the_cap():
     assert {c.variant for c in index.candidates} == {2}
 
 
-@pytest.mark.parametrize("max_diffs", [0, 3])
-@pytest.mark.parametrize("background", ["fixed", "unknown"])
-@given(grid_terms(exprs=False), colors, grid_pairs(), st.booleans())
-def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, t, bg,
-                                                         pair, own_drawing):
+def _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing, kept):
     template = lang.subst(t, ("color",), bg if background == "fixed" else lang.UNK)
     g = pair[0]
     if own_drawing:
@@ -313,7 +309,7 @@ def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, 
             g = parsing.draw(parsing.generate(template))
         except GridError:  # a zero size or a bitmap that does not fit
             pass
-    cfg = parsing.ParseConfig(max_diffs=max_diffs)
+    cfg = parsing.ParseConfig(max_trees_kept=kept, max_diffs=max_diffs)
     readings = parsing.parse(template, g, cfg=cfg)
     dims = (g.height, g.width)
     for r in readings:
@@ -322,6 +318,59 @@ def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, 
         assert delta_apply(parsing.draw(r.tree), r.delta) == g
     assert [r.dl for r in readings] == sorted(r.dl for r in readings)
     assert parsing.parse(template, g, cfg=replace(cfg, max_trees_kept=1)) == readings[:1]
+
+
+@pytest.mark.parametrize("max_diffs", [0, 3])
+@pytest.mark.parametrize("background", ["fixed", "unknown"])
+@given(grid_terms(exprs=False), colors, grid_pairs(), st.booleans())
+def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, t, bg,
+                                                         pair, own_drawing):
+    _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing, kept=3)
+
+
+@pytest.mark.parametrize("max_diffs", [0, 3])
+@pytest.mark.parametrize("background", ["fixed", "unknown"])
+@given(grid_terms(exprs=False), colors, grid_pairs(), st.booleans())
+def test_parse_costs_every_scored_combination_as_the_reference_coders_do(
+        max_diffs, background, t, bg, pair, own_drawing):
+    """With every scored combination kept as a reading, each cost equals the
+    reference coders' by `==`: those summed by `coding.sum_terms` (with
+    diffs) and those added to a colour's running sum (without)."""
+    _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing,
+                           kept=parsing.DEFAULT_PARSE.max_trees_before_sort)
+
+
+# cell masks of a grid up to 12 x 12
+cell_masks = st.integers(0, (1 << 144) - 1)
+
+
+# a 1x2 grid whose mismatched black cell turns the choice from red to black
+@example(Grid([[0, 2]]), 1, 1)
+@given(few_colour_grids(), cell_masks, cell_masks)
+def test_best_background_is_the_cheapest_colour_by_brute_force(g, covered, mismatch):
+    """`_best_background` equals a brute force over all ten colours: each
+    colour's prior plus `coding.l_delta` of the cells it leaves, the
+    mismatched cells and the uncovered cells of other colours; the smaller
+    colour on ties. A colour no uncovered cell has never beats black, which
+    leaves at most as many cells at a lower prior, so black is always a
+    candidate. Mismatched cells are covered ones, as in `_combos`."""
+    h, w = g.height, g.width
+    index = parsing.build_index(g)
+    covered &= index.all_cells
+    mismatch &= covered
+    uncovered = index.all_cells & ~covered
+    cells = [(i, j) for i in range(h) for j in range(w)]
+
+    def leftover(c):
+        return {(i, j) for i, j in cells
+                if mismatch >> (i * w + j) & 1
+                or (uncovered >> (i * w + j) & 1 and g.rows[i][j] != c)}
+
+    want = min(range(10), key=lambda c: coding.l_dist(coding.P_BG[c])
+               + coding.l_delta(leftover(c), (h, w)))
+    colours = [(c, bits) for c, bits in enumerate(index.color_cells) if bits or not c]
+    assert want == parsing._best_background(colours, uncovered, mismatch,
+                                            parsing._DeltaCosts((h, w)))
 
 
 @settings(max_examples=25)
