@@ -344,14 +344,14 @@ class Normalizer:
         return cls(t["in"][2], t["out"][2], alpha)
 
 
-def l_task(model: Ctor, examples, parse_cfg=None, caches=None, bound=None) -> TaskEval:
+def l_task(model: Ctor, examples, caches=None, bound=None) -> TaskEval:
     """Evaluate a task model over example pairs.
 
-    Examples are (input Grid, output Grid) pairs, read and summed in their
-    given order. Each example contributes its best chained reading; an
-    example with no reading raises ModelEvalError. The model is costed
-    once the first example reads, so a model with no reading never pays
-    for its own description.
+    Examples are (input Grid, output Grid) pairs, read through `caches`
+    (one fresh `parsing.Caches` without it) and summed in their order. Each
+    example contributes its best chained reading; one with no reading raises
+    ModelEvalError. The model is costed once the first example reads, so a
+    model with no reading never pays for its own description.
 
     With `bound=(norm, threshold)`, scoring stops with NotCompressive as
     soon as the normalized score of the model and the examples read so far
@@ -362,12 +362,11 @@ def l_task(model: Ctor, examples, parse_cfg=None, caches=None, bound=None) -> Ta
     """
     from . import parsing  # read_pair needs the parser
 
-    if parse_cfg is None:
-        parse_cfg = parsing.DEFAULT_PARSE
-
+    if caches is None:
+        caches = parsing.Caches()
     ev = None
     for gi, go in examples:
-        pairs = parsing.read_pair(model, gi, go, parse_cfg, caches)
+        pairs = parsing.read_pair(model, gi, go, caches)
         if not pairs:
             raise ModelEvalError("example admits no chained reading")
         if ev is None:

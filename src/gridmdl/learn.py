@@ -248,15 +248,14 @@ class _Entry:
     trace: tuple   # the steps that built the model; the last one holds its score
 
 
-def _evaluate(entry: _Entry, ref: Refinement, examples, parse_cfg: ParseConfig,
-              caches: Caches, norm: Normalizer) -> _Entry | None:
+def _evaluate(entry: _Entry, ref: Refinement, examples, caches: Caches,
+              norm: Normalizer) -> _Entry | None:
     """The entry that `ref` refines `entry` into, or None when the refined
     model does not compress: it raises when applied or read, or its score
     reaches the entry's less 1e-9, where scoring stops with NotCompressive."""
     try:
         m2 = apply_refinement(entry.ev.model, ref)
-        ev = coding.l_task(m2, examples, parse_cfg, caches,
-                           bound=(norm, entry.trace[-1].lhat - _EPS))
+        ev = coding.l_task(m2, examples, caches, bound=(norm, entry.trace[-1].lhat - _EPS))
     except (lang.LangError, ModelEvalError, GridError):
         return None
     return _Entry(ev, entry.trace + (TraceStep(len(entry.trace), ev.normalized(norm), ref),))
@@ -273,11 +272,14 @@ def _select(found: list[_Entry], width: int) -> list[_Entry]:
 
 
 def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
-    """Induce a task model from (input, output) grid pairs."""
+    """Induce a task model from (input, output) grid pairs, at least one."""
     start = time.monotonic()
     deadline = start + cfg.timeout
-    caches = Caches()
-    ev = coding.l_task(initial_model(), examples, cfg.parse, caches)
+    examples = tuple(examples)
+    if not examples:
+        raise ValueError("examples: must hold at least one (input, output) pair")
+    caches = Caches(cfg.parse)
+    ev = coding.l_task(initial_model(), examples, caches)
     norm = Normalizer.from_initial(ev, cfg.alpha)
     best = _Entry(ev, (TraceStep(0, ev.normalized(norm), None),))
     beam = [best]
@@ -293,7 +295,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
-                refined = _evaluate(entry, ref, examples, cfg.parse, caches, norm)
+                refined = _evaluate(entry, ref, examples, caches, norm)
                 if refined is not None:
                     found.append(refined)
                     if len(found) == wanted:
@@ -316,10 +318,10 @@ def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
     of them when `attempts` is None."""
     if attempts is not None:
         parsing.check_count("attempts", attempts, 1)
-    pcfg = replace(cfg.parse, max_diffs=cfg.predict_diffs)
+    caches = Caches(replace(cfg.parse, max_diffs=cfg.predict_diffs))
     m_in, m_out = model.args
     outs: list[Grid] = []
-    for r in parsing.read(m_in, None, gi, pcfg)[:attempts]:
+    for r in parsing.read(m_in, None, gi, caches)[:attempts]:
         try:
             _, g = parsing.write(m_out, r.tree)
         except (lang.LangError, GridError):

@@ -117,22 +117,20 @@ class ReadingPair:
 
 @dataclass
 class Caches:
-    """Per-task memo tables; safe to share across refinement evaluations.
+    """The reading context of a task: the ParseConfig its grids are read
+    under, and its memo tables; safe to share across refinement evaluations.
 
     Input models map to their cost and environment signature
     (`coding.l_pair_model`). `applied` is `lang.apply_model`'s memo: model
     sides and their layers, each keyed with its environment (the input
     tree, or None), map to their application, or to the error message of
-    an application that fails. Readings are keyed on the applied model, the
-    grid and the whole ParseConfig; indexes on the grid alone. An index
-    also carries the per-layer memo of admitted candidates and their
-    reading terms (`GridIndex.layers`) and the memo of walked combinations
-    (`GridIndex.walks`), so the walk runs once per row set per grid and
-    each parse costs what it gets back."""
+    an application that fails. `indexes` maps each grid to its `GridIndex`,
+    which carries every per-grid memo, the grid's readings under `cfg`
+    among them: the context fixes the config and the index the grid."""
+    cfg: ParseConfig = DEFAULT_PARSE
     inputs: dict = field(default_factory=dict)
     applied: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
-    readings: dict = field(default_factory=dict)
 
 
 # drawing
@@ -253,7 +251,7 @@ class Candidate:
 
 @dataclass
 class GridIndex:
-    """Per-grid candidate table, colour bitmasks and two memos.
+    """Per-grid candidate table, colour bitmasks and four memos.
 
     `layers` maps (layer template, diff budget, diff-location cost) to the
     layer's admitted candidates and their reading terms (`_Layer`), the
@@ -269,14 +267,19 @@ class GridIndex:
     walk, so the walk runs once per row set per grid, and `parse` costs
     what it gets back under each template.
 
-    Neither memo is part of the index's value: `dataclasses.replace` gives
-    a derived index empty ones."""
+    `bg_terms` maps (size slot, colour slot, diff-location cost) to the
+    size's and each background colour's terms (`_size_and_bg_terms`), and
+    `readings` an applied model to `read`'s readings of the grid under the
+    config of the `Caches` that holds the index. No memo is part of the
+    index's value: `dataclasses.replace` gives a derived index empty ones."""
     grid: Grid
     candidates: tuple
     color_cells: tuple  # bitmask per colour
     all_cells: int
     layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    bg_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    readings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _bits(block: np.ndarray) -> int:
@@ -555,11 +558,11 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
-    only the kept readings are built. The grid size and each background
-    colour are costed once per model slots, grid size and diff-location
-    cost (`_size_and_bg_terms`); a layer's admitted candidates and their
-    terms, and a combination's background and delta, once per grid for as
-    long as its index lives. A combination with diffs is summed by
+    only the kept readings are built. Per grid, for as long as its index
+    lives, the grid size and each background colour are costed once per
+    model slots and diff-location cost (`_size_and_bg_terms`), a layer's
+    admitted candidates and their terms once, and a combination's
+    background and delta once. A combination with diffs is summed by
     `coding.sum_terms`. One without adds its layers' fills, one float at a
     time, to the running sum of the size's and its colour's fills: the same
     additions in the same order, so the same float."""
@@ -591,7 +594,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     # by background colour: the size's and the colour's reading terms, and
     # the running sum of their fills; each candidate's terms when a
     # combination first needs them
-    bg_terms: dict[int, tuple] = {}
+    bg_terms = index.bg_terms.setdefault((size_t, color_t, loc), {})
     fixed_bg = color_t if isinstance(color_t, int) else None
     scored: list[tuple[float, tuple, int, int]] = []
     for ranks, n_diffs, bg, delta_mask, delta_cost in _combos(
@@ -629,15 +632,12 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
     return tuple(readings)
 
 
-@lru_cache(maxsize=4096)
 def _size_and_bg_terms(size_t: Term, color_t: Term, bg: int, dims: tuple[int, int],
                        loc: float) -> tuple:
     """The reading terms of the grid size and of background colour `bg`
     under the model's size and colour slots, and the running sum of their
-    fills as `coding.sum_terms` adds them. Kept in a bounded process-wide
-    cache, since the learner parses its grids under one template after
-    another that share these slots; every caller shares the lists and only
-    reads them."""
+    fills as `coding.sum_terms` adds them; kept in the index's `bg_terms`,
+    every caller sharing the lists and only reading them."""
     size = _vec(*dims)
     size_terms = coding.slot_terms(size_t, size, _matcher(size_t)(size), dims, loc, VEC,
                                    "grid_size")
@@ -782,40 +782,39 @@ def _best_background(colours: list, uncovered: int, mismatch: int,
 
 # reading models against grids
 
-def read(m: Term, env: Term | None, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
+def read(m: Term, env: Term | None, g: Grid,
          caches: Caches | None = None) -> tuple[Reading, ...]:
     """Apply the model side to its environment and parse the grid.
 
     Returns no readings when the environment does not support the model's
     expressions (dangling variable, negative difference). With `caches`,
     each model side and each of its layers is applied once per environment
-    (`lang.apply_model`), and each grid parsed once per applied model and
-    ParseConfig; without, the call takes the same path through a fresh
-    `Caches` of its own."""
+    (`lang.apply_model`), and each grid indexed once and parsed under
+    `caches.cfg` once per applied model; without, the call takes the same
+    path through a fresh `Caches` of its own, under DEFAULT_PARSE."""
     if caches is None:
         caches = Caches()
     try:
         applied = lang.apply_model(m, env, caches.applied)
     except lang.LangError:
         return ()
-    key = (applied, g, cfg)
-    hit = caches.readings.get(key)
+    index = caches.indexes.get(g)
+    if index is None:
+        index = caches.indexes[g] = build_index(g)
+    hit = index.readings.get(applied)
     if hit is None:
-        index = caches.indexes.get(g)
-        if index is None:
-            index = caches.indexes[g] = build_index(g)
         # cfg by keyword: bench/run.py's parse note takes args[3], else kwargs["cfg"]
-        hit = caches.readings[key] = parse(applied, g, cfg=cfg, index=index)
+        hit = index.readings[applied] = parse(applied, g, cfg=caches.cfg, index=index)
     return hit
 
 
-def read_pair(model: Ctor, gi: Grid, go: Grid, parse_cfg: ParseConfig = DEFAULT_PARSE,
+def read_pair(model: Ctor, gi: Grid, go: Grid,
               caches: Caches | None = None) -> list[ReadingPair]:
     """Chained readings of one example, best combined cost first."""
     m_in, m_out = model.args
     pairs: list[ReadingPair] = []
-    for rin in read(m_in, None, gi, parse_cfg, caches):
-        for rout in read(m_out, rin.tree, go, parse_cfg, caches):
+    for rin in read(m_in, None, gi, caches):
+        for rout in read(m_out, rin.tree, go, caches):
             pairs.append(ReadingPair(rin, rout, rin.dl + rout.dl))
     pairs.sort(key=lambda p: p.dl)
     return pairs

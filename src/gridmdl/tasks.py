@@ -11,6 +11,7 @@ from pathlib import Path
 from .grids import MAX_DIM, Grid, GridError  # MAX_DIM: re-exported
 from .lang import model_to_text
 from .learn import SearchConfig, DEFAULT_SEARCH, learn, predict
+from .parsing import check_count
 
 ATTEMPTS = 3
 
@@ -192,8 +193,7 @@ def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> 
     error record and does not stop the others. Up to `jobs` worker
     processes run them, never more than there are files; with one, the
     calling process runs them alone."""
-    if jobs < 1:
-        raise ValueError(f"jobs: must be at least 1, got {jobs!r}")
+    check_count("jobs", jobs, 1)
     paths = sorted(Path(p) for p in paths)
     # the pool starts all its workers at the first submit
     workers = min(jobs, len(paths))

@@ -325,6 +325,20 @@ def test_model_text_round_trip():
     text = lang.model_to_text(m)
     assert text.startswith("in: ") and "\nout: " in text
     assert lang.parse_model(text) == m
+    # blank and comment lines are skipped; the one-term form reads the same
+    assert lang.parse_model("# a model\n\n" + text.replace("\n", "\n  # between\n\n")) == m
+    assert lang.parse_model(lang.term_to_text(m, lang.PAIR)) == m
+
+
+@pytest.mark.parametrize("text,message", [
+    ("in: Grid(?, ?, [])\nside: Grid(?, ?, [])", "unexpected model line: 'side: Grid"),
+    ("in: Grid(?, ?, [])\nGrid(?, ?, [])", "unexpected model line: 'Grid"),
+    ("in: Grid(?, ?, [])\n# out: Grid(?, ?, [])", "needs both in: and out: lines"),
+    ("", "needs both in: and out: lines"),
+], ids=["unknown-side", "no-colon", "missing-out", "empty"])
+def test_model_text_refuses_an_unexpected_line_or_a_missing_side(text, message):
+    with pytest.raises(LangError, match=message):
+        lang.parse_model(text)
 
 
 @pytest.mark.parametrize("text,repeated", [
@@ -351,6 +365,21 @@ def test_parse_term_rejects_garbage():
     for bad in ["Grid(", "Quad(1)", "Grid(Vec(1, 2), black)", "layers[x].pos"]:
         with pytest.raises(LangError):
             lang.parse_term(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Vec(1, 2)", "Vec is a vec, expected a mask"),
+    ("Bitmap(01/12)", "bad bitmap character '2'"),
+    ("Bitmap(01/1)", "ragged or empty bitmap"),
+    ("Bitmap()", "ragged or empty bitmap"),
+])
+def test_parse_term_refuses_a_constructor_of_another_sort_or_a_bad_bitmap(text, message):
+    with pytest.raises(LangError, match=message):
+        lang.parse_term(text, lang.MASK)
+
+
+def test_parse_term_reads_a_fieldless_constructor_with_or_without_parentheses():
+    assert lang.parse_term("Full()", lang.MASK) == lang.parse_term("Full", lang.MASK) == lang.FULL
 
 
 def test_parse_term_rejects_an_unterminated_bitmap():

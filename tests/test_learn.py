@@ -52,7 +52,7 @@ def test_input_insertion_renumbers_output_variables():
 
 def test_proposals_at_the_start_lead_with_output_insertions(nested_train):
     cfg = SearchConfig()
-    ev = coding.l_task(initial_model(), nested_train, cfg.parse, parsing.Caches())
+    ev = coding.l_task(initial_model(), nested_train, parsing.Caches(cfg.parse))
     props = propose_refinements(initial_model(), ev, cfg)
     assert props, "no proposals at the initial model"
     first = props[0]
@@ -76,6 +76,17 @@ def test_nested_trace_descends_strictly(nested_result):
     lhats = [s.lhat for s in nested_result.trace]
     assert lhats[0] == pytest.approx(2.0, abs=1e-9)
     assert all(b < a - 1e-9 for a, b in zip(lhats, lhats[1:]))
+
+
+def test_learning_from_an_iterator_gives_the_trace_learnt_from_a_list(nested_result):
+    # every evaluation reads every example, not only the first one
+    res = learn(iter(NESTED_TRAIN), SearchConfig())
+    assert (res.model, res.trace) == (nested_result.model, nested_result.trace)
+
+
+def test_learning_from_no_example_is_refused():
+    with pytest.raises(ValueError, match="^examples: must hold at least one"):
+        learn([])
 
 
 def test_nested_trace_refinement_content(nested_result):
@@ -159,8 +170,8 @@ def test_proposals_take_the_input_signature_from_the_task_caches(nested_train, m
     cfg = SearchConfig()
     model = apply_refinement(initial_model(), Refinement(
         "insert", "in", ("layers", 0), pos_shape(UNK, rectangle(UNK, UNK, UNK)), lang.OBJECT))
-    caches = parsing.Caches()
-    ev = coding.l_task(model, nested_train, cfg.parse, caches)
+    caches = parsing.Caches(cfg.parse)
+    ev = coding.l_task(model, nested_train, caches)
     fresh = propose_refinements(model, ev, cfg)
     # scoring the model left its input side's signature in the caches
     monkeypatch.setattr(lang, "signature", None)
@@ -350,7 +361,7 @@ def test_task_memos_change_no_score_and_no_reading(synthetic_tasks):
             assert (memo.l_model_in, memo.l_model_out, memo.data_in, memo.data_out) == \
                 (plain.l_model_in, plain.l_model_out, plain.data_in, plain.data_out)
             assert memo.examples == plain.examples
-        assert caches.applied and caches.readings
+        assert caches.applied and any(index.readings for index in caches.indexes.values())
 
 
 def _replay_view(pair):
@@ -363,19 +374,19 @@ def _replay_view(pair):
 
 def _record_scores(trains, monkeypatch) -> list:
     """Learn each task and record every `coding.l_task` call the learner
-    makes, as (model, examples, parse_cfg, bound, result), the result being
-    the TaskEval returned or the exception raised."""
+    makes, as (model, examples, parse config of its context, bound, result),
+    the result being the TaskEval returned or the exception raised."""
     real = coding.l_task
     calls = []
 
-    def recording(model, examples, parse_cfg=None, caches=None, bound=None):
+    def recording(model, examples, caches=None, bound=None):
         assert caches is not None
         try:
-            ev = real(model, examples, parse_cfg, caches, bound)
+            ev = real(model, examples, caches, bound)
         except Exception as e:
-            calls.append((model, examples, parse_cfg, bound, e))
+            calls.append((model, examples, caches.cfg, bound, e))
             raise
-        calls.append((model, examples, parse_cfg, bound, ev))
+        calls.append((model, examples, caches.cfg, bound, ev))
         return ev
 
     monkeypatch.setattr(coding, "l_task", recording)
@@ -398,7 +409,7 @@ def test_every_score_through_shared_caches_replays_equal_through_fresh_ones(
     assert any(isinstance(ev, Exception) for *_, ev in calls)
     for model, examples, parse_cfg, bound, shared in calls:
         try:
-            fresh = real(model, examples, parse_cfg, parsing.Caches(), bound)
+            fresh = real(model, examples, parsing.Caches(parse_cfg), bound)
         except Exception as e:
             assert (type(shared), str(shared)) == (type(e), str(e))
             continue
@@ -421,9 +432,9 @@ def test_a_bounded_score_returns_the_unbounded_one_or_stops_exactly(
     stopped = returned = 0
     norm = None
     for model, examples, parse_cfg, bound, _ in calls:
-        caches = parsing.Caches()
+        caches = parsing.Caches(parse_cfg)
         try:
-            full = coding.l_task(model, examples, parse_cfg, caches)
+            full = coding.l_task(model, examples, caches)
         except (lang.LangError, coding.ModelEvalError, GridError):
             continue
         if bound is None:  # the initial model, which sets the task's normalizer
@@ -433,7 +444,7 @@ def test_a_bounded_score_returns_the_unbounded_one_or_stops_exactly(
         score = full.normalized(norm)
         for t in (math.nextafter(score, -math.inf), score, math.nextafter(score, math.inf)):
             try:
-                ev = coding.l_task(model, examples, parse_cfg, caches, bound=(norm, t))
+                ev = coding.l_task(model, examples, caches, bound=(norm, t))
             except coding.NotCompressive:
                 assert score >= t
                 stopped += 1
@@ -459,6 +470,21 @@ def test_a_model_that_reads_no_first_example_is_never_costed(monkeypatch):
     for bound in (None, (norm, 2.0)):
         with pytest.raises(coding.ModelEvalError, match="no chained reading"):
             coding.l_task(m, train, caches=parsing.Caches(), bound=bound)
+
+
+def test_a_score_without_a_context_indexes_each_grid_once(monkeypatch):
+    real = parsing.build_index
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(parsing, "build_index", counting)
+    train = list(NESTED_TRAIN)
+    coding.l_task(lang.parse_model(NESTED_SOLUTION_TEXT), train)
+    grids = {g for pair in train for g in pair}
+    assert len(built) == len(grids) and set(built) == grids
 
 
 def test_a_failed_application_is_kept_and_fails_the_same_way_again():

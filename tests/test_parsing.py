@@ -454,11 +454,12 @@ def test_parses_sharing_one_index_read_as_through_a_fresh_one():
 
 def test_a_derived_index_starts_with_empty_memos():
     g = draw(grid(vec(4, 4), 0, [pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.FULL))]))
-    index = build_index(g)
-    assert parse(grid(UNK, UNK, [pos_shape(UNK, UNK)]), g, index=index)
-    assert index.layers and index.walks
+    caches = Caches()
+    assert read(grid(UNK, UNK, [pos_shape(UNK, UNK)]), None, g, caches)
+    index = caches.indexes[g]
+    assert index.layers and index.walks and index.bg_terms and index.readings
     derived = replace(index, candidates=index.candidates[:1])
-    assert (derived.layers, derived.walks) == ({}, {})
+    assert (derived.layers, derived.walks, derived.bg_terms, derived.readings) == ({}, {}, {}, {})
 
 
 # read / read_pair
@@ -487,16 +488,18 @@ def test_read_caches_by_applied_model_and_grid():
     assert g in caches.indexes
 
 
-def test_read_cache_keys_on_the_whole_parse_config():
-    # a shared cache must not hand a max_trees_kept=3 result to a caller
-    # asking for one reading
-    caches = Caches()
+def test_each_context_reads_a_grid_as_a_fresh_read_under_its_own_config():
+    # two contexts over one grid, read in turn: neither hands the other its
+    # readings, and a read without a context reads under DEFAULT_PARSE
     g = nested_input_grid()
     m = grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))])
-    assert len(read(m, None, g, cfg=ParseConfig(max_trees_kept=3), caches=caches)) == 3
-    one = read(m, None, g, cfg=ParseConfig(max_trees_kept=1), caches=caches)
-    assert one == read(m, None, g, cfg=ParseConfig(max_trees_kept=1))
-    assert len(one) == 1
+    contexts = [Caches(ParseConfig(max_trees_kept=3)),
+                Caches(ParseConfig(max_trees_kept=1, max_diffs=2))]
+    for _ in range(2):
+        for caches in contexts:
+            assert read(m, None, g, caches) == read(m, None, g, Caches(caches.cfg))
+    assert [len(read(m, None, g, caches)) for caches in contexts] == [3, 1]
+    assert read(m, None, g) == parse(m, g, cfg=parsing.DEFAULT_PARSE)
 
 
 def test_read_passes_the_parse_config_by_keyword(monkeypatch):
@@ -512,8 +515,8 @@ def test_read_passes_the_parse_config_by_keyword(monkeypatch):
     monkeypatch.setattr(parsing, "parse", spy)
     cfg = ParseConfig(max_trees_kept=1)
     m = grid(UNK, UNK, [])
-    read(m, None, nested_input_grid(), cfg=cfg)
-    read(m, None, nested_input_grid(), cfg=cfg, caches=Caches())
+    read(m, None, nested_input_grid(), Caches(cfg))
+    read(m, None, nested_input_grid(), caches=Caches(cfg))
     assert calls == [(2, cfg), (2, cfg)]
 
 

@@ -159,6 +159,18 @@ def test_evaluate_batch_refuses_fewer_than_one_job(tmp_path, jobs):
         evaluate_batch(_two_task_dir(tmp_path), jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [1.5, "2", True, 0])
+def test_evaluate_batch_refuses_a_bad_job_count_before_any_task_runs(tmp_path, monkeypatch, jobs):
+    # a job count is an int of at least 1, as every other count setting is
+    def started(*args, **kwargs):
+        raise AssertionError("a task was evaluated")
+
+    monkeypatch.setattr(tasks, "ProcessPoolExecutor", started)
+    monkeypatch.setattr(tasks, "_evaluate_path", started)
+    with pytest.raises(ValueError, match="^jobs: must be (an int|at least 1), got "):
+        evaluate_batch(_two_task_dir(tmp_path), jobs=jobs)
+
+
 def test_report_jsonl_one_object_per_task(tmp_path):
     batch = evaluate_batch(_two_task_dir(tmp_path))
     lines = report_jsonl(batch).strip().splitlines()
