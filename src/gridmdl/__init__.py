@@ -10,7 +10,9 @@ from .coding import (
     Normalizer, TaskEval, ModelEvalError,
     l_nat, l_uniform, l_dist, l_position, l_bitmap, l_task, path_similarity,
 )
-from .parsing import ParseConfig, Reading, ReadingPair, draw, generate, parse, read, write
+from .parsing import (
+    Caches, ParseConfig, Reading, ReadingPair, draw, generate, parse, read, write,
+)
 from .learn import (
     SearchConfig, Refinement, LearnResult,
     initial_model, propose_refinements, learn, predict, create,

@@ -178,20 +178,18 @@ def l_model(m: Term, sig: dict | None = None) -> float:
     return _l_term(m, GRID, "", None, (), sig)
 
 
-def input_side(gin: Term, caches=None) -> tuple[float, dict]:
-    """An input model's cost and environment signature.
-
-    With a task's `parsing.Caches`, both are computed once per input model:
-    a learner step re-scores the same input side with every output-side
-    refinement, and proposes refinements against its signature."""
-    memo = {} if caches is None else caches.inputs
-    side = memo.get(gin)
+def input_side(gin: Term, caches) -> tuple[float, dict]:
+    """An input model's cost and environment signature, computed once per
+    input model in the task's `parsing.Caches`: a learner step re-scores
+    the same input side with every output-side refinement, and proposes
+    refinements against its signature."""
+    side = caches.inputs.get(gin)
     if side is None:
-        side = memo[gin] = (l_model(gin, None), lang.signature(gin))
+        side = caches.inputs[gin] = (l_model(gin, None), lang.signature(gin))
     return side
 
 
-def l_pair_model(model: Ctor, caches=None) -> tuple[float, float]:
+def l_pair_model(model: Ctor, caches) -> tuple[float, float]:
     """(input, output) model costs of an InOut model; the pair node is free."""
     gin, gout = model.args
     cost, sig = input_side(gin, caches)
@@ -344,14 +342,14 @@ class Normalizer:
         return cls(t["in"][2], t["out"][2], alpha)
 
 
-def l_task(model: Ctor, examples, caches=None, bound=None) -> TaskEval:
+def l_task(model: Ctor, examples, caches, bound=None) -> TaskEval:
     """Evaluate a task model over example pairs.
 
-    Examples are (input Grid, output Grid) pairs, read through `caches`
-    (one fresh `parsing.Caches` without it) and summed in their order. Each
-    example contributes its best chained reading; one with no reading raises
-    ModelEvalError. The model is costed once the first example reads, so a
-    model with no reading never pays for its own description.
+    Examples are (input Grid, output Grid) pairs, read through the task's
+    `parsing.Caches` and summed in their order. Each example contributes
+    its best chained reading; one with no reading raises ModelEvalError.
+    The model is costed once the first example reads, so a model with no
+    reading never pays for its own description.
 
     With `bound=(norm, threshold)`, scoring stops with NotCompressive as
     soon as the normalized score of the model and the examples read so far
@@ -362,8 +360,6 @@ def l_task(model: Ctor, examples, caches=None, bound=None) -> TaskEval:
     """
     from . import parsing  # read_pair needs the parser
 
-    if caches is None:
-        caches = parsing.Caches()
     ev = None
     for gi, go in examples:
         pairs = parsing.read_pair(model, gi, go, caches)

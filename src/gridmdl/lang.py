@@ -398,15 +398,19 @@ def shift_layer_refs(t: Term, insert_pos: int) -> Term:
     model's layer list, so existing references keep pointing at the same
     object.
     """
-    def shift(e: Term) -> Term:
-        if isinstance(e, App):
-            return App(e.fn, tuple(shift(a) for a in e.args))
-        if isinstance(e, Var):
-            p = e.path
-            if len(p) >= 2 and p[0] == "layers" and isinstance(p[1], int) and p[1] >= insert_pos:
-                return Var(("layers", p[1] + 1) + p[2:])
-        return e
-    return map_exprs(t, shift)
+    return map_exprs(t, lambda e: _shift_refs(e, insert_pos))
+
+
+def _shift_refs(e: Term, insert_pos: int) -> Term:
+    """`shift_layer_refs` of one expression; a module function, so that its
+    recursion makes no reference cycle."""
+    if isinstance(e, App):
+        return App(e.fn, tuple(_shift_refs(a, insert_pos) for a in e.args))
+    if isinstance(e, Var):
+        p = e.path
+        if len(p) >= 2 and p[0] == "layers" and isinstance(p[1], int) and p[1] >= insert_pos:
+            return Var(("layers", p[1] + 1) + p[2:])
+    return e
 
 
 # environment signatures

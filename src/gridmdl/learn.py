@@ -221,8 +221,8 @@ def _expr_proposals(model: Ctor, ev: TaskEval, sig: dict) -> list[Refinement]:
     return out
 
 
-def propose_refinements(model: Ctor, ev: TaskEval, cfg: SearchConfig = DEFAULT_SEARCH,
-                        caches: Caches | None = None) -> list[Refinement]:
+def propose_refinements(model: Ctor, ev: TaskEval, caches: Caches,
+                        cfg: SearchConfig = DEFAULT_SEARCH) -> list[Refinement]:
     """Candidate refinements of the model, in the configured group order.
 
     No group repeats itself or another's (kind, side, path, template): the
@@ -291,7 +291,7 @@ def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
                 timed_out = True
                 break
             wanted = len(found) + cfg.refinements
-            for ref in propose_refinements(entry.ev.model, entry.ev, cfg, caches):
+            for ref in propose_refinements(entry.ev.model, entry.ev, caches, cfg):
                 if time.monotonic() > deadline:
                     timed_out = True
                     break

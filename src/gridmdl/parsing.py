@@ -117,20 +117,30 @@ class ReadingPair:
 
 @dataclass
 class Caches:
-    """The reading context of a task: the ParseConfig its grids are read
-    under, and its memo tables; safe to share across refinement evaluations.
+    """The reading context of a task, and the only way into the reading
+    path: the one ParseConfig its grids are read under, and its memo
+    tables; safe to share across refinement evaluations. `learn.learn` and
+    `learn.predict` each make one; every function below them takes it.
 
     Input models map to their cost and environment signature
     (`coding.l_pair_model`). `applied` is `lang.apply_model`'s memo: model
     sides and their layers, each keyed with its environment (the input
     tree, or None), map to their application, or to the error message of
     an application that fails. `indexes` maps each grid to its `GridIndex`,
-    which carries every per-grid memo, the grid's readings under `cfg`
-    among them: the context fixes the config and the index the grid."""
+    which `index` builds on the grid's first use and which carries every
+    per-grid memo, the grid's readings under `cfg` among them: the context
+    fixes the config and the index the grid."""
     cfg: ParseConfig = DEFAULT_PARSE
     inputs: dict = field(default_factory=dict)
     applied: dict = field(default_factory=dict)
     indexes: dict = field(default_factory=dict)
+
+    def index(self, g: Grid) -> GridIndex:
+        """The grid's index in this context."""
+        index = self.indexes.get(g)
+        if index is None:
+            index = self.indexes[g] = build_index(g)
+        return index
 
 
 # drawing
@@ -394,51 +404,18 @@ def build_index(g: Grid) -> GridIndex:
 
 # template matching with diffs
 
-def template_diffs(tmpl: Term, tree: Term, prefix: tuple = ()) -> tuple | None:
-    """Diffs turning the template into the ground tree, or None when the
-    structures are incompatible. Unknowns absorb anything.
-
-    The reference of `_matcher`, which the parser calls instead."""
-    if isinstance(tmpl, Unknown):
-        return ()
-    if lang.is_expr(tmpl):
-        raise lang.LangError("template still carries expressions")
-    if isinstance(tmpl, Ctor):
-        if not isinstance(tree, Ctor):
-            return ((prefix, tree),)
-        if tmpl.name != tree.name:
-            return ((prefix, tree),)
-        if tmpl.name == "Bitmap":
-            return () if tmpl.args == tree.args else ((prefix, tree),)
-        out: tuple = ()
-        for (fname, fsort, is_list), ta, da in zip(lang.ctor_fields(tmpl.name), tmpl.args, tree.args):
-            if is_list:
-                if len(ta) != len(da):
-                    return None
-                for k, (x, y) in enumerate(zip(ta, da)):
-                    d = template_diffs(x, y, prefix + (fname, k))
-                    if d is None:
-                        return None
-                    out += d
-            else:
-                d = template_diffs(ta, da, prefix + (fname,))
-                if d is None:
-                    return None
-                out += d
-        return out
-    return () if tmpl == tree else ((prefix, tree),)
-
-
 @lru_cache(maxsize=4096)
 def _matcher(tmpl: Term):
-    """`template_diffs(tmpl, tree)` as a function of the tree, compiled once
-    per template and kept in a bounded process-wide cache: a fresh grid's
+    """The diffs turning the template into a ground tree, as a function of
+    the tree: None when the structures are incompatible (a list field of
+    another length), else one (path, subtree) diff per template leaf,
+    bitmap or constructor the tree does not match, in field order; unknowns
+    absorb anything, and an expression raises LangError. Compiled once per
+    template and kept in a bounded process-wide cache: a fresh grid's
     candidates meet the same layer templates as every grid before it.
 
-    The compiled form drops the template's unknowns, which absorb anything,
-    and builds a diff's path only when it emits the diff. It meets the
-    template's fields in the same order, so it returns None, or raises the
-    LangError of an expression, exactly where `template_diffs` does."""
+    The compiled form drops the template's unknowns and builds a diff's
+    path only when it emits the diff."""
     return _compile(tmpl) or _match_any
 
 
@@ -543,10 +520,10 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
     return layer
 
 
-def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
-          index: GridIndex | None = None) -> tuple[Reading, ...]:
+def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     """All retained readings of `g` under an expression-free grid model,
-    sorted by ascending description length.
+    sorted by ascending description length, under the context's config and
+    through the grid's index in it.
 
     A combination picks one admitted candidate per layer. `_walk` returns
     the first `max_trees_before_sort` that use no candidate twice and stay
@@ -570,8 +547,7 @@ def parse(applied: Term, g: Grid, cfg: ParseConfig = DEFAULT_PARSE,
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
     dims = (h, w)
-    if index is None:
-        index = build_index(g)
+    cfg, index = caches.cfg, caches.index(g)
     size_t, color_t, layer_ts = applied.args
     size = _vec(h, w)
 
@@ -719,6 +695,9 @@ def _walk(rows: list, cap: int, budget: int) -> list:
         visit(0, rank, 0, 0, 0, 0)
         if len(out) >= cap or steps >= _MAX_STEPS:
             break
+    # `visit` holds itself through its closure: break that cycle, so that
+    # reference counting frees the walk's state
+    visit = None
     return out
 
 
@@ -782,34 +761,26 @@ def _best_background(colours: list, uncovered: int, mismatch: int,
 
 # reading models against grids
 
-def read(m: Term, env: Term | None, g: Grid,
-         caches: Caches | None = None) -> tuple[Reading, ...]:
+def read(m: Term, env: Term | None, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     """Apply the model side to its environment and parse the grid.
 
     Returns no readings when the environment does not support the model's
-    expressions (dangling variable, negative difference). With `caches`,
-    each model side and each of its layers is applied once per environment
-    (`lang.apply_model`), and each grid indexed once and parsed under
-    `caches.cfg` once per applied model; without, the call takes the same
-    path through a fresh `Caches` of its own, under DEFAULT_PARSE."""
-    if caches is None:
-        caches = Caches()
+    expressions (dangling variable, negative difference). Each model side
+    and each of its layers is applied once per environment of the context
+    (`lang.apply_model`), and each grid indexed once and parsed once per
+    applied model under `caches.cfg`."""
     try:
         applied = lang.apply_model(m, env, caches.applied)
     except lang.LangError:
         return ()
-    index = caches.indexes.get(g)
-    if index is None:
-        index = caches.indexes[g] = build_index(g)
+    index = caches.index(g)
     hit = index.readings.get(applied)
     if hit is None:
-        # cfg by keyword: bench/run.py's parse note takes args[3], else kwargs["cfg"]
-        hit = index.readings[applied] = parse(applied, g, cfg=caches.cfg, index=index)
+        hit = index.readings[applied] = parse(applied, g, caches)
     return hit
 
 
-def read_pair(model: Ctor, gi: Grid, go: Grid,
-              caches: Caches | None = None) -> list[ReadingPair]:
+def read_pair(model: Ctor, gi: Grid, go: Grid, caches: Caches) -> list[ReadingPair]:
     """Chained readings of one example, best combined cost first."""
     m_in, m_out = model.args
     pairs: list[ReadingPair] = []

@@ -1,6 +1,6 @@
 """Shared test data and oracles: a nested-rectangles task, a synthetic task
-suite, task files, corpus gating, and the cell-level oracles the grid,
-parsing and property tests check against. Fixtures over them live in `conftest.py`."""
+suite, task files, corpus gating, and the cell-level and template oracles
+the grid, parsing and property tests check against. Fixtures over them live in `conftest.py`."""
 
 import json
 import os
@@ -160,6 +160,38 @@ def build_index_by_scans(g: Grid) -> parsing.GridIndex:
     ranked = sorted(unique.values(), key=lambda c: c.sort_key(w))
     return parsing.GridIndex(g, tuple(ranked[:parsing._MAX_CANDIDATES]), tuple(color_cells),
                              (1 << (g.height * w)) - 1)
+
+
+def template_diffs(tmpl, tree, prefix: tuple = ()) -> tuple | None:
+    """Reference for `parsing._matcher(tmpl)(tree)`, by recursion over both
+    terms: the diffs turning the template into the ground tree, or None when
+    the structures are incompatible. Unknowns absorb anything."""
+    if isinstance(tmpl, lang.Unknown):
+        return ()
+    if lang.is_expr(tmpl):
+        raise lang.LangError("template still carries expressions")
+    if isinstance(tmpl, lang.Ctor):
+        if not isinstance(tree, lang.Ctor) or tmpl.name != tree.name:
+            return ((prefix, tree),)
+        if tmpl.name == "Bitmap":
+            return () if tmpl.args == tree.args else ((prefix, tree),)
+        out: tuple = ()
+        for (fname, _, is_list), ta, da in zip(lang.ctor_fields(tmpl.name), tmpl.args, tree.args):
+            if is_list:
+                if len(ta) != len(da):
+                    return None
+                for k, (x, y) in enumerate(zip(ta, da)):
+                    d = template_diffs(x, y, prefix + (fname, k))
+                    if d is None:
+                        return None
+                    out += d
+            else:
+                d = template_diffs(ta, da, prefix + (fname,))
+                if d is None:
+                    return None
+                out += d
+        return out
+    return () if tmpl == tree else ((prefix, tree),)
 
 
 def nested_pair(outer_color, inner_color, h, w, outer_pos, outer_size, inner_pos, inner_size):

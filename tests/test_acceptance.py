@@ -21,7 +21,7 @@ from gridmdl.coding import (
 from gridmdl.grids import Grid, delta_apply
 from gridmdl.learn import SearchConfig, create, initial_model, learn, predict
 from gridmdl.lang import App, UNK, Unknown, Var
-from gridmdl.parsing import draw, parse
+from gridmdl.parsing import Caches, draw, parse
 
 from helpers import (
     ARC_SKIP, NESTED_SOLUTION_TEXT, NESTED_TEST, NESTED_TRAIN,
@@ -41,7 +41,7 @@ def _pass(tag: str, detail: str) -> None:
 def test_criterion_a_initial_model_normalizes_to_two(synthetic_tasks):
     suites = [NESTED_TRAIN] + synthetic_tasks
     for pairs in suites:
-        ev = l_task(initial_model(), pairs)
+        ev = l_task(initial_model(), pairs, Caches())
         norm = Normalizer.from_initial(ev)
         assert abs(ev.normalized(norm) - 2.0) <= TOL
     _pass("(a)", f"normalized initial score 2.000 +/- 1e-9 on "
@@ -55,7 +55,7 @@ def test_criterion_a_initial_model_normalizes_to_two_on_corpus(arc_dir):
     for p in paths:
         task = tasks.load_task(p)
         pairs = [(ex.input, ex.output) for ex in task.train]
-        ev = l_task(initial_model(), pairs)
+        ev = l_task(initial_model(), pairs, Caches())
         norm = Normalizer.from_initial(ev)
         assert abs(ev.normalized(norm) - 2.0) <= TOL, p.name
     _pass("(a)", f"normalized initial score 2.000 on all {len(paths)} "
@@ -73,7 +73,7 @@ def _assert_cost_table(result, pairs, lhat_bound: float):
     lines = table.splitlines()
     assert [ln.split()[0] for ln in lines[1:]] == ["input", "output", "chained"]
     assert lines[0].split() == ["L(M)", "L(D|M)", "L(M,D)", "normalized"]
-    initial = coding.format_eval_table(l_task(initial_model(), pairs))
+    initial = coding.format_eval_table(l_task(initial_model(), pairs, Caches()))
     assert initial.splitlines()[3].split()[-1] == "2.000"
     return table
 
@@ -92,7 +92,7 @@ def test_criterion_b_cost_table_on_corpus_task_b94a9452(arc_dir):
         pytest.skip(f"{path} not found in corpus directory")
     task = tasks.load_task(path)
     pairs = [(ex.input, ex.output) for ex in task.train]
-    ev0 = l_task(initial_model(), pairs)
+    ev0 = l_task(initial_model(), pairs, Caches())
     initial_total = ev0.totals()["both"][2]
     assert abs(initial_total - 12376.9) <= 0.10 * 12376.9
     result = learn(pairs)
@@ -261,7 +261,7 @@ def _check_lossless_reads(rng: random.Random, n: int) -> int:
             template = _rand_template(rng, scene)
         else:  # a template built from some other scene entirely
             template = _rand_template(rng, _rand_scene(rng))
-        readings = parse(template, g)
+        readings = parse(template, g, Caches())
         if kind == 0:
             assert readings, "the unconstrained template must always read"
         for r in readings:

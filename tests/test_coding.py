@@ -12,6 +12,7 @@ from gridmdl.coding import (
 )
 from gridmdl.grids import Grid
 from gridmdl.lang import UNK, Var, grid, in_out, point, pos_shape, rectangle, vec
+from gridmdl.parsing import Caches
 
 KIND = -math.log2(0.4)      # the value-kind charge every concrete node pays
 UNKNOWN = -math.log2(0.1)   # an unknown slot in a model
@@ -94,7 +95,7 @@ def test_initial_grid_model_cost():
 
 def test_initial_pair_model_cost():
     m0 = in_out(grid(UNK, UNK, []), grid(UNK, UNK, []))
-    lin, lout = l_pair_model(m0)
+    lin, lout = l_pair_model(m0, Caches())
     assert lin == lout == pytest.approx(8.9658, abs=1e-4)
     assert lin + lout == pytest.approx(17.93, abs=5e-3)
 
@@ -267,7 +268,7 @@ def _tiny_examples():
 
 def test_initial_model_normalizes_to_exactly_two():
     m0 = in_out(grid(UNK, UNK, []), grid(UNK, UNK, []))
-    ev = l_task(m0, _tiny_examples())
+    ev = l_task(m0, _tiny_examples(), Caches())
     norm = Normalizer.from_initial(ev)
     assert ev.normalized(norm) == pytest.approx(2.0, abs=1e-12)
     nin, nout = ev.normalized_sides(norm)
@@ -277,7 +278,7 @@ def test_initial_model_normalizes_to_exactly_two():
 
 def test_task_eval_totals_add_up():
     m0 = in_out(grid(UNK, UNK, []), grid(UNK, UNK, []))
-    ev = l_task(m0, _tiny_examples())
+    ev = l_task(m0, _tiny_examples(), Caches())
     t = ev.totals()
     for k in range(3):
         assert t["both"][k] == pytest.approx(t["in"][k] + t["out"][k], abs=1e-9)
@@ -288,12 +289,12 @@ def test_unreadable_example_raises_model_eval_error():
     # ground 2x2 input model vs a 3x3 grid: no reading survives training parse
     m = in_out(grid(vec(2, 2), 0, []), grid(UNK, UNK, []))
     with pytest.raises(ModelEvalError):
-        l_task(m, [(Grid([[0] * 3] * 3), Grid([[0] * 3] * 3))])
+        l_task(m, [(Grid([[0] * 3] * 3), Grid([[0] * 3] * 3))], Caches())
 
 
 def test_eval_table_layout():
     m0 = in_out(grid(UNK, UNK, []), grid(UNK, UNK, []))
-    ev = l_task(m0, _tiny_examples())
+    ev = l_task(m0, _tiny_examples(), Caches())
     table = format_eval_table(ev)
     lines = table.splitlines()
     assert "L(M)" in lines[0] and "L(D|M)" in lines[0] and "L(M,D)" in lines[0]

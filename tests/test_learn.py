@@ -1,5 +1,7 @@
 """Refinement search: proposals, application, full learning runs, prediction."""
 
+import ast
+import gc
 import importlib
 import json
 import math
@@ -52,8 +54,9 @@ def test_input_insertion_renumbers_output_variables():
 
 def test_proposals_at_the_start_lead_with_output_insertions(nested_train):
     cfg = SearchConfig()
-    ev = coding.l_task(initial_model(), nested_train, parsing.Caches(cfg.parse))
-    props = propose_refinements(initial_model(), ev, cfg)
+    caches = parsing.Caches(cfg.parse)
+    ev = coding.l_task(initial_model(), nested_train, caches)
+    props = propose_refinements(initial_model(), ev, caches, cfg)
     assert props, "no proposals at the initial model"
     first = props[0]
     assert (first.kind, first.side, first.path) == ("insert", "out", ("layers", 0))
@@ -172,10 +175,10 @@ def test_proposals_take_the_input_signature_from_the_task_caches(nested_train, m
         "insert", "in", ("layers", 0), pos_shape(UNK, rectangle(UNK, UNK, UNK)), lang.OBJECT))
     caches = parsing.Caches(cfg.parse)
     ev = coding.l_task(model, nested_train, caches)
-    fresh = propose_refinements(model, ev, cfg)
+    fresh = propose_refinements(model, ev, parsing.Caches(cfg.parse), cfg)
     # scoring the model left its input side's signature in the caches
     monkeypatch.setattr(lang, "signature", None)
-    assert propose_refinements(model, ev, cfg, caches) == fresh
+    assert propose_refinements(model, ev, caches, cfg) == fresh
 
 
 def _reading(tree):
@@ -200,7 +203,7 @@ def test_a_pattern_is_proposed_only_when_a_reading_agrees_in_every_example():
     c = grid(vec(3, 4), 1, [pos_shape(vec(0, 0), rectangle(vec(3, 3), 3, lang.FULL))])
     d = grid(vec(7, 4), 1, [pos_shape(vec(0, 0), rectangle(vec(1, 1), 3, lang.FULL))])
     ev = _two_example_eval(model, [[(a, out), (b, out)], [(c, out), (d, out)]])
-    props = propose_refinements(model, ev, SearchConfig(order="Ei"))
+    props = propose_refinements(model, ev, parsing.Caches(), SearchConfig(order="Ei"))
     assert [(p.path, p.template) for p in props] == [
         (("size", "i"), 3), (("size", "i"), 7),   # both examples, ascending
         (("color",), 1),                          # black is in the first example only
@@ -219,7 +222,7 @@ def test_an_expression_holds_only_on_an_aligned_chained_pair(aligned):
     # decides whether the output height is the input height
     second = [(c, out3), (d, out7)] if aligned else [(c, out7), (d, out3)]
     ev = _two_example_eval(model, [[(a, out7)], second])
-    props = propose_refinements(model, ev, SearchConfig(order="Eo"))
+    props = propose_refinements(model, ev, parsing.Caches(), SearchConfig(order="Eo"))
     held = Refinement("replace", "out", ("size", "i"), Var(("size", "i")), lang.NAT)
     assert (held in props) == aligned
 
@@ -268,7 +271,7 @@ def test_learning_is_deterministic(nested_train):
 
 def test_train_pair_returns_chained_readings():
     gi, go = nested_pair(2, 4, 12, 13, (1, 3), (4, 4), (2, 4), (2, 2))
-    pairs = parsing.read_pair(initial_model(), gi, go)
+    pairs = parsing.read_pair(initial_model(), gi, go, parsing.Caches())
     assert pairs
     assert [p.dl for p in pairs] == sorted(p.dl for p in pairs)
     assert pairs[0].dl == pytest.approx(pairs[0].rin.dl + pairs[0].rout.dl)
@@ -336,13 +339,15 @@ def _trajectory_models(train):
     """Every model the learner scores along its accepted path: each model on
     the trace and each refinement proposed from it."""
     result = learn(train, SearchConfig())
+    caches = parsing.Caches()
     model = initial_model()
-    ev = coding.l_task(model, train)
+    ev = coding.l_task(model, train, caches)
     out = [model]
     for step in result.trace[1:]:
-        out.extend(apply_refinement(model, ref) for ref in propose_refinements(model, ev))
+        out.extend(apply_refinement(model, ref)
+                   for ref in propose_refinements(model, ev, caches))
         model = apply_refinement(model, step.refinement)
-        ev = coding.l_task(model, train)
+        ev = coding.l_task(model, train, caches)
     return out
 
 
@@ -351,7 +356,7 @@ def test_task_memos_change_no_score_and_no_reading(synthetic_tasks):
         caches = parsing.Caches()
         for m in _trajectory_models(train):
             try:
-                plain = coding.l_task(m, train, caches=None)
+                plain = coding.l_task(m, train, caches=parsing.Caches())
             except (lang.LangError, coding.ModelEvalError) as e:
                 with pytest.raises(type(e)) as memo_error:
                     coding.l_task(m, train, caches=caches)
@@ -379,8 +384,7 @@ def _record_scores(trains, monkeypatch) -> list:
     real = coding.l_task
     calls = []
 
-    def recording(model, examples, caches=None, bound=None):
-        assert caches is not None
+    def recording(model, examples, caches, bound=None):
         try:
             ev = real(model, examples, caches, bound)
         except Exception as e:
@@ -472,7 +476,7 @@ def test_a_model_that_reads_no_first_example_is_never_costed(monkeypatch):
             coding.l_task(m, train, caches=parsing.Caches(), bound=bound)
 
 
-def test_a_score_without_a_context_indexes_each_grid_once(monkeypatch):
+def test_a_score_through_one_context_indexes_each_grid_once(monkeypatch):
     real = parsing.build_index
     built = []
 
@@ -481,10 +485,58 @@ def test_a_score_without_a_context_indexes_each_grid_once(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(parsing, "build_index", counting)
-    train = list(NESTED_TRAIN)
-    coding.l_task(lang.parse_model(NESTED_SOLUTION_TEXT), train)
+    model, train = lang.parse_model(NESTED_SOLUTION_TEXT), list(NESTED_TRAIN)
+    # one example: its output grid is indexed once, not once per input reading
+    caches = parsing.Caches()
+    assert parsing.read_pair(model, *train[0], caches)
+    assert len(parsing.read(model.args[0], None, train[0][0], caches)) > 1
+    assert built == list(train[0])
+    built.clear()
+    coding.l_task(model, train, parsing.Caches())
     grids = {g for pair in train for g in pair}
     assert len(built) == len(grids) and set(built) == grids
+
+
+def _context_makers(node, owner: str):
+    """The qualified name of the function, class or lambda around each
+    `Caches(...)` call below `node`, `owner` being the name around `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, ast.Call):
+            callee = child.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == "Caches":
+                yield owner
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{owner}.{child.name}"
+        elif isinstance(child, ast.Lambda):
+            inner = f"{owner}.<lambda>"
+        yield from _context_makers(child, inner)
+
+
+def test_only_learn_and_predict_make_a_reading_context():
+    """Every function below `learn.learn` and `learn.predict` takes the
+    task's `Caches`; none makes one of its own."""
+    package = Path(parsing.__file__).parent
+    makers = [owner for path in sorted(package.glob("*.py"))
+              for owner in _context_makers(ast.parse(path.read_text()), path.stem)]
+    assert sorted(makers) == ["learn.learn", "learn.predict"]
+
+
+def test_learning_and_predicting_leave_no_cyclic_garbage(nested_train):
+    """The reading path makes no reference cycle, so reference counting
+    frees all that `learn` and `predict` leave: with the collector off, a
+    collection after each finds nothing."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = learn(nested_train, SearchConfig())
+        assert gc.collect() == 0
+        predict(result.model, NESTED_TEST[0])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_failed_application_is_kept_and_fails_the_same_way_again():

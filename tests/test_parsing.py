@@ -9,8 +9,8 @@ from gridmdl import coding, lang, parsing
 from gridmdl.grids import Grid, GridError, delta_apply
 from gridmdl.lang import UNK, Var, bitmap, grid, in_out, point, pos_shape, rectangle, vec
 from gridmdl.parsing import (
-    Caches, ParseConfig, build_index, draw, generate, parse, read, read_pair,
-    recognize_mask, template_diffs, write,
+    Caches, ParseConfig, _matcher, build_index, draw, generate, parse, read,
+    read_pair, recognize_mask, write,
 )
 from helpers import NESTED_SOLUTION_TEXT
 
@@ -249,37 +249,37 @@ def test_candidate_count_is_bounded():
     assert len(idx.candidates) <= 512
 
 
-# template diffs
+# template diffs, as the compiled matcher gives them
 
 def test_template_diffs_exact_match_is_empty():
     t = pos_shape(vec(1, 1), point(3))
-    assert template_diffs(t, t) == ()
+    assert _matcher(t)(t) == ()
 
 
 def test_template_diffs_unknowns_absorb():
     tmpl = pos_shape(UNK, rectangle(UNK, UNK, UNK))
     tree = pos_shape(vec(0, 1), rectangle(vec(2, 2), 5, lang.BORDER))
-    assert template_diffs(tmpl, tree) == ()
+    assert _matcher(tmpl)(tree) == ()
 
 
 def test_template_diffs_report_mismatching_leaves():
     tmpl = pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.FULL))
     tree = pos_shape(vec(1, 2), rectangle(vec(2, 2), 6, lang.FULL))
-    got = template_diffs(tmpl, tree)
+    got = _matcher(tmpl)(tree)
     assert got == ((("pos", "j"), 2), (("shape", "color"), 6))
 
 
 def test_template_diffs_constructor_mismatch_is_one_diff():
     tmpl = pos_shape(vec(1, 1), rectangle(UNK, UNK, UNK))
     tree = pos_shape(vec(1, 1), point(3))
-    assert template_diffs(tmpl, tree) == ((("shape",), point(3)),)
+    assert _matcher(tmpl)(tree) == ((("shape",), point(3)),)
 
 
 # parsing
 
 def test_parse_initial_model_is_lossless_and_sorted():
     g = nested_input_grid()
-    readings = parse(grid(UNK, UNK, []), g)
+    readings = parse(grid(UNK, UNK, []), g, Caches())
     assert 0 < len(readings) <= 3
     assert all(reconstructs(r, g) for r in readings)
     assert [r.dl for r in readings] == sorted(r.dl for r in readings)
@@ -289,7 +289,7 @@ def test_parse_reading_of_a_plain_scene_recovers_objects():
     g = nested_input_grid()
     template = grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK)),
                                pos_shape(UNK, rectangle(UNK, UNK, UNK))])
-    readings = parse(template, g)
+    readings = parse(template, g, Caches())
     assert readings
     best = readings[0].tree
     assert lang.resolve(best, ("size",)) == vec(12, 13)
@@ -307,7 +307,7 @@ def test_parse_missing_objects_fall_back_to_the_delta():
     g = Grid([[0, 0, 0],
               [0, 8, 0],
               [0, 0, 0]])
-    readings = parse(grid(UNK, UNK, []), g)
+    readings = parse(grid(UNK, UNK, []), g, Caches())
     assert readings
     plain = readings[0]
     # with no layers in the template the odd cell is carried by the delta
@@ -320,12 +320,12 @@ def test_parse_unknown_background_picks_cheapest_colour():
     g = Grid([[7, 7, 7],
               [7, 7, 7],
               [7, 7, 0]])
-    readings = parse(grid(UNK, UNK, []), g)
+    readings = parse(grid(UNK, UNK, []), g, Caches())
     assert readings[0].tree.args[1] == 7
 
 
 def test_parse_unknown_background_breaks_ties_to_smaller_colour():
-    readings = parse(grid(UNK, UNK, []), Grid([[3, 3], [7, 7]]))
+    readings = parse(grid(UNK, UNK, []), Grid([[3, 3], [7, 7]]), Caches())
     assert readings
     assert readings[0].tree.args[1] == 3
 
@@ -334,7 +334,7 @@ def test_parse_keeps_search_order_among_equal_costs():
     g = Grid([[2, 0, 0],
               [0, 0, 0],
               [0, 0, 2]])
-    readings = parse(grid(UNK, 0, [pos_shape(UNK, UNK)]), g)
+    readings = parse(grid(UNK, 0, [pos_shape(UNK, UNK)]), g, Caches())
     # either red cell reads as the layer at the same cost; the search meets
     # the top-left one first, and a stable sort keeps it first
     assert readings[0].dl == readings[1].dl
@@ -343,9 +343,9 @@ def test_parse_keeps_search_order_among_equal_costs():
 
 def test_parse_ground_size_mismatch_needs_diff_budget():
     g = Grid([[0] * 4] * 3)
-    strict = parse(grid(vec(4, 4), UNK, []), g)
+    strict = parse(grid(vec(4, 4), UNK, []), g, Caches())
     assert strict == ()
-    lax = parse(grid(vec(4, 4), UNK, []), g, cfg=ParseConfig(max_diffs=3))
+    lax = parse(grid(vec(4, 4), UNK, []), g, Caches(ParseConfig(max_diffs=3)))
     assert lax
     assert ((("size", "i"), 3) in lax[0].diffs)
     assert reconstructs(lax[0], g)
@@ -353,17 +353,17 @@ def test_parse_ground_size_mismatch_needs_diff_budget():
 
 def test_parse_respects_diff_budget_count():
     g = Grid([[0] * 4] * 3)
-    one_short = parse(grid(vec(4, 5), UNK, []), g, cfg=ParseConfig(max_diffs=1))
+    one_short = parse(grid(vec(4, 5), UNK, []), g, Caches(ParseConfig(max_diffs=1)))
     assert one_short == ()
-    enough = parse(grid(vec(4, 5), UNK, []), g, cfg=ParseConfig(max_diffs=2))
+    enough = parse(grid(vec(4, 5), UNK, []), g, Caches(ParseConfig(max_diffs=2)))
     assert enough
 
 
 def test_parse_layer_template_mismatch_uses_diffs_when_allowed():
     g = draw(grid(vec(5, 5), 0, [pos_shape(vec(1, 1), rectangle(vec(3, 3), 2, lang.FULL))]))
     tmpl = grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, 4, UNK))])
-    assert parse(tmpl, g) == ()
-    lax = parse(tmpl, g, cfg=ParseConfig(max_diffs=1))
+    assert parse(tmpl, g, Caches()) == ()
+    lax = parse(tmpl, g, Caches(ParseConfig(max_diffs=1)))
     assert lax
     assert ((("layers", 0, "shape", "color"), 2),) == lax[0].diffs
     assert reconstructs(lax[0], g)
@@ -371,8 +371,8 @@ def test_parse_layer_template_mismatch_uses_diffs_when_allowed():
 
 def test_parse_prefers_cheaper_object_reading_over_delta():
     g = draw(grid(vec(6, 6), 0, [pos_shape(vec(1, 1), rectangle(vec(3, 3), 5, lang.FULL))]))
-    with_layer = parse(grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))]), g)
-    without = parse(grid(UNK, UNK, []), g)
+    with_layer = parse(grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))]), g, Caches())
+    without = parse(grid(UNK, UNK, []), g, Caches())
     assert with_layer[0].dl < without[0].dl
 
 
@@ -390,7 +390,7 @@ def _like_layers(n: int):
 
 def test_parse_reads_six_like_layers_over_six_objects():
     g = _scene(6)
-    readings = parse(_like_layers(6), g)
+    readings = parse(_like_layers(6), g, Caches())
     assert readings
     assert readings[0].delta == frozenset()
     assert len(set(readings[0].tree.args[2])) == 6
@@ -399,10 +399,10 @@ def test_parse_reads_six_like_layers_over_six_objects():
 
 def test_parse_keeps_the_readings_scored_when_the_step_bound_binds(monkeypatch):
     g = _scene(6)
-    full = parse(_like_layers(6), g, cfg=ParseConfig(max_trees_kept=64))
+    full = parse(_like_layers(6), g, Caches(ParseConfig(max_trees_kept=64)))
     # a bound that lets the walk reach some of the combinations, not all
     monkeypatch.setattr(parsing, "_MAX_STEPS", 3500)
-    cut = parse(_like_layers(6), g, cfg=ParseConfig(max_trees_kept=64))
+    cut = parse(_like_layers(6), g, Caches(ParseConfig(max_trees_kept=64)))
     assert 0 < len(cut) < len(full)
     assert set(cut) <= set(full)
 
@@ -410,11 +410,11 @@ def test_parse_keeps_the_readings_scored_when_the_step_bound_binds(monkeypatch):
 def test_parse_of_more_like_layers_than_candidates_reads_nothing(monkeypatch):
     g = _scene(6)
     assert len(build_index(g).candidates) == 8
-    assert parse(_like_layers(9), g) == ()
+    assert parse(_like_layers(9), g, Caches()) == ()
     # without the bound the walk exhausts every combination: states that
     # scored nothing are not walked again
     monkeypatch.setattr(parsing, "_MAX_STEPS", 10 ** 9)
-    assert parse(_like_layers(9), g) == ()
+    assert parse(_like_layers(9), g, Caches()) == ()
 
 
 def test_parses_sharing_one_index_read_as_through_a_fresh_one():
@@ -444,9 +444,9 @@ def test_parses_sharing_one_index_read_as_through_a_fresh_one():
                         template = grid(size, color, [layer, layer])
                         cfg = ParseConfig(max_trees_before_sort=cap, max_trees_kept=64,
                                           max_diffs=max_diffs)
-                        got = parse(template, g, cfg=cfg, index=index)
+                        got = parse(template, g, Caches(cfg, indexes={g: index}))
                         parses += bool(got)
-                        want = parse(template, g, cfg=cfg)
+                        want = parse(template, g, Caches(cfg))
                         assert ([(r.tree, r.delta, r.diffs, r.dl) for r in got]
                                 == [(r.tree, r.delta, r.diffs, r.dl) for r in want])
     assert len(index.walks) < parses
@@ -468,14 +468,14 @@ def test_read_applies_the_environment():
     env = grid(vec(4, 4), 0, [pos_shape(vec(1, 1), rectangle(vec(2, 2), 6, lang.FULL))])
     m = grid(Var(("layers", 0, "shape", "size")), Var(("layers", 0, "shape", "color")), [])
     g = Grid([[6, 6], [6, 6]])
-    readings = read(m, env, g)
+    readings = read(m, env, g, Caches())
     assert readings and readings[0].tree == grid(vec(2, 2), 6, [])
 
 
 def test_read_returns_nothing_on_dangling_environment():
     m = grid(Var(("layers", 3, "shape", "size")), UNK, [])
     env = grid(vec(2, 2), 0, [])
-    assert read(m, env, Grid([[0]])) == ()
+    assert read(m, env, Grid([[0]]), Caches()) == ()
 
 
 def test_read_caches_by_applied_model_and_grid():
@@ -490,7 +490,7 @@ def test_read_caches_by_applied_model_and_grid():
 
 def test_each_context_reads_a_grid_as_a_fresh_read_under_its_own_config():
     # two contexts over one grid, read in turn: neither hands the other its
-    # readings, and a read without a context reads under DEFAULT_PARSE
+    # readings, and a read through a context parses under its config
     g = nested_input_grid()
     m = grid(UNK, UNK, [pos_shape(UNK, rectangle(UNK, UNK, UNK))])
     contexts = [Caches(ParseConfig(max_trees_kept=3)),
@@ -499,25 +499,8 @@ def test_each_context_reads_a_grid_as_a_fresh_read_under_its_own_config():
         for caches in contexts:
             assert read(m, None, g, caches) == read(m, None, g, Caches(caches.cfg))
     assert [len(read(m, None, g, caches)) for caches in contexts] == [3, 1]
-    assert read(m, None, g) == parse(m, g, cfg=parsing.DEFAULT_PARSE)
-
-
-def test_read_passes_the_parse_config_by_keyword(monkeypatch):
-    # tracers around parse take its config from a keyword when the call has
-    # two positional arguments
-    calls = []
-    real = parsing.parse
-
-    def spy(*args, **kwargs):
-        calls.append((len(args), kwargs.get("cfg")))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(parsing, "parse", spy)
-    cfg = ParseConfig(max_trees_kept=1)
-    m = grid(UNK, UNK, [])
-    read(m, None, nested_input_grid(), Caches(cfg))
-    read(m, None, nested_input_grid(), caches=Caches(cfg))
-    assert calls == [(2, cfg), (2, cfg)]
+    for caches in contexts:
+        assert read(m, None, g, caches) == parse(m, g, Caches(caches.cfg))
 
 
 def test_the_applied_layer_memo_keys_on_the_environment():
@@ -554,7 +537,7 @@ def test_read_pair_chains_input_tree_into_output_model():
     )
     gi = draw(grid(vec(5, 5), 0, [pos_shape(vec(1, 1), rectangle(vec(2, 3), 7, lang.FULL))]))
     go = Grid([[7, 7, 7], [7, 7, 7]])
-    pairs = read_pair(model, gi, go)
+    pairs = read_pair(model, gi, go, Caches())
     assert pairs
     best = pairs[0]
     assert best.rout.delta == frozenset()

@@ -11,7 +11,9 @@ from gridmdl import coding, lang, parsing
 from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
-from helpers import build_index_by_scans, delta_between, mask_member, segment_by_scans
+from helpers import (
+    build_index_by_scans, delta_between, mask_member, segment_by_scans, template_diffs,
+)
 
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -145,7 +147,7 @@ def _diffs_or_error(match, tmpl, tree):
 @given(grid_terms(), grid_terms(exprs=False), st.data())
 def test_compiled_matcher_gives_what_template_diffs_gives(tmpl, other, data):
     """`parsing._matcher`, compiled once per template and cached process-wide,
-    against the recursive `template_diffs`: whole grid templates and each of
+    against the recursive `helpers.template_diffs`: whole grid templates and each of
     their subterms (int leaves, bitmaps, masks, layers) against trees of the
     template's shape with some numbers changed, and against other grids,
     whose layer lists may be shorter or longer. A template's expressions
@@ -161,7 +163,7 @@ def test_compiled_matcher_gives_what_template_diffs_gives(tmpl, other, data):
                 at = lang.resolve(tree, path)
             except lang.LangError:
                 at = tree  # no such slot in this tree: a mismatch at the root
-            want = _diffs_or_error(parsing.template_diffs, sub, at)
+            want = _diffs_or_error(template_diffs, sub, at)
             assert _diffs_or_error(lambda t, x: parsing._matcher(t)(x), sub, at) == want
 
 
@@ -310,14 +312,15 @@ def _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing, kept
         except GridError:  # a zero size or a bitmap that does not fit
             pass
     cfg = parsing.ParseConfig(max_trees_kept=kept, max_diffs=max_diffs)
-    readings = parsing.parse(template, g, cfg=cfg)
+    readings = parsing.parse(template, g, parsing.Caches(cfg))
     dims = (g.height, g.width)
     for r in readings:
         assert r.dl == (coding.l_parse_tree(r.tree, template, r.diffs, dims)
                         + coding.l_delta(r.delta, dims))
         assert delta_apply(parsing.draw(r.tree), r.delta) == g
     assert [r.dl for r in readings] == sorted(r.dl for r in readings)
-    assert parsing.parse(template, g, cfg=replace(cfg, max_trees_kept=1)) == readings[:1]
+    one = parsing.Caches(replace(cfg, max_trees_kept=1))
+    assert parsing.parse(template, g, one) == readings[:1]
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])
@@ -409,8 +412,8 @@ def test_parse_through_a_shared_index_matches_a_fresh_parse(t, pair, own_drawing
     for size, color, layers, cap, max_diffs in data.draw(st.permutations(calls)):
         template = lang.grid(size, color, layers)
         cfg = parsing.ParseConfig(max_trees_before_sort=cap, max_diffs=max_diffs)
-        assert (parsing.parse(template, g, cfg=cfg, index=index)
-                == parsing.parse(template, g, cfg=cfg))
+        assert (parsing.parse(template, g, parsing.Caches(cfg, indexes={g: index}))
+                == parsing.parse(template, g, parsing.Caches(cfg)))
 
 
 def _oracle_parse(template, g, index, cfg):
@@ -425,12 +428,12 @@ def _oracle_parse(template, g, index, cfg):
     size_t, color_t, layer_ts = template.args
     dims = (g.height, g.width)
     size = lang.vec(*dims)
-    size_diffs = parsing.template_diffs(size_t, size)
+    size_diffs = template_diffs(size_t, size)
     if len(size_diffs) > cfg.max_diffs:
         return []
     admitted = []
     for lt in layer_ts:
-        picks = [(c, parsing.template_diffs(lt, c.tree)) for c in index.candidates]
+        picks = [(c, template_diffs(lt, c.tree)) for c in index.candidates]
         admitted.append([(c, d) for c, d in picks
                          if d is not None and len(size_diffs) + len(d) <= cfg.max_diffs])
     combos = []
@@ -538,7 +541,7 @@ def test_parse_reads_the_first_injective_in_budget_combinations_in_rank_order(ma
     cfg = parsing.ParseConfig(max_trees_before_sort=data.draw(st.sampled_from([1, 2, 5, 64])),
                               max_trees_kept=data.draw(st.sampled_from([1, 3, 64])),
                               max_diffs=max_diffs)
-    readings = parsing.parse(template, g, cfg=cfg, index=index)
+    readings = parsing.parse(template, g, parsing.Caches(cfg, indexes={g: index}))
     assert all(r.grid is g for r in readings)
     assert ([(r.tree, r.delta, r.diffs, r.dl) for r in readings]
             == _oracle_parse(template, g, index, cfg))
