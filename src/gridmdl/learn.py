@@ -9,6 +9,7 @@ time budget runs out, and returns the best model seen with its trace.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -272,43 +273,51 @@ def _select(found: list[_Entry], width: int) -> list[_Entry]:
 
 
 def learn(examples, cfg: SearchConfig = DEFAULT_SEARCH) -> LearnResult:
-    """Induce a task model from (input, output) grid pairs, at least one."""
+    """Induce a task model from (input, output) grid pairs, at least one.
+    The search runs with the cyclic collector paused, safe since the reading
+    path makes no reference cycle, and turns it back on only if it was on."""
     start = time.monotonic()
     deadline = start + cfg.timeout
     examples = tuple(examples)
     if not examples:
         raise ValueError("examples: must hold at least one (input, output) pair")
-    caches = Caches(cfg.parse)
-    ev = coding.l_task(initial_model(), examples, caches)
-    norm = Normalizer.from_initial(ev, cfg.alpha)
-    best = _Entry(ev, (TraceStep(0, ev.normalized(norm), None),))
-    beam = [best]
-    timed_out = False
-    while not timed_out:
-        found: list[_Entry] = []
-        for entry in beam:
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
-            wanted = len(found) + cfg.refinements
-            for ref in propose_refinements(entry.ev.model, entry.ev, caches, cfg):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        caches = Caches(cfg.parse)
+        ev = coding.l_task(initial_model(), examples, caches)
+        norm = Normalizer.from_initial(ev, cfg.alpha)
+        best = _Entry(ev, (TraceStep(0, ev.normalized(norm), None),))
+        beam = [best]
+        timed_out = False
+        while not timed_out:
+            found: list[_Entry] = []
+            for entry in beam:
                 if time.monotonic() > deadline:
                     timed_out = True
                     break
-                refined = _evaluate(entry, ref, examples, caches, norm)
-                if refined is not None:
-                    found.append(refined)
-                    if len(found) == wanted:
+                wanted = len(found) + cfg.refinements
+                for ref in propose_refinements(entry.ev.model, entry.ev, caches, cfg):
+                    if time.monotonic() > deadline:
+                        timed_out = True
                         break
-            if timed_out:
+                    refined = _evaluate(entry, ref, examples, caches, norm)
+                    if refined is not None:
+                        found.append(refined)
+                        if len(found) == wanted:
+                            break
+                if timed_out:
+                    break
+            if not found:
                 break
-        if not found:
-            break
-        beam = _select(found, cfg.beam)
-        if beam[0].trace[-1].lhat < best.trace[-1].lhat - _EPS:
-            best = beam[0]
-    return LearnResult(best.ev.model, best.trace, best.ev, norm,
-                       time.monotonic() - start, timed_out)
+            beam = _select(found, cfg.beam)
+            if beam[0].trace[-1].lhat < best.trace[-1].lhat - _EPS:
+                best = beam[0]
+        return LearnResult(best.ev.model, best.trace, best.ev, norm,
+                           time.monotonic() - start, timed_out)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,

@@ -13,7 +13,7 @@ description length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter

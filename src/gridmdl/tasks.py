@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path

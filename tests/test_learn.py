@@ -6,6 +6,8 @@ import importlib
 import json
 import math
 import re
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -537,6 +539,120 @@ def test_learning_and_predicting_leave_no_cyclic_garbage(nested_train):
     finally:
         if enabled:
             gc.enable()
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then put it back."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_learning_and_predicting_the_synthetic_suite_leave_no_cyclic_garbage(synthetic_tasks):
+    """`learn` runs with the collector paused, so a cycle on the reading
+    path would be held until it returns: every synthetic task, learned and
+    then predicted on each training input, leaves none."""
+    gc.collect()
+    with _collector(False):
+        for train in synthetic_tasks:
+            result = learn(train, SearchConfig())
+            assert gc.collect() == 0
+            for gi, _ in train:
+                predict(result.model, gi, attempts=3)
+            assert gc.collect() == 0
+
+
+def _watch_collector(monkeypatch, before=None):
+    """Record `gc.isenabled()` on every `coding.l_task` call, after calling
+    `before()` if it is given."""
+    seen = []
+    real = coding.l_task
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if before is not None:
+            before()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "l_task", watched)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_learn_searches_with_the_collector_paused_and_restores_it(
+        monkeypatch, nested_train, enabled):
+    seen = _watch_collector(monkeypatch)
+    with _collector(enabled):
+        learn(nested_train, SearchConfig())
+        assert gc.isenabled() is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_learn_restores_the_collector_when_the_search_raises(
+        monkeypatch, nested_train, enabled):
+    def fail():
+        raise RuntimeError("scoring failed")
+
+    seen = _watch_collector(monkeypatch, fail)
+    with _collector(enabled):
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            learn(nested_train, SearchConfig())
+        assert gc.isenabled() is enabled
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_learn_restores_the_collector_when_it_times_out(nested_train, enabled):
+    with _collector(enabled):
+        result = learn(nested_train, SearchConfig(timeout=0))
+        assert gc.isenabled() is enabled
+    assert result.timed_out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_learn_with_no_examples_leaves_the_collector_alone(enabled):
+    with _collector(enabled):
+        with pytest.raises(ValueError):
+            learn([])
+        assert gc.isenabled() is enabled
+
+
+def test_overlapping_learns_in_threads_end_with_the_collector_enabled(
+        monkeypatch, nested_train):
+    """The learn that paused the collector turns it back on; the one that
+    found it paused leaves it."""
+    barrier = threading.Barrier(2)
+    waited = set()
+
+    def meet():
+        me = threading.get_ident()
+        if me not in waited:
+            waited.add(me)
+            barrier.wait(timeout=30)
+
+    _watch_collector(monkeypatch, meet)
+    results, errors = [], []
+
+    def run():
+        try:
+            results.append(learn(nested_train, SearchConfig()))
+        except BaseException as e:  # surfaced by the assert below
+            errors.append(e)
+
+    with _collector(True):
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and len(results) == 2
+        assert results[0].model == results[1].model
+        assert gc.isenabled()
 
 
 def test_a_failed_application_is_kept_and_fails_the_same_way_again():
