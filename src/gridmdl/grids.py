@@ -62,11 +62,16 @@ class Grid:
                                if type(c) is not int or c not in _COLORS), w)
             raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
                             f"0-{NUM_COLORS - 1}")
+        self._fill(rows, h, w)
+
+    def _fill(self, rows: tuple, h: int, w: int) -> "Grid":
+        """Set the fields of a grid of checked rows."""
         object.__setattr__(self, "height", h)
         object.__setattr__(self, "width", w)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_arr", None)
         object.__setattr__(self, "_hash", hash(rows))
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("grids are immutable")
@@ -86,7 +91,14 @@ class Grid:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Grid":
-        return cls(arr.tolist())
+        """The grid of a 2-D array of cells, refused as `Grid(arr.tolist())`
+        refuses it. An integer array of colours 0..9 within the size limits
+        is checked by numpy rather than cell by cell."""
+        if not (arr.ndim == 2 and arr.dtype.kind in "iu" and 0 < arr.shape[0] <= MAX_DIM
+                and 0 < arr.shape[1] <= MAX_DIM and arr.min() >= 0
+                and arr.max() < NUM_COLORS):
+            return cls(arr.tolist())
+        return object.__new__(cls)._fill(tuple(map(tuple, arr.tolist())), *arr.shape)
 
     @property
     def size(self) -> tuple[int, int]:
@@ -123,7 +135,7 @@ def delta_apply(base: Grid, delta: Delta) -> Grid:
     return Grid(rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Part:
     """Maximal connected one-colour region: its colour, its box, its `area`
     (cell count) and `mask`, the read-only boolean array of its cells over
@@ -139,6 +151,13 @@ class Part:
     width: int
     area: int
     mask: np.ndarray = field(repr=False)
+
+    def __init__(self, color: int, top: int, left: int, height: int, width: int,
+                 area: int, mask: np.ndarray):
+        # one update of the instance dict: a frozen dataclass's own __init__
+        # pays an `object.__setattr__` per field
+        self.__dict__.update(color=color, top=top, left=left, height=height,
+                             width=width, area=area, mask=mask)
 
     @property
     def cells(self) -> frozenset:
@@ -166,9 +185,10 @@ def segment(g: Grid) -> tuple[Part, ...]:
     two neighbouring cells is set when their colours are equal. The points
     between diagonal neighbours are never set, so two cells are 4-connected
     on the lattice exactly when a one-colour 4-connected path joins them in
-    the grid. Each part's first cell comes from one `np.unique` over the
-    cells' labels, its area from one `np.bincount`; only its mask is cut
-    per part."""
+    the grid. Each part's area comes from one `np.bincount` over the cells'
+    labels; its mask is cut from its box, and its first cell, whose colour
+    is the part's, is the first set cell of the mask's top row. The parts,
+    not the cells, are then sorted by that cell."""
     arr = g.array
     h, w = arr.shape
     lattice = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
@@ -178,20 +198,18 @@ def segment(g: Grid) -> tuple[Part, ...]:
     labels, _ = ndimage.label(lattice, structure=_STRUCT4)
     boxes = ndimage.find_objects(labels)
     labels = labels[::2, ::2]  # the cells' labels
-    flat = labels.ravel()
-    # labels run 1..n, so `first[k - 1]` is label k's first cell in row-major order
-    _, first = np.unique(flat, return_index=True)
-    colors = arr.ravel()[first].tolist()
-    areas = np.bincount(flat).tolist()
-    parts = []
-    for k in np.argsort(first).tolist():
-        rows, cols = boxes[k]
+    areas = np.bincount(labels.ravel()).tolist()
+    rows = g.rows
+    firsts, parts = [], []
+    for k, (rs, cs) in enumerate(boxes, 1):
         # a part's lattice box starts and ends on cells, at even points
-        top, left = rows.start // 2, cols.start // 2
-        mask = labels[top:(rows.stop + 1) // 2, left:(cols.stop + 1) // 2] == k + 1
+        top, left = rs.start // 2, cs.start // 2
+        mask = labels[top:(rs.stop + 1) // 2, left:(cs.stop + 1) // 2] == k
         mask.setflags(write=False)
-        parts.append(Part(colors[k], top, left, *mask.shape, areas[k + 1], mask))
-    return tuple(parts)
+        first = left + int(mask[0].argmax())
+        firsts.append(top * w + first)
+        parts.append(Part(rows[top][first], top, left, *mask.shape, areas[k], mask))
+    return tuple(parts[k] for k in sorted(range(len(parts)), key=firsts.__getitem__))
 
 
 @lru_cache(maxsize=4096)

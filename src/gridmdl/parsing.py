@@ -5,10 +5,11 @@ objects built from parts (plus limited unions and point explosions), and a
 walk over per-layer candidate combinations in increasing rank order. The walk
 only enumerates: depth first, one rank sum at a time, it cuts a branch at the
 first candidate used twice or diff budget overrun, and returns what it met
-within `_MAX_STEPS` candidate tries, once per row set per grid. `parse` costs
-each combination it gets back; the cheapest become readings: a ground parse
-tree, the cell delta against the drawn tree, any template diffs, and its
-description length.
+within `_MAX_STEPS` candidate tries, once per row set per grid. `parse` keys
+each combination it gets back with a pre-summed cost and sums exactly only
+those whose key can reach the kept ones; the cheapest become readings: a
+ground parse tree, the cell delta against the drawn tree, any template
+diffs, and its description length.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, mask_array, segme
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown, UNK,
-    grid as grid_term, pos_shape, rectangle, point, vec, bitmap as bitmap_term,
+    grid as grid_term, pos_shape, rectangle, point, vec,
     FULL,
 )
 
@@ -243,7 +244,7 @@ def write(m: Term, env: Term | None) -> tuple[Term, Grid]:
 
 # candidates
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Candidate:
     """A possible object occurrence: its term, drawn cells, and order key data."""
     tree: Ctor
@@ -254,6 +255,13 @@ class Candidate:
     left: int
     variant: int  # 0 full-mask, 1 exact-mask, 2 point
     wrong: int    # drawn cells whose grid colour differs
+
+    def __init__(self, tree: Ctor, cells: int, area: int, color: int, top: int, left: int,
+                 variant: int, wrong: int):
+        # one update of the instance dict: a frozen dataclass's own __init__
+        # pays an `object.__setattr__` per field
+        self.__dict__.update(tree=tree, cells=cells, area=area, color=color, top=top,
+                             left=left, variant=variant, wrong=wrong)
 
     def sort_key(self, width: int):
         return (self.color == 0, -self.area, self.top * width + self.left, self.variant)
@@ -324,8 +332,8 @@ def recognize_mask(mask: np.ndarray) -> Ctor:
         # same shape and dtype: equal bytes are equal cells
         if cells == mask_array(name, h, w).tobytes():
             return Ctor(name)
-    # rows of 0/1 ints, read in one call
-    return bitmap_term(mask.view(np.uint8).tolist())
+    # rows of 0/1 ints, read in one call: already the bitmap's field
+    return Ctor("Bitmap", (tuple(map(tuple, mask.view(np.uint8).tolist())),))
 
 
 def _rect_candidates(color: int, top: int, left: int, mask: np.ndarray, area: int,
@@ -384,10 +392,17 @@ def build_index(g: Grid) -> GridIndex:
     for p in parts:
         if p.area > 1:
             _rect_candidates(p.color, p.top, p.left, p.mask, p.area, w, color_cells, cands)
-        if p.area < 5:
-            for i, j in sorted(p.cells):
-                cands.append(Candidate(pos_shape(_vec(i, j), point(p.color)),
-                                       1 << (i * w + j), 1, p.color, i, j, 2, 0))
+        if p.area == 1:
+            points = ((p.top, p.left),)
+        elif p.area < 5:
+            # row-major, so in scanline order
+            ii, jj = np.nonzero(p.mask)
+            points = zip((ii + p.top).tolist(), (jj + p.left).tolist())
+        else:
+            points = ()
+        for i, j in points:
+            cands.append(Candidate(pos_shape(_vec(i, j), point(p.color)),
+                                   1 << (i * w + j), 1, p.color, i, j, 2, 0))
     by_color: dict[int, list[Part]] = {}
     for p in parts:
         by_color.setdefault(p.color, []).append(p)
@@ -483,20 +498,23 @@ class _Layer:
     """A layer template's admitted candidates on one grid, in candidate
     order: each (candidate, diffs) pick; the walk's row for it, (bit of the
     candidate's place in the index, diff count, cells, wrong cells); its
-    reading terms, filled when a costed combination first needs them; and
-    the rows' key, (bitmask of the candidates' places, their diff counts),
-    which with the index fixes every row."""
+    reading terms and their pre-summed total, its piece of a combination's
+    selection key, both filled when a combination first needs them; and the
+    rows' key, (bitmask of the candidates' places, their diff counts), which
+    with the index fixes every row."""
     template: Term
     picks: list
     rows: list
     terms: list
+    sums: list
     key: tuple
 
     def fill(self, i: int, dims: tuple[int, int], loc: float) -> tuple:
-        """Compute and keep pick i's reading terms."""
+        """Compute and keep pick i's reading terms and their total."""
         cand, diffs = self.picks[i]
         terms = self.terms[i] = coding.slot_terms(self.template, cand.tree, diffs,
                                                   dims, loc, OBJECT)
+        self.sums[i] = sum(terms[0]) + sum(terms[1])
         return terms
 
 
@@ -516,7 +534,8 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
                 if len(picks) >= _MAX_PER_LAYER:
                     break
         rows_key = (sum(row[0] for row in rows), bytes(row[1] for row in rows))
-        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks), rows_key)
+        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks),
+                                           [None] * len(picks), rows_key)
     return layer
 
 
@@ -535,11 +554,18 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
 
     A combination's cost is the sum of `coding.slot_terms` over the grid
     size, the background colour and each layer's candidate, plus the delta;
-    only the kept readings are built. Per grid, for as long as its index
-    lives, the grid size and each background colour are costed once per
-    model slots and diff-location cost (`_size_and_bg_terms`), a layer's
-    admitted candidates and their terms once, and a combination's
-    background and delta once. A combination with diffs is summed by
+    only the kept readings are built. When the walk returns more
+    combinations than are kept, each first gets a key: the same terms, each
+    layer's pre-summed. Only those whose key is within a guard of the
+    `max_trees_kept`-th smallest are summed exactly; as every term is >= 0,
+    a key is off its exact sum by far less than the guard, so no skipped
+    combination could have been kept, not even on a tie.
+
+    Per grid, for as long as its index lives, the grid size and each
+    background colour are costed once per model slots and diff-location
+    cost (`_size_and_bg_terms`), a layer's admitted candidates and their
+    terms once, and a combination's background and delta once. A
+    combination summed exactly with diffs is summed by
     `coding.sum_terms`. One without adds its layers' fills, one float at a
     time, to the running sum of the size's and its colour's fills: the same
     additions in the same order, so the same float."""
@@ -572,13 +598,36 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     # combination first needs them
     bg_terms = index.bg_terms.setdefault((size_t, color_t, loc), {})
     fixed_bg = color_t if isinstance(color_t, int) else None
+    combos = _combos(index, layers, cfg.max_trees_before_sort, budget, fixed_bg)
+    for bg in {combo[2] for combo in combos}:
+        if bg not in bg_terms:
+            bg_terms[bg] = _size_and_bg_terms(size_t, color_t, bg, dims, loc)
+    kept = cfg.max_trees_kept
+    if len(combos) > kept:
+        # a key adds the terms of the exact sum, each layer's pre-summed;
+        # every term is >= 0, so the two differ by far less than the guard,
+        # and a combination whose key is above the kept-th smallest key
+        # plus the guard costs more than the kept-th cheapest: it is never
+        # summed. The size's diff terms are the same under every background.
+        size_dsum = sum(bg_terms[combos[0][2]][0][0])
+        keys = []
+        for ranks, n_diffs, bg, _, delta_cost in combos:
+            key = bg_terms[bg][2] + delta_cost
+            for layer, i in zip(layers, ranks):
+                piece = layer.sums[i]
+                if piece is None:
+                    layer.fill(i, dims, loc)
+                    piece = layer.sums[i]
+                key += piece
+            if n_diffs or n_size:
+                key += coding.l_nat(n_diffs + n_size) + size_dsum
+            keys.append(key)
+        top = sorted(keys)[kept - 1]
+        bound = top + 1e-9 * (1 + abs(top))
+        combos = [combo for combo, key in zip(combos, keys) if key <= bound]
     scored: list[tuple[float, tuple, int, int]] = []
-    for ranks, n_diffs, bg, delta_mask, delta_cost in _combos(
-            index, layers, cfg.max_trees_before_sort, budget, fixed_bg):
-        entry = bg_terms.get(bg)
-        if entry is None:
-            entry = bg_terms[bg] = _size_and_bg_terms(size_t, color_t, bg, dims, loc)
-        size_terms, bg_piece, base = entry
+    for ranks, n_diffs, bg, delta_mask, delta_cost in combos:
+        size_terms, bg_piece, base = bg_terms[bg]
         n_diffs += n_size
         if n_diffs:
             pieces = [size_terms, bg_piece]
@@ -599,7 +648,7 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     scored.sort(key=itemgetter(0))
     grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
     readings = []
-    for dl, ranks, bg, delta_mask in scored[:cfg.max_trees_kept]:
+    for dl, ranks, bg, delta_mask in scored[:kept]:
         picks = [layer.picks[i] for layer, i in zip(layers, ranks)]
         diffs = grid_diffs + tuple((("layers", k) + p, t)
                                    for k, (_, d) in enumerate(picks) for p, t in d)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,7 +192,9 @@ def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> 
     whatever the worker scheduling. A file that cannot be read becomes an
     error record and does not stop the others. Up to `jobs` worker
     processes run them, never more than there are files; with one, the
-    calling process runs them alone."""
+    calling process runs them alone. Workers are spawned, not forked: a
+    fork copies the caller's locks as they stand, so it is unsafe once the
+    caller runs threads."""
     check_count("jobs", jobs, 1)
     paths = sorted(Path(p) for p in paths)
     # the pool starts all its workers at the first submit
@@ -199,7 +202,8 @@ def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> 
     if workers <= 1:
         results = [_evaluate_path(str(p), cfg) for p in paths]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_evaluate_path, [str(p) for p in paths],
                                     [cfg] * len(paths), chunksize=1))
     results.sort(key=lambda r: r.task_id)

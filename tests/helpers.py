@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from gridmdl import lang, parsing
+from gridmdl import coding, lang, parsing
 from gridmdl.grids import NUM_COLORS, Grid, GridError, Part, mask_array
 
 
@@ -160,6 +160,44 @@ def build_index_by_scans(g: Grid) -> parsing.GridIndex:
     ranked = sorted(unique.values(), key=lambda c: c.sort_key(w))
     return parsing.GridIndex(g, tuple(ranked[:parsing._MAX_CANDIDATES]), tuple(color_cells),
                              (1 << (g.height * w)) - 1)
+
+
+def parse_by_costing_all(applied, g: Grid, caches: parsing.Caches) -> tuple:
+    """Reference for `parsing.parse`'s choice of readings: every combination
+    `parsing._combos` returns is summed exactly by `coding.sum_terms`, then
+    they are sorted stably by cost and cut at `max_trees_kept`."""
+    cfg, index = caches.cfg, caches.index(g)
+    dims = (g.height, g.width)
+    size_t, color_t, layer_ts = applied.args
+    size = lang.vec(*dims)
+    size_diffs = parsing._matcher(size_t)(size)
+    if len(size_diffs) > cfg.max_diffs:
+        return ()
+    budget = cfg.max_diffs - len(size_diffs)
+    loc = coding.l_uniform(lang.node_count(applied)) if cfg.max_diffs else 0.0
+    layers = [parsing._admitted(index, lt, budget, loc) for lt in layer_ts]
+    if not all(layer.picks for layer in layers):
+        return ()
+    fixed_bg = color_t if isinstance(color_t, int) else None
+    size_terms = coding.slot_terms(size_t, size, size_diffs, dims, loc, lang.VEC, "grid_size")
+    scored = []
+    for ranks, n_diffs, bg, delta_mask, delta_cost in parsing._combos(
+            index, layers, cfg.max_trees_before_sort, budget, fixed_bg):
+        picks = [layer.picks[i] for layer, i in zip(layers, ranks)]
+        pieces = [size_terms, coding.slot_terms(color_t, bg, (), dims, loc, lang.COLOR, "bg")]
+        pieces += [coding.slot_terms(lt, cand.tree, d, dims, loc, lang.OBJECT)
+                   for lt, (cand, d) in zip(layer_ts, picks)]
+        dl = coding.sum_terms(len(size_diffs) + n_diffs, pieces) + delta_cost
+        scored.append((dl, picks, bg, delta_mask))
+    scored.sort(key=lambda s: s[0])
+    grid_diffs = tuple((("size",) + p, t) for p, t in size_diffs)
+    readings = []
+    for dl, picks, bg, delta_mask in scored[:cfg.max_trees_kept]:
+        diffs = grid_diffs + tuple((("layers", k) + p, t)
+                                   for k, (_, d) in enumerate(picks) for p, t in d)
+        tree = lang.grid(size, bg, tuple(cand.tree for cand, _ in picks))
+        readings.append(parsing.Reading(tree, g, delta_mask, diffs, dl))
+    return tuple(readings)
 
 
 def template_diffs(tmpl, tree, prefix: tuple = ()) -> tuple | None:

@@ -5,7 +5,7 @@ import pytest
 
 from gridmdl.grids import Grid, GridError, Part, delta_apply, mask_array, render_ppm, segment
 
-from helpers import delta_between, mask_member
+from helpers import delta_between, mask_member, segment_by_scans
 
 
 # construction
@@ -123,6 +123,19 @@ def test_segment_orders_parts_by_first_scanline_cell():
     parts = segment(g)
     firsts = [min(p.cells) for p in parts if p.color == 5]
     assert firsts == sorted(firsts)
+
+
+def test_segment_orders_parts_by_first_cell_not_by_box_corner():
+    # the red L's first cell, (0, 2), is right of its box's left edge, and
+    # the blue hook's first cell, (0, 4), comes later in the scan, while the
+    # hook's box starts further left: column 0 against the L's column 1
+    g = Grid([[0, 0, 2, 0, 1],
+              [0, 2, 2, 0, 1],
+              [0, 0, 0, 0, 1],
+              [1, 1, 1, 1, 1]])
+    parts = segment(g)
+    assert [(p.color, p.top, p.left) for p in parts] == [(0, 0, 0), (2, 0, 1), (1, 0, 0)]
+    assert parts == segment_by_scans(g)
 
 
 def test_segment_keeps_diagonal_cells_apart():

@@ -12,7 +12,7 @@ from gridmdl.parsing import (
     Caches, ParseConfig, _matcher, build_index, draw, generate, parse, read,
     read_pair, recognize_mask, write,
 )
-from helpers import NESTED_SOLUTION_TEXT
+from helpers import NESTED_SOLUTION_TEXT, parse_by_costing_all
 
 
 def reconstructs(reading, g: Grid) -> bool:
@@ -339,6 +339,24 @@ def test_parse_keeps_search_order_among_equal_costs():
     # the top-left one first, and a stable sort keeps it first
     assert readings[0].dl == readings[1].dl
     assert [r.tree.args[2][0].args[0] for r in readings[:2]] == [vec(0, 0), vec(2, 2)]
+
+
+def test_parse_keeps_walk_order_in_a_tie_whose_keys_differ_by_rounding():
+    # two like layers over the red bar and the point at its left end: either
+    # order draws the grid and costs the same, but the pre-summed keys of the
+    # two orders differ in the last bit, so only the guard keeps the order
+    # the walk met first, the bar in front
+    g = Grid([[0, 0, 0, 0],
+              [2, 2, 2, 2]])
+    template = grid(UNK, 0, [pos_shape(UNK, UNK)] * 2)
+    bar = pos_shape(vec(1, 0), rectangle(vec(1, 4), 2, lang.FULL))
+    dot = pos_shape(vec(1, 0), point(2))
+    both = parse(template, g, Caches(ParseConfig(max_trees_kept=2)))
+    assert [r.tree.args[2] for r in both] == [(bar, dot), (dot, bar)]
+    assert both[0].dl == both[1].dl
+    cfg = ParseConfig(max_trees_kept=1)
+    assert parse(template, g, Caches(cfg)) == both[:1]
+    assert parse(template, g, Caches(cfg)) == parse_by_costing_all(template, g, Caches(cfg))
 
 
 def test_parse_ground_size_mismatch_needs_diff_budget():

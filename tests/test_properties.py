@@ -12,7 +12,8 @@ from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
 from helpers import (
-    build_index_by_scans, delta_between, mask_member, segment_by_scans, template_diffs,
+    build_index_by_scans, delta_between, mask_member, parse_by_costing_all, segment_by_scans,
+    template_diffs,
 )
 
 
@@ -244,6 +245,39 @@ def test_delta_round_trips(pair):
 
 
 @st.composite
+def cell_arrays(draw):
+    """Arrays of 0 to 31 rows and columns, of five dtypes, their cells
+    mostly colours but at times out of 0..9."""
+    h, w = draw(st.integers(0, 31)), draw(st.integers(0, 31))
+    lo, hi = sorted((draw(st.integers(-2, 12)), draw(st.integers(-2, 12))))
+    cells = [draw(st.integers(lo, hi)) for _ in range(h * w)]
+    dtype = draw(st.sampled_from(["int8", "uint8", "int64", "bool", "float64"]))
+    return np.array(cells, dtype=np.int64).reshape(h, w).astype(dtype)
+
+
+# one side past the limit, the other within it; one cell below 0, or past 9
+@example(np.zeros((1, 31), dtype=np.int8))
+@example(np.zeros((31, 1), dtype=np.int8))
+@example(np.array([[0, -1]], dtype=np.int8))
+@example(np.array([[10, 9]], dtype=np.int64))
+@given(cell_arrays())
+def test_grid_from_array_is_grid_of_the_array_as_lists(arr):
+    """`Grid.from_array` checks an integer array with numpy: it reads what
+    `Grid(arr.tolist())` reads, rows, size, equality and hash, and refuses
+    what that refuses, with the same message."""
+    try:
+        want = Grid(arr.tolist())
+    except GridError as e:
+        with pytest.raises(GridError) as got:
+            Grid.from_array(arr)
+        assert str(got.value) == str(e)
+        return
+    g = Grid.from_array(arr)
+    assert (g.rows, g.size, hash(g)) == (want.rows, want.size, hash(want)) and g == want
+    assert np.array_equal(g.array, arr) and not g.array.flags.writeable
+
+
+@st.composite
 def few_colour_grids(draw):
     """Grids up to 12x12 over one to four colours, so that parts touch and nest."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
@@ -341,6 +375,38 @@ def test_parse_costs_every_scored_combination_as_the_reference_coders_do(
     diffs) and those added to a colour's running sum (without)."""
     _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing,
                            kept=parsing.DEFAULT_PARSE.max_trees_before_sort)
+
+
+def _reading_fields(readings) -> list:
+    return [(r.tree, r.delta_mask, r.diffs, r.dl) for r in readings]
+
+
+# with three diffs allowed, the black bar read through the point layer takes
+# one diff, and costs more than the bar read as a bitmap by less than the
+# diff count's prefix: a key without the prefix would keep the wrong one
+@example(t=lang.grid(lang.UNK, lang.UNK, [
+             lang.pos_shape(lang.vec(lang.UNK, lang.UNK), lang.UNK),
+             lang.pos_shape(lang.vec(lang.UNK, lang.UNK), lang.point(lang.UNK))]),
+         pair=(Grid([[0, 0, 0, 0, 1, 0]]), Grid([[0]])), own_drawing=False, kept=1,
+         before_sort=4)
+@pytest.mark.parametrize("max_diffs", [0, 3])
+@given(grid_terms(exprs=False), grid_pairs(), st.booleans(), st.integers(1, 3),
+       st.integers(4, 64))
+def test_parse_keeps_the_readings_that_costing_every_combination_keeps(
+        max_diffs, t, pair, own_drawing, kept, before_sort):
+    """`parse` sums exactly only the combinations whose pre-summed key can
+    reach the kept readings; it keeps what summing every combination keeps,
+    costs by `==` and ties in walk order."""
+    g = pair[0]
+    if own_drawing:
+        try:
+            g = parsing.draw(parsing.generate(t))
+        except GridError:  # a zero size or a bitmap that does not fit
+            pass
+    cfg = parsing.ParseConfig(max_trees_before_sort=before_sort, max_trees_kept=kept,
+                              max_diffs=max_diffs)
+    assert (_reading_fields(parsing.parse(t, g, parsing.Caches(cfg)))
+            == _reading_fields(parse_by_costing_all(t, g, parsing.Caches(cfg))))
 
 
 # cell masks of a grid up to 12 x 12

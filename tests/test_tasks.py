@@ -125,14 +125,16 @@ def test_evaluate_batch_parallel_matches_order(tmp_path):
 
 @pytest.mark.parametrize("files,pools", [(3, [3]), (1, []), (0, [])])
 def test_evaluate_batch_starts_no_more_workers_than_files(tmp_path, monkeypatch, files, pools):
-    sizes = []
+    sizes, methods = [], []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records `max_workers` and
-        maps in the calling process, so no process starts."""
+        """Stands in for ProcessPoolExecutor: records `max_workers` and the
+        start method of `mp_context`, and maps in the calling process, so no
+        process starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
+            methods.append(mp_context.get_start_method())
 
         def __enter__(self):
             return self
@@ -150,6 +152,8 @@ def test_evaluate_batch_starts_no_more_workers_than_files(tmp_path, monkeypatch,
         paths[-1].write_text("{}")
     batch = evaluate_batch(paths, jobs=64)
     assert sizes == pools
+    # workers are spawned: forking a caller that runs threads is unsafe
+    assert methods == ["spawn"] * len(pools)
     assert [e.task_id for e in batch.errors] == [f"bad{k}" for k in range(files)]
 
 
