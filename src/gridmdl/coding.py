@@ -203,7 +203,8 @@ def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
                role: str = "") -> tuple[list[float], list[float]]:
     """The terms a reading pays for one model slot read as `tree`: one per
     diff (`loc`, the location choice, plus the ground replacement), and one
-    per unknown fill of the diff-patched model, in slot pre-order.
+    per unknown fill of the diff-patched model, in slot pre-order. Every
+    replacement and fill is costed by `_l_ground`.
 
     `sort` and `role` are those of the slot `model` fills; diff paths are
     relative to it. A replaced subtree takes its unknowns with it. The
@@ -215,27 +216,20 @@ def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
         effective = model
         for path, ground in diffs:
             s, r = slot_of[path]
-            dterms.append(loc + _l_data(ground, s, r, dims))
+            dterms.append(loc + _l_ground(ground, s, r, dims))
             effective = lang.subst(effective, path, ground)
         unknowns = slot_plan(effective, sort, role)[1]
-    fterms = [_l_data(lang.resolve(tree, path), s, r, dims) for path, s, r in unknowns]
+    fterms = [_l_ground(lang.resolve(tree, path), s, r, dims) for path, s, r in unknowns]
     return dterms, fterms
 
 
-def _l_data(t: Term, sort: str, role: str, dims: tuple[int, int]) -> float:
-    """`_l_term` of a subterm a reading pays for, which holds no expression.
-    With no environment, a slot's path matters to expressions alone, so a
-    constructor's cost is taken from `_l_ground`; an int's is computed."""
-    if isinstance(t, Ctor):
-        return _l_ground(t, sort, role, dims)
-    return _l_term(t, sort, role, dims, (), None)
-
-
 @lru_cache(maxsize=4096)
-def _l_ground(t: Ctor, sort: str, role: str, dims: tuple[int, int]) -> float:
-    """`_l_term` of an expression-free constructor subterm, kept in a bounded
-    process-wide cache: a grid's candidates are read under one layer
-    template after another, and their subterms recur across grids."""
+def _l_ground(t: Term, sort: str, role: str, dims: tuple[int, int]) -> float:
+    """`_l_term` of a ground subterm a reading pays for, an int or a
+    constructor, kept in a bounded process-wide cache. With no expression
+    and no environment, a slot's path matters to nothing, so the cost hangs
+    on the key alone; a grid's candidates are read under one layer template
+    after another, and their subterms recur across grids."""
     return _l_term(t, sort, role, dims, (), None)
 
 
@@ -256,13 +250,17 @@ def slot_plan(model: Term, sort: str, role: str) -> tuple[MappingProxyType, tupl
 def sum_terms(n_diffs: int, pieces: Sequence[tuple[list[float], list[float]]]) -> float:
     """Add up the `slot_terms` of consecutive slots, one float at a time:
     the diff count prefix, every piece's diffs, then every piece's fills.
+    `n_diffs` counts the pieces' diff terms, so with none the fills alone
+    are added.
 
     The order is part of the score: readings are ranked by it and the
     learner rounds scores to 1e-9, so a regrouped sum could change a choice."""
-    cost = l_nat(n_diffs) if n_diffs else 0.0
-    for dterms, _ in pieces:
-        for x in dterms:
-            cost += x
+    cost = 0.0
+    if n_diffs:
+        cost = l_nat(n_diffs)
+        for dterms, _ in pieces:
+            for x in dterms:
+                cost += x
     for _, fterms in pieces:
         for x in fterms:
             cost += x

@@ -46,6 +46,9 @@ class SearchConfig:
     def __post_init__(self):
         parsing.check_floor(self, 1, "refinements", "beam")
         parsing.check_floor(self, 0, "predict_diffs")
+        _check_type(self, (int, float), "an int or a float", "timeout", "alpha")
+        _check_type(self, str, "a str", "order")
+        _check_type(self, ParseConfig, "a ParseConfig", "parse")
         if not (math.isfinite(self.timeout) and self.timeout >= 0):
             raise ValueError(f"timeout must be finite and at least 0, got {self.timeout!r}")
         for token in self.order.split("-"):
@@ -53,6 +56,15 @@ class SearchConfig:
                 raise ValueError(f"unknown refinement group {token!r} in order {self.order!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and greater than 0, got {self.alpha!r}")
+
+
+def _check_type(cfg, types, kind: str, *names: str) -> None:
+    """Raise a ValueError naming the first of the fields `names` that is not
+    of `types`, described as `kind`; a bool is of none of them."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ValueError(f"{name}: must be {kind}, got {value!r}")
 
 
 DEFAULT_SEARCH = SearchConfig()

@@ -272,11 +272,11 @@ class GridIndex:
     """Per-grid candidate table, colour bitmasks and four memos.
 
     `layers` maps (layer template, diff budget, diff-location cost) to the
-    layer's admitted candidates and their reading terms (`_Layer`), the
-    terms each filled when a parse first needs them. With the grid, that
-    key is every input of admission and of the terms, so the memo holds for
-    every parse of the grid. A candidate's bit in the walk's used-set is its
-    place in `candidates`.
+    layer's admitted candidates and their pieces (`_Layer`), each filled
+    when a parse first needs it. With the grid, that key is every input of
+    admission and of the pieces, so the memo holds for every parse of the
+    grid. A candidate's bit in the walk's used-set is its place in
+    `candidates`.
 
     `walks` maps (each layer's row-set key, `max_trees_before_sort`, diff
     budget, fixed background colour or None) to the walk's combinations,
@@ -286,7 +286,7 @@ class GridIndex:
     what it gets back under each template.
 
     `bg_terms` maps (size slot, colour slot, diff-location cost) to the
-    size's and each background colour's terms (`_size_and_bg_terms`), and
+    size's and each background colour's pieces (`_size_and_bg_terms`), and
     `readings` an applied model to `read`'s readings of the grid under the
     config of the `Caches` that holds the index. No memo is part of the
     index's value: `dataclasses.replace` gives a derived index empty ones."""
@@ -498,24 +498,27 @@ class _Layer:
     """A layer template's admitted candidates on one grid, in candidate
     order: each (candidate, diffs) pick; the walk's row for it, (bit of the
     candidate's place in the index, diff count, cells, wrong cells); its
-    reading terms and their pre-summed total, its piece of a combination's
-    selection key, both filled when a combination first needs them; and the
+    piece (`_piece`), filled when a combination first needs it; and the
     rows' key, (bitmask of the candidates' places, their diff counts), which
     with the index fixes every row."""
     template: Term
     picks: list
     rows: list
-    terms: list
-    sums: list
+    pieces: list
     key: tuple
 
     def fill(self, i: int, dims: tuple[int, int], loc: float) -> tuple:
-        """Compute and keep pick i's reading terms and their total."""
+        """Compute and keep pick i's piece."""
         cand, diffs = self.picks[i]
-        terms = self.terms[i] = coding.slot_terms(self.template, cand.tree, diffs,
-                                                  dims, loc, OBJECT)
-        self.sums[i] = sum(terms[0]) + sum(terms[1])
-        return terms
+        piece = self.pieces[i] = _piece(coding.slot_terms(self.template, cand.tree, diffs,
+                                                          dims, loc, OBJECT))
+        return piece
+
+
+def _piece(terms: tuple) -> tuple:
+    """A slot's `coding.slot_terms` and their pre-summed total, its part of
+    a combination's selection key."""
+    return terms, sum(terms[0]) + sum(terms[1])
 
 
 def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
@@ -534,8 +537,7 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
                 if len(picks) >= _MAX_PER_LAYER:
                     break
         rows_key = (sum(row[0] for row in rows), bytes(row[1] for row in rows))
-        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks),
-                                           [None] * len(picks), rows_key)
+        layer = index.layers[key] = _Layer(tmpl, picks, rows, [None] * len(picks), rows_key)
     return layer
 
 
@@ -552,11 +554,11 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     (`_combos`), and each call costs what it gets back under its own
     template; the cheapest `max_trees_kept` become readings.
 
-    A combination's cost is the sum of `coding.slot_terms` over the grid
-    size, the background colour and each layer's candidate, plus the delta;
-    only the kept readings are built. When the walk returns more
-    combinations than are kept, each first gets a key: the same terms, each
-    layer's pre-summed. Only those whose key is within a guard of the
+    A combination's cost is `coding.sum_terms` of the `coding.slot_terms`
+    of the grid size, the background colour and each layer's candidate,
+    plus the delta; only the kept readings are built. When the walk returns
+    more combinations than are kept, each first gets a key: the same terms,
+    each slot's pre-summed. Only those whose key is within a guard of the
     `max_trees_kept`-th smallest are summed exactly; as every term is >= 0,
     a key is off its exact sum by far less than the guard, so no skipped
     combination could have been kept, not even on a tie.
@@ -564,11 +566,7 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     Per grid, for as long as its index lives, the grid size and each
     background colour are costed once per model slots and diff-location
     cost (`_size_and_bg_terms`), a layer's admitted candidates and their
-    terms once, and a combination's background and delta once. A
-    combination summed exactly with diffs is summed by
-    `coding.sum_terms`. One without adds its layers' fills, one float at a
-    time, to the running sum of the size's and its colour's fills: the same
-    additions in the same order, so the same float."""
+    pieces once, and a combination's background and delta once."""
     if not (isinstance(applied, Ctor) and applied.name == "Grid"):
         raise lang.LangError("parse needs a Grid model")
     h, w = g.height, g.width
@@ -593,9 +591,8 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
             return ()
         layers.append(layer)
 
-    # by background colour: the size's and the colour's reading terms, and
-    # the running sum of their fills; each candidate's terms when a
-    # combination first needs them
+    # by background colour: the size's and the colour's pieces; each
+    # candidate's piece when a combination first needs it
     bg_terms = index.bg_terms.setdefault((size_t, color_t, loc), {})
     fixed_bg = color_t if isinstance(color_t, int) else None
     combos = _combos(index, layers, cfg.max_trees_before_sort, budget, fixed_bg)
@@ -604,44 +601,30 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
             bg_terms[bg] = _size_and_bg_terms(size_t, color_t, bg, dims, loc)
     kept = cfg.max_trees_kept
     if len(combos) > kept:
-        # a key adds the terms of the exact sum, each layer's pre-summed;
+        # a key adds the terms of the exact sum, each slot's pre-summed;
         # every term is >= 0, so the two differ by far less than the guard,
         # and a combination whose key is above the kept-th smallest key
         # plus the guard costs more than the kept-th cheapest: it is never
-        # summed. The size's diff terms are the same under every background.
-        size_dsum = sum(bg_terms[combos[0][2]][0][0])
+        # summed
         keys = []
         for ranks, n_diffs, bg, _, delta_cost in combos:
-            key = bg_terms[bg][2] + delta_cost
+            size_piece, bg_piece = bg_terms[bg]
+            key = size_piece[1] + bg_piece[1] + delta_cost
             for layer, i in zip(layers, ranks):
-                piece = layer.sums[i]
-                if piece is None:
-                    layer.fill(i, dims, loc)
-                    piece = layer.sums[i]
-                key += piece
+                key += (layer.pieces[i] or layer.fill(i, dims, loc))[1]
             if n_diffs or n_size:
-                key += coding.l_nat(n_diffs + n_size) + size_dsum
+                key += coding.l_nat(n_diffs + n_size)
             keys.append(key)
         top = sorted(keys)[kept - 1]
         bound = top + 1e-9 * (1 + abs(top))
         combos = [combo for combo, key in zip(combos, keys) if key <= bound]
     scored: list[tuple[float, tuple, int, int]] = []
     for ranks, n_diffs, bg, delta_mask, delta_cost in combos:
-        size_terms, bg_piece, base = bg_terms[bg]
-        n_diffs += n_size
-        if n_diffs:
-            pieces = [size_terms, bg_piece]
-            for layer, i in zip(layers, ranks):
-                pieces.append(layer.terms[i] or layer.fill(i, dims, loc))
-            dl = coding.sum_terms(n_diffs, pieces) + delta_cost
-        else:
-            # `sum_terms` with no diffs: 0.0, then every fill in slot order,
-            # the size's and the colour's being the colour's running sum
-            dl = base
-            for layer, i in zip(layers, ranks):
-                for x in (layer.terms[i] or layer.fill(i, dims, loc))[1]:
-                    dl += x
-            dl += delta_cost
+        size_piece, bg_piece = bg_terms[bg]
+        terms = [size_piece[0], bg_piece[0]]
+        for layer, i in zip(layers, ranks):
+            terms.append((layer.pieces[i] or layer.fill(i, dims, loc))[0])
+        dl = coding.sum_terms(n_diffs + n_size, terms) + delta_cost
         scored.append((dl, ranks, bg, delta_mask))
 
     # a stable sort: equal costs keep the order the walk met them in
@@ -659,18 +642,13 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
 
 def _size_and_bg_terms(size_t: Term, color_t: Term, bg: int, dims: tuple[int, int],
                        loc: float) -> tuple:
-    """The reading terms of the grid size and of background colour `bg`
-    under the model's size and colour slots, and the running sum of their
-    fills as `coding.sum_terms` adds them; kept in the index's `bg_terms`,
-    every caller sharing the lists and only reading them."""
+    """The pieces (`_piece`) of the grid size and of background colour `bg`
+    under the model's size and colour slots; kept in the index's
+    `bg_terms`, every caller sharing the lists and only reading them."""
     size = _vec(*dims)
     size_terms = coding.slot_terms(size_t, size, _matcher(size_t)(size), dims, loc, VEC,
                                    "grid_size")
-    bg_piece = coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg")
-    base = 0.0
-    for x in size_terms[1] + bg_piece[1]:
-        base += x
-    return size_terms, bg_piece, base
+    return _piece(size_terms), _piece(coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg"))
 
 
 def _walk(rows: list, cap: int, budget: int) -> list:

@@ -193,12 +193,15 @@ def test_fill_vector_roles_propagate_to_components():
 
 
 def test_fill_costs_are_keyed_on_the_role_and_grid_size_they_are_read_under():
-    """One vector read under two roles on three grid sizes, and two shapes,
-    twice over through one process-wide cache of constructor costs: each
-    cost is `_l_term`'s for its own key, so a key without the role or the
-    grid size gives a wrong cost."""
-    cases = [(vec(2, 3), lang.VEC, role, dims)
-             for role in ("pos", "size") for dims in ((4, 8), (16, 2), (30, 30))]
+    """One vector and one position component read under two roles on three
+    grid sizes, one colour under two roles, and two shapes, twice over
+    through one process-wide cache of fill costs: each cost is `_l_term`'s
+    for its own key, so a key without the role or the grid size gives a
+    wrong cost."""
+    sizes = ((4, 8), (16, 2), (30, 30))
+    cases = [(vec(2, 3), lang.VEC, role, dims) for role in ("pos", "size") for dims in sizes]
+    cases += [(3, lang.NAT, role, dims) for role in ("pos_i", "pos_j") for dims in sizes]
+    cases += [(4, lang.COLOR, role, (4, 8)) for role in ("bg", "")]
     cases += [(point(5), lang.SHAPE, "", (4, 8)),
               (rectangle(vec(2, 3), 4, lang.BORDER), lang.SHAPE, "", (16, 2))]
     for value, sort, role, dims in cases * 2:

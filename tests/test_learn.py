@@ -141,6 +141,8 @@ def test_a_data_weight_that_is_not_finite_and_positive_is_refused(alpha):
         SearchConfig(alpha=alpha)
 
 
+# `least` is the smallest value the field takes, or, where `bad` is of the
+# wrong type, a value of the right one
 @pytest.mark.parametrize("config, field, bad, least", [
     (parsing.ParseConfig, "max_trees_before_sort", 0, 1),
     (parsing.ParseConfig, "max_trees_kept", 0, 1),
@@ -151,6 +153,13 @@ def test_a_data_weight_that_is_not_finite_and_positive_is_refused(alpha):
     (SearchConfig, "timeout", -1.0, 0.0),
     (SearchConfig, "timeout", float("nan"), 0.0),
     (SearchConfig, "timeout", float("inf"), 0.0),
+    (SearchConfig, "timeout", True, 0.0),
+    (SearchConfig, "timeout", "30", 30),
+    (SearchConfig, "alpha", True, 1.0),
+    (SearchConfig, "alpha", "1", 1),
+    (SearchConfig, "order", 3, "So"),
+    (SearchConfig, "parse", None, parsing.DEFAULT_PARSE),
+    (SearchConfig, "parse", (3, 64, 0), parsing.ParseConfig(3, 64, 0)),
 ])
 def test_an_out_of_range_setting_is_refused_naming_its_field(config, field, bad, least):
     with pytest.raises(ValueError, match=f"^{field}:? must be"):

@@ -371,8 +371,7 @@ def test_parse_costs_readings_as_the_reference_coders_do(max_diffs, background, 
 def test_parse_costs_every_scored_combination_as_the_reference_coders_do(
         max_diffs, background, t, bg, pair, own_drawing):
     """With every scored combination kept as a reading, each cost equals the
-    reference coders' by `==`: those summed by `coding.sum_terms` (with
-    diffs) and those added to a colour's running sum (without)."""
+    reference coders' by `==`, with diffs and without."""
     _check_reference_costs(max_diffs, background, t, bg, pair, own_drawing,
                            kept=parsing.DEFAULT_PARSE.max_trees_before_sort)
 
