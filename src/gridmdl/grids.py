@@ -11,8 +11,16 @@ from scipy import ndimage
 
 NUM_COLORS = 10
 MAX_DIM = 30  # largest grid side ARC allows
-_COLORS = frozenset(range(NUM_COLORS))
 _SEQS = (list, tuple)
+_COLORS = frozenset(range(NUM_COLORS))
+
+
+def is_color(c) -> bool:
+    """Whether `c` is a colour: an int in 0..9. A bool is an int to Python,
+    and 1.0 == 1, so the type is checked first. `Grid` checks its cells and
+    `parsing.draw` the colours it paints by this one rule."""
+    return type(c) is int and c in _COLORS
+
 
 # cell of a delta: (row, column, colour of the target grid)
 DeltaCell = tuple[int, int, int]
@@ -56,10 +64,8 @@ class Grid:
         if h > MAX_DIM or w > MAX_DIM:
             raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
         cells = list(chain.from_iterable(rows))
-        # a bool is an int to Python, and 1.0 == 1, so types are checked first
-        if set(map(type, cells)) != {int} or not _COLORS.issuperset(cells):
-            i, j = divmod(next(k for k, c in enumerate(cells)
-                               if type(c) is not int or c not in _COLORS), w)
+        if not all(map(is_color, cells)):
+            i, j = divmod(next(k for k, c in enumerate(cells) if not is_color(c)), w)
             raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
                             f"0-{NUM_COLORS - 1}")
         self._fill(rows, h, w)

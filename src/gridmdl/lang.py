@@ -104,6 +104,12 @@ CONSTRUCTORS: dict[str, tuple[str, tuple[tuple[str, str, bool], ...]]] = {
     "TimesCross": (MASK, ()),
 }
 
+# constructor name -> (number of fields, argument indices of its list fields)
+_ARG_LAYOUT: dict[str, tuple[int, tuple[int, ...]]] = {
+    name: (len(fields), tuple(k for k, (_, _, is_list) in enumerate(fields) if is_list))
+    for name, (_, fields) in CONSTRUCTORS.items()
+}
+
 # path steps: constructor name -> {field: (argument index, is_list)}
 _FIELD_AT: dict[str, dict[str, tuple[int, bool]]] = {
     name: {f: (k, is_list) for k, (f, _, is_list) in enumerate(fields)}
@@ -234,8 +240,26 @@ def is_expr(t: Term) -> bool:
 
 
 def is_ground(t: Term) -> bool:
-    """True when the term contains no unknowns and no expressions."""
-    return not any(isinstance(sub, (Unknown, Var, App)) for _, _, _, sub in slots(t))
+    """True when the term contains no unknowns and no expressions: no slot
+    of `slots(t)` holds one. One walk over constructor arguments (list
+    fields contribute their elements), with no paths or roles built."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, Ctor):
+            layout = _ARG_LAYOUT.get(sub.name)
+            if layout is None:
+                ctor_fields(sub.name)  # raises the LangError that names it
+            n, lists = layout
+            args = sub.args
+            # one entry per field, as `slots` walks them; a list field's
+            # tuple is pushed too, and passes as a leaf
+            stack.extend(args if len(args) == n else args[:n])
+            for k in lists:
+                stack.extend(args[k])
+        elif isinstance(sub, (Unknown, Var, App)):
+            return False
+    return True
 
 
 def slot_role(ctor: str, field: str, sort: str, parent_role: str) -> str:

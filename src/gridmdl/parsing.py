@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import coding, lang
-from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, mask_array, segment
+from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, is_color, mask_array, segment
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown, UNK,
@@ -149,7 +149,8 @@ class Caches:
 def draw(tree: Term) -> Grid:
     """Paint a ground grid term: background first, then layers bottom-up
     (the last list element first), clipping at the borders. Grid and
-    rectangle sides must lie in 1..MAX_DIM, as in ARC."""
+    rectangle sides must lie in 1..MAX_DIM, as in ARC, and every colour,
+    painted, covered or clipped, must be one `Grid` accepts in a cell."""
     if not lang.is_ground(tree):
         raise lang.LangError("draw needs a ground term")
     return _draw_ground(tree)
@@ -165,10 +166,16 @@ def _draw_ground(tree: Term) -> Grid:
         raise GridError(f"degenerate grid size {h}x{w}")
     if h > MAX_DIM or w > MAX_DIM:
         raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
+    _check_color(color, "background")
     arr = np.full((h, w), color, dtype=np.int8)
     for obj in reversed(layers):
         _paint(arr, obj)
     return Grid.from_array(arr)
+
+
+def _check_color(c, what: str) -> None:
+    if not is_color(c):
+        raise GridError(f"{what} {c!r} is not a colour 0-{NUM_COLORS - 1}")
 
 
 def _paint(arr: np.ndarray, obj: Ctor) -> None:
@@ -176,8 +183,10 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
     pos, shape = obj.args
     oi, oj = pos.args
     if shape.name == "Point":
+        color = shape.args[0]
+        _check_color(color, "point colour")
         if 0 <= oi < h and 0 <= oj < w:
-            arr[oi, oj] = shape.args[0]
+            arr[oi, oj] = color
         return
     size, color, mask = shape.args
     sh, sw = size.args
@@ -185,16 +194,20 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
         raise GridError(f"degenerate rectangle size {sh}x{sw}")
     if sh > MAX_DIM or sw > MAX_DIM:
         raise GridError(f"rectangle size {sh}x{sw} exceeds {MAX_DIM}")
+    _check_color(color, "rectangle colour")
     bits = mask.args[0] if mask.name == "Bitmap" else None
-    cells = mask_array(mask.name, sh, sw, bits)
+    # a Full mask paints its clipped box as one slice; any other is made
+    # before the clip, so that a bad bitmap is refused even off the grid
+    cells = None if mask.name == "Full" else mask_array(mask.name, sh, sw, bits)
     # clip the shape's box to the grid
     i0, j0 = max(oi, 0), max(oj, 0)
     i1, j1 = min(oi + sh, h), min(oj + sw, w)
     if i0 >= i1 or j0 >= j1:
         return
-    sub = cells[i0 - oi:i1 - oi, j0 - oj:j1 - oj]
-    view = arr[i0:i1, j0:j1]
-    view[sub] = color
+    if cells is None:
+        arr[i0:i1, j0:j1] = color
+    else:
+        arr[i0:i1, j0:j1][cells[i0 - oi:i1 - oi, j0 - oj:j1 - oj]] = color
 
 
 # default instantiation
@@ -222,7 +235,9 @@ def generate(m: Term, sort: str = lang.GRID, role: str = "") -> Term:
     """Close an applied model by filling every unknown with the default of
     its slot's role: positions (0,0), grid sizes 10x10, rectangle sizes 2x2,
     black backgrounds, grey shapes, full masks. `sort` and `role` are those
-    of the slot `m` fills."""
+    of the slot `m` fills. A ground model is returned as it is."""
+    if lang.is_ground(m):
+        return m
     out = m
     for path, s, r, t in lang.slots(m, sort, role):
         if isinstance(t, Unknown):

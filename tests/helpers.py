@@ -232,6 +232,13 @@ def template_diffs(tmpl, tree, prefix: tuple = ()) -> tuple | None:
     return () if tmpl == tree else ((prefix, tree),)
 
 
+def is_ground_by_slots(t) -> bool:
+    """Reference for `lang.is_ground`, by its definition: no slot of the
+    slot walk holds an unknown or an expression."""
+    return not any(isinstance(sub, (lang.Unknown, lang.Var, lang.App))
+                   for _, _, _, sub in lang.slots(t))
+
+
 def nested_pair(outer_color, inner_color, h, w, outer_pos, outer_size, inner_pos, inner_size):
     """One (input, output) pair of the nested-rectangles task.
 

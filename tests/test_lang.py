@@ -119,6 +119,13 @@ def test_is_ground_and_definite():
     assert not _definite(grid(UNK, 0, []))
 
 
+@pytest.mark.parametrize("t", [Ctor("Blob", (1,)),
+                               grid(vec(2, 2), 0, [pos_shape(vec(0, 0), Ctor("Blob"))])])
+def test_is_ground_refuses_an_unknown_constructor(t):
+    with pytest.raises(LangError, match="unknown constructor 'Blob'"):
+        lang.is_ground(t)
+
+
 def test_unknown_paths_in_walk_order():
     t = grid(UNK, 4, [pos_shape(UNK, rectangle(vec(2, UNK), UNK, UNK))])
     assert tuple(p for p, _, _, sub in lang.slots(t) if isinstance(sub, Unknown)) == (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridmdl import coding, lang, parsing
-from gridmdl.grids import Grid, GridError, delta_apply
+from gridmdl.grids import Grid, GridError, delta_apply, mask_array
 from gridmdl.lang import UNK, Var, bitmap, grid, in_out, point, pos_shape, rectangle, vec
 from gridmdl.parsing import (
     Caches, ParseConfig, _matcher, build_index, draw, generate, parse, read,
@@ -67,6 +67,40 @@ def test_draw_refuses_a_rectangle_side_below_one(size):
         draw(grid(vec(3, 3), 0, [obj]))
 
 
+def _with_colour(where: str, c):
+    """A 3x3 grid term whose background, point or rectangle has colour `c`."""
+    if where == "background":
+        return grid(vec(3, 3), c, [])
+    shape = point(c) if where == "point" else rectangle(vec(2, 2), c, lang.FULL)
+    return grid(vec(3, 3), 0, [pos_shape(vec(1, 1), shape)])
+
+
+@pytest.mark.parametrize("where", ["background", "point", "rectangle"])
+@pytest.mark.parametrize("c", [300, -200, True, 2.0, 12])
+def test_draw_refuses_a_colour_that_grid_refuses(where, c):
+    with pytest.raises(GridError, match=f"{where}.* {c!r} is not a colour 0-9"):
+        draw(_with_colour(where, c))
+    # a tree that is not ground is refused for that first
+    with pytest.raises(lang.LangError, match="ground"):
+        draw(lang.subst(_with_colour(where, c), ("size",), UNK))
+
+
+@pytest.mark.parametrize("pos", [
+    (-1, 1), (1, -1), (3, 1), (1, 4),        # over each border
+    (-1, -1), (-1, 4), (3, -1), (3, 4),      # over each corner
+    (-3, 1), (1, -3), (5, 1), (1, 6),        # wholly outside
+])
+def test_a_full_rectangle_paints_the_cells_of_its_boolean_mask(pos):
+    h, w, sh, sw = 5, 6, 3, 3
+    g = draw(grid(vec(h, w), 1, [pos_shape(vec(*pos), rectangle(vec(sh, sw), 7, lang.FULL))]))
+    want = np.ones((h, w), dtype=np.int8)
+    cells = mask_array("Full", sh, sw)
+    for i, j in zip(*np.nonzero(cells)):
+        if 0 <= pos[0] + i < h and 0 <= pos[1] + j < w:
+            want[pos[0] + i, pos[1] + j] = 7
+    assert g == Grid.from_array(want)
+
+
 def test_draw_requires_ground_term():
     with pytest.raises(lang.LangError):
         draw(grid(UNK, 0, []))
@@ -118,6 +152,7 @@ def test_write_paints_what_draw_paints():
         tree, g = write(m, env)
         assert lang.is_ground(tree)
         assert g == draw(tree)
+        assert generate(tree) is tree
 
 
 # mask recognition

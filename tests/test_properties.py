@@ -12,8 +12,8 @@ from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
 from helpers import (
-    build_index_by_scans, delta_between, mask_member, parse_by_costing_all, segment_by_scans,
-    template_diffs,
+    build_index_by_scans, delta_between, is_ground_by_slots, mask_member, parse_by_costing_all,
+    segment_by_scans, template_diffs,
 )
 
 
@@ -136,6 +136,28 @@ def test_arithmetic_text_reads_back_as_the_same_expression(e):
 def test_node_count_counts_the_slot_walk(terms):
     for t in terms + terms:
         assert lang.node_count(t) == sum(1 for _ in lang.slots(t))
+
+
+@given(grid_terms(), grid_terms(exprs=False), VAR_PATHS)
+def test_is_ground_answers_as_its_slot_walk_definition(t, template, path):
+    """`lang.is_ground` against `helpers.is_ground_by_slots` on every slot
+    (bitmaps, masks, layers and leaves included) of a term with expressions,
+    a term with unknowns only, the tree `generate` closes it to, and that
+    tree with an object variable in its layer list."""
+    tree = parsing.generate(template)
+    size, color, layers = tree.args
+    with_var = lang.grid(size, color, layers + (Var(path),))
+    for term in (t, template, tree, with_var):
+        for _, _, _, sub in lang.slots(term):
+            assert lang.is_ground(sub) == is_ground_by_slots(sub)
+    assert lang.is_ground(tree)
+    assert not lang.is_ground(with_var)
+
+
+@pytest.mark.parametrize("t", [lang.Ctor("Full", (lang.UNK,)),
+                               lang.Ctor("Vec", (1, 2, Var(("size",))))])
+def test_is_ground_skips_arguments_past_the_fields_as_the_slot_walk_does(t):
+    assert lang.is_ground(t) and is_ground_by_slots(t)
 
 
 def _diffs_or_error(match, tmpl, tree):
