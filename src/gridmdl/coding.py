@@ -223,7 +223,7 @@ def slot_terms(model: Term, tree: Term, diffs: Sequence[tuple[tuple, Term]],
     return dterms, fterms
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8192)
 def _l_ground(t: Term, sort: str, role: str, dims: tuple[int, int]) -> float:
     """`_l_term` of a ground subterm a reading pays for, an int or a
     constructor, kept in a bounded process-wide cache. With no expression

@@ -7,7 +7,6 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-from scipy import ndimage
 
 NUM_COLORS = 10
 MAX_DIM = 30  # largest grid side ARC allows
@@ -28,8 +27,6 @@ Delta = frozenset
 
 # colour byte -> its digit's ASCII code, for `Grid.to_text`
 _DIGITS = bytes.maketrans(bytes(range(NUM_COLORS)), b"0123456789")
-
-_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # display palette, one RGB triple per colour
 PALETTE = (
@@ -186,36 +183,83 @@ def segment(g: Grid) -> tuple[Part, ...]:
     """Split the grid into 4-connected one-colour parts, in scanline order of
     their first cell.
 
-    One labelling covers every colour. It runs on a lattice of twice the
-    grid's resolution: cell (i, j) sits at (2i, 2j), and the point between
-    two neighbouring cells is set when their colours are equal. The points
-    between diagonal neighbours are never set, so two cells are 4-connected
-    on the lattice exactly when a one-colour 4-connected path joins them in
-    the grid. Each part's area comes from one `np.bincount` over the cells'
-    labels; its mask is cut from its box, and its first cell, whose colour
-    is the part's, is the first set cell of the mask's top row. The parts,
-    not the cells, are then sorted by that cell."""
+    Each row is cut into runs, maximal one-colour spans of cells, numbered
+    in scanline order. Two like-coloured runs on neighbouring rows that
+    share a column are linked once, at the column where their overlap
+    begins, which is where one of the two starts. Each run hangs from the
+    first run above it that it links to, which makes a forest at most h runs
+    deep; squaring the parent array log2(h) times gives every run its tree's
+    root. The links whose two runs still differ in root join two trees,
+    where a part branches upward, and a union-find merges those roots, the
+    later root pointing at the earlier one (fewer squarings would hand it
+    more links, not change the parts). So a part's root is its first run,
+    and the roots in increasing order are the parts in the order returned.
+    Each cell is labelled with its part's root; boxes come from the runs'
+    rows and end columns, areas from one `np.bincount` over the labels, and
+    each mask is cut from the labels over its box."""
     arr = g.array
     h, w = arr.shape
-    lattice = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    lattice[::2, ::2] = True
-    lattice[::2, 1::2] = arr[:, :-1] == arr[:, 1:]
-    lattice[1::2, ::2] = arr[:-1] == arr[1:]
-    labels, _ = ndimage.label(lattice, structure=_STRUCT4)
-    boxes = ndimage.find_objects(labels)
-    labels = labels[::2, ::2]  # the cells' labels
-    areas = np.bincount(labels.ravel()).tolist()
-    rows = g.rows
-    firsts, parts = [], []
-    for k, (rs, cs) in enumerate(boxes, 1):
-        # a part's lattice box starts and ends on cells, at even points
-        top, left = rs.start // 2, cs.start // 2
-        mask = labels[top:(rs.stop + 1) // 2, left:(cs.stop + 1) // 2] == k
+    cells = arr.ravel()
+    # a run starts each row and each change of colour; the start past the
+    # last cell ends the last run
+    start = np.ones(h * w + 1, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=start[1:-1])
+    start[:-1:w] = True
+    edges = np.flatnonzero(start)  # each run's first cell, then h * w
+    n = len(edges) - 1
+    start = start[:-1].reshape(h, w)
+    runs = start.cumsum().reshape(h, w)  # each cell's run
+    runs -= 1
+    link = arr[1:] == arr[:-1]
+    link &= start[1:] | start[:-1]
+    above, below = runs[:-1][link], runs[1:][link]
+    root = np.arange(n)
+    np.minimum.at(root, below, above)  # each run's first link up
+    for _ in range((h - 1).bit_length()):  # 2 ** k links up at step k
+        root = root[root]
+    ra, rb = root[above], root[below]
+    joins = ra != rb
+    if joins.any():
+        root = _join(root, ra[joins].tolist(), rb[joins].tolist())
+    labels = root[runs]
+    rows, firsts = np.divmod(edges[:-1], w)
+    lasts = (edges[1:] - 1) % w  # each run's last column
+    bottom = np.zeros(n, dtype=rows.dtype)
+    np.maximum.at(bottom, root, rows)
+    left = np.full(n, w, dtype=firsts.dtype)
+    np.minimum.at(left, root, firsts)
+    right = np.zeros(n, dtype=lasts.dtype)
+    np.maximum.at(right, root, lasts)
+    areas = np.bincount(labels.ravel(), minlength=n)
+    roots = np.flatnonzero(root == np.arange(n))
+    parts = []
+    for r, color, top, lo, hi, bot, area in zip(
+            roots.tolist(), cells[edges[roots]].tolist(), rows[roots].tolist(),
+            left[roots].tolist(), right[roots].tolist(), bottom[roots].tolist(),
+            areas[roots].tolist()):
+        mask = labels[top:bot + 1, lo:hi + 1] == r
         mask.setflags(write=False)
-        first = left + int(mask[0].argmax())
-        firsts.append(top * w + first)
-        parts.append(Part(rows[top][first], top, left, *mask.shape, areas[k], mask))
-    return tuple(parts[k] for k in sorted(range(len(parts)), key=firsts.__getitem__))
+        parts.append(Part(color, top, lo, bot - top + 1, hi - lo + 1, area, mask))
+    return tuple(parts)
+
+
+def _join(root: np.ndarray, xs: list, ys: list) -> np.ndarray:
+    """`root` after merging the trees of roots xs[k] and ys[k] for each k:
+    a union-find over the roots it meets, with path halving, in which the
+    later of two roots points at the earlier one."""
+    up = {}
+    for x, y in zip(xs, ys):
+        while x in up:
+            up[x] = x = up.get(up[x], up[x])
+        while y in up:
+            up[y] = y = up.get(up[y], up[y])
+        if x != y:
+            up[max(x, y)] = min(x, y)
+    for x in sorted(up):  # a root's parent is earlier, so resolved first
+        up[x] = up.get(up[x], up[x])
+    final = np.arange(len(root))
+    final[list(up)] = list(up.values())
+    return final[root]
 
 
 @lru_cache(maxsize=4096)

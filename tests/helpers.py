@@ -8,7 +8,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from gridmdl import coding, lang, parsing
 from gridmdl.grids import NUM_COLORS, Grid, GridError, Part, mask_array
@@ -54,16 +53,28 @@ def mask_member(kind: str, size: tuple[int, int], cell: tuple[int, int], bits=No
 
 
 def segment_by_scans(g: Grid) -> tuple[Part, ...]:
-    """Reference for `grids.segment`: each part's cells by a whole-grid scan
-    of its label, parts sorted by their smallest scanline index."""
-    arr = g.array
+    """Reference for `grids.segment`: a flood fill over 4-neighbours of one
+    colour from each cell no earlier part holds, cells taken in scanline
+    order, so the parts come in the order of their first cell."""
+    rows, h, w = g.rows, g.height, g.width
+    seen = set()
     parts = []
-    for c in np.unique(arr):
-        labels, n = ndimage.label(arr == c, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
-        for k in range(1, n + 1):
-            ii, jj = np.nonzero(labels == k)
-            parts.append(part_from_cells(int(c), ((int(i), int(j)) for i, j in zip(ii, jj))))
-    parts.sort(key=lambda p: min(i * g.width + j for i, j in p.cells))
+    for i in range(h):
+        for j in range(w):
+            if (i, j) in seen:
+                continue
+            color = rows[i][j]
+            seen.add((i, j))
+            cells, todo = [], [(i, j)]
+            while todo:
+                ci, cj = todo.pop()
+                cells.append((ci, cj))
+                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+                    if (0 <= ni < h and 0 <= nj < w and (ni, nj) not in seen
+                            and rows[ni][nj] == color):
+                        seen.add((ni, nj))
+                        todo.append((ni, nj))
+            parts.append(part_from_cells(color, cells))
     return tuple(parts)
 
 

@@ -1,6 +1,9 @@
 """Checks over the package's source as a whole."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from gridmdl import parsing
@@ -28,3 +31,21 @@ def test_every_module_uses_what_it_imports():
     unused = [name for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text()), path.stem)]
     assert unused == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    """numpy is the one runtime dependency. Importing `scipy.ndimage` alone
+    would add about 27 MB and a quarter of a second to every process, the
+    `eval --jobs` workers included, so a fresh interpreter that imports
+    gridmdl and every module of it must hold no scipy module."""
+    package = Path(parsing.__file__).resolve().parent
+    modules = ", ".join(f"gridmdl.{path.stem}" for path in sorted(package.glob("*.py"))
+                        if path.name != "__init__.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    code = (f"import sys, gridmdl, {modules}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                           timeout=60, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

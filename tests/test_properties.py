@@ -315,13 +315,39 @@ def test_segment_matches_the_scanning_reference(g):
     assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
 
 
-# fixed 30 x 30 grids: one part, 900 one-cell parts, and 360 parts of one to
-# six cells in every shape a small part takes
+def _spiral(n: int) -> Grid:
+    """A one-cell-wide square spiral of colour 1 on 0, winding in to the
+    centre with a gap of one between its turns: one part, a chain of runs."""
+    rows = [[0] * n for _ in range(n)]
+    i, j, rows[0][0] = 0, 0, 1
+    steps = [n - 1] * 3 + [n - 1 - 2 * (k // 2) for k in range(2, 2 * n)]
+    for k, step in enumerate(steps):
+        if step <= 0:
+            break
+        di, dj = ((0, 1), (1, 0), (0, -1), (-1, 0))[k % 4]
+        for _ in range(step):
+            i, j = i + di, j + dj
+            rows[i][j] = 1
+    return Grid(rows)
+
+
+# fixed full-size grids: one part, 900 one-cell parts, and 360 parts of one
+# to six cells in every shape a small part takes; then parts that chain many
+# runs, row by row or through turns (a serpentine, a comb of teeth joined at
+# the foot, a spiral, staircases of two-cell steps), and single rows and
+# columns, where every run or every link is one cell long
 SEGMENT_CASES = {
     "one-colour": Grid([[4] * 30 for _ in range(30)]),
     "checkerboard": Grid([[(i + j) % 2 for j in range(30)] for i in range(30)]),
     "many-small-parts": Grid([[((i // 2) * 3 + j // 3 + i * j % 3) % 4 for j in range(30)]
                               for i in range(30)]),
+    "serpentine": Grid([[1 if i % 2 == 0 or j == (29 if i % 4 == 1 else 0) else 0
+                         for j in range(30)] for i in range(30)]),
+    "comb": Grid([[1 if i == 29 or j % 2 == 0 else 0 for j in range(30)] for i in range(30)]),
+    "spiral": _spiral(30),
+    "staircase": Grid([[(j - i) // 2 % 2 for j in range(30)] for i in range(30)]),
+    "one-row": Grid([[j // 3 % 3 for j in range(30)]]),
+    "one-column": Grid([[i // 2 % 2] for i in range(30)]),
 }
 
 
@@ -332,7 +358,7 @@ def test_segment_matches_the_scanning_reference_on_full_size_grids(name):
     assert parts == want
     assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
     assert [p.area for p in parts] == [len(p.cells) for p in want]
-    assert sum(p.area for p in parts) == 900
+    assert sum(p.area for p in parts) == g.height * g.width
 
 
 def _same_index(g):
