@@ -14,35 +14,30 @@ from .learn import DEFAULT_SEARCH, SearchConfig, create
 from .parsing import ParseConfig
 
 
-def _search_flag(p: argparse.ArgumentParser, flag: str, field: str, convert, help: str) -> None:
-    """Add a flag whose dest is `field` of `SearchConfig`, or of its
-    `ParseConfig`, and whose default is that field's value in
-    `DEFAULT_SEARCH`. Its argparse type reads the text with `convert` and
-    makes a value that config refuses a usage error; argparse names the
-    flag, so a message's leading "field: " is dropped."""
-    defaults = DEFAULT_SEARCH.parse if field in ParseConfig.__dataclass_fields__ else DEFAULT_SEARCH
-
+def _checked_flag(p: argparse.ArgumentParser, flag: str, dest: str, convert, probe,
+                  default, help: str) -> None:
+    """Add a flag whose argparse type reads the text with `convert` and
+    makes a value that `probe` refuses with a ValueError a usage error;
+    argparse names the flag, so a message's leading "dest: " is dropped."""
     def check(text: str):
         value = convert(text)
         try:
-            replace(defaults, **{field: value})
+            probe(value)
         except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e).removeprefix(f"{field}: ")) from None
+            raise argparse.ArgumentTypeError(str(e).removeprefix(f"{dest}: ")) from None
         return value
     check.__name__ = convert.__name__  # argparse names the type in "invalid int value"
-    p.add_argument(flag, dest=field, metavar=flag[2:].upper().replace("-", "_"), type=check,
-                   default=getattr(defaults, field), help=help)
+    p.add_argument(flag, dest=dest, metavar=flag[2:].upper().replace("-", "_"), type=check,
+                   default=default, help=help)
 
 
-def _jobs(text: str) -> int:
-    """The --jobs type: a worker count of at least 1."""
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
-_jobs.__name__ = "int"  # argparse names the type in "invalid int value"
+def _search_flag(p: argparse.ArgumentParser, flag: str, field: str, convert, help: str) -> None:
+    """Add a flag whose dest is `field` of `SearchConfig`, or of its
+    `ParseConfig`, whose default is that field's value in `DEFAULT_SEARCH`,
+    and whose values are those that config takes."""
+    defaults = DEFAULT_SEARCH.parse if field in ParseConfig.__dataclass_fields__ else DEFAULT_SEARCH
+    _checked_flag(p, flag, field, convert, lambda value: replace(defaults, **{field: value}),
+                  getattr(defaults, field), help)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -167,7 +162,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("eval", help="evaluate a batch of task files")
     p.add_argument("paths", nargs="+", help="task files or directories")
-    p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
+    # a batch of no files runs nothing, but checks its job count first
+    _checked_flag(p, "--jobs", "jobs", int, lambda jobs: tasks.evaluate_batch((), jobs=jobs), 1,
+                  "parallel worker processes")
     p.add_argument("--out", help="write a JSON-lines report here")
     _add_search_flags(p)
     p.set_defaults(fn=cmd_eval)

@@ -21,8 +21,7 @@ def is_color(c) -> bool:
     return type(c) is int and c in _COLORS
 
 
-# cell of a delta: (row, column, colour of the target grid)
-DeltaCell = tuple[int, int, int]
+# a delta: its cells, each (row, column, colour of the target grid)
 Delta = frozenset
 
 # colour byte -> its digit's ASCII code, for `Grid.to_text`

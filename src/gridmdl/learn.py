@@ -23,7 +23,7 @@ from .lang import (
     App, Ctor, Term, Unknown, UNK, Var,
     in_out, grid as grid_term, pos_shape, point, rectangle, vec,
 )
-from .parsing import Caches, ParseConfig
+from .parsing import Caches, ParseConfig, check_setting
 
 _EPS = 1e-9
 # largest constant c in the proposed expressions x - c and x + c
@@ -44,11 +44,13 @@ class SearchConfig:
     parse: ParseConfig = field(default_factory=ParseConfig)
 
     def __post_init__(self):
-        parsing.check_floor(self, 1, "refinements", "beam")
-        parsing.check_floor(self, 0, "predict_diffs")
-        _check_type(self, (int, float), "an int or a float", "timeout", "alpha")
-        _check_type(self, str, "a str", "order")
-        _check_type(self, ParseConfig, "a ParseConfig", "parse")
+        check_setting("refinements", self.refinements, 1)
+        check_setting("beam", self.beam, 1)
+        check_setting("predict_diffs", self.predict_diffs, 0)
+        check_setting("timeout", self.timeout, types=(int, float), kind="an int or a float")
+        check_setting("alpha", self.alpha, types=(int, float), kind="an int or a float")
+        check_setting("order", self.order, types=str, kind="a str")
+        check_setting("parse", self.parse, types=ParseConfig, kind="a ParseConfig")
         if not (math.isfinite(self.timeout) and self.timeout >= 0):
             raise ValueError(f"timeout must be finite and at least 0, got {self.timeout!r}")
         for token in self.order.split("-"):
@@ -56,15 +58,6 @@ class SearchConfig:
                 raise ValueError(f"unknown refinement group {token!r} in order {self.order!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and greater than 0, got {self.alpha!r}")
-
-
-def _check_type(cfg, types, kind: str, *names: str) -> None:
-    """Raise a ValueError naming the first of the fields `names` that is not
-    of `types`, described as `kind`; a bool is of none of them."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ValueError(f"{name}: must be {kind}, got {value!r}")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -115,16 +108,13 @@ def initial_model() -> Ctor:
 
 
 def apply_refinement(model: Ctor, ref: Refinement) -> Ctor:
-    gin, gout = model.args
-    if ref.kind == "insert":
-        if ref.side == "in":
-            # keep output-side references aimed at the same input objects
-            return in_out(lang.subst(gin, ref.path, ref.template, insert=True),
-                          lang.shift_layer_refs(gout, ref.path[1]))
-        return in_out(gin, lang.subst(gout, ref.path, ref.template, insert=True))
-    if ref.side == "in":
-        return in_out(lang.subst(gin, ref.path, ref.template), gout)
-    return in_out(gin, lang.subst(gout, ref.path, ref.template))
+    # the pair's fields are named "in" and "out", as a refinement's sides are
+    model = lang.subst(model, (ref.side,) + ref.path, ref.template, insert=ref.kind == "insert")
+    if ref.kind == "insert" and ref.side == "in":
+        # keep output-side references aimed at the same input objects
+        gin, gout = model.args
+        return in_out(gin, lang.shift_layer_refs(gout, ref.path[1]))
+    return model
 
 
 # proposal generation
@@ -338,7 +328,7 @@ def predict(model: Ctor, gi: Grid, cfg: SearchConfig = DEFAULT_SEARCH,
     those of the first `attempts` readings (an int of at least 1), or of all
     of them when `attempts` is None."""
     if attempts is not None:
-        parsing.check_count("attempts", attempts, 1)
+        check_setting("attempts", attempts, 1)
     caches = Caches(replace(cfg.parse, max_diffs=cfg.predict_diffs))
     m_in, m_out = model.args
     outs: list[Grid] = []

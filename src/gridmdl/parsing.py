@@ -60,23 +60,18 @@ class ParseConfig:
     max_diffs: int = 0
 
     def __post_init__(self):
-        check_floor(self, 1, "max_trees_before_sort", "max_trees_kept")
-        check_floor(self, 0, "max_diffs")
+        check_setting("max_trees_before_sort", self.max_trees_before_sort, 1)
+        check_setting("max_trees_kept", self.max_trees_kept, 1)
+        check_setting("max_diffs", self.max_diffs, 0)
 
 
-def check_floor(cfg, floor: int, *names: str) -> None:
-    """Raise a ValueError naming the first of the fields `names` that is not
-    an int (a bool is not one) or is below `floor`."""
-    for name in names:
-        check_count(name, getattr(cfg, name), floor)
-
-
-def check_count(name: str, value, floor: int) -> None:
-    """Raise a ValueError naming `name` when `value` is not an int (a bool
-    is not one) or is below `floor`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name}: must be an int, got {value!r}")
-    if value < floor:
+def check_setting(name: str, value, floor: int | None = None, types=int,
+                  kind: str = "an int") -> None:
+    """Raise a ValueError naming `name` when `value` is not of `types`,
+    described as `kind` (a bool is of none of them), or is below `floor`."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"{name}: must be {kind}, got {value!r}")
+    if floor is not None and value < floor:
         raise ValueError(f"{name}: must be at least {floor}, got {value!r}")
 
 
@@ -436,13 +431,13 @@ def build_index(g: Grid) -> GridIndex:
 
 @lru_cache(maxsize=4096)
 def _matcher(tmpl: Term):
-    """The diffs turning the template into a ground tree, as a function of
-    the tree: None when the structures are incompatible (a list field of
-    another length), else one (path, subtree) diff per template leaf,
-    bitmap or constructor the tree does not match, in field order; unknowns
-    absorb anything, and an expression raises LangError. Compiled once per
-    template and kept in a bounded process-wide cache: a fresh grid's
-    candidates meet the same layer templates as every grid before it.
+    """The diffs turning a layer or size template, which has no list field,
+    into a ground tree, as a function of the tree: one (path, subtree) diff
+    per template leaf, bitmap or constructor the tree does not match, in
+    field order; unknowns absorb anything, and an expression raises
+    LangError. Compiled once per template and kept in a bounded
+    process-wide cache: a fresh grid's candidates meet the same layer
+    templates as every grid before it.
 
     The compiled form drops the template's unknowns and builds a diff's
     path only when it emits the diff."""
@@ -468,40 +463,22 @@ def _compile(tmpl: Term):
             return () if tmpl == tree else (((), tree),)
         return leaf
     name = tmpl.name
-    # (argument index, field, list length or None, the field's matcher or
-    # its elements' (index, matcher) pairs), unknowns left out
+    # (argument index, field, the field's matcher), unknowns left out
     plan = []
-    for k, ((fname, _, is_list), ta) in enumerate(zip(lang.ctor_fields(name), tmpl.args)):
-        if is_list:
-            subs = [(i, m) for i, m in enumerate(map(_compile, ta)) if m is not None]
-            plan.append((k, fname, len(ta), subs))
-        else:
-            m = _compile(ta)
-            if m is not None:
-                plan.append((k, fname, None, m))
+    for k, ((fname, _, _), ta) in enumerate(zip(lang.ctor_fields(name), tmpl.args)):
+        m = _compile(ta)
+        if m is not None:
+            plan.append((k, fname, m))
 
     def node(tree):
         if not isinstance(tree, Ctor) or tree.name != name:
             return (((), tree),)
         args = tree.args
         out = ()
-        for k, fname, n, sub in plan:
-            if n is None:
-                d = sub(args[k])
-                if d is None:
-                    return None
-                if d:
-                    out += tuple(((fname,) + p, t) for p, t in d)
-                continue
-            items = args[k]
-            if len(items) != n:
-                return None
-            for i, m in sub:
-                d = m(items[i])
-                if d is None:
-                    return None
-                if d:
-                    out += tuple(((fname, i) + p, t) for p, t in d)
+        for k, fname, sub in plan:
+            d = sub(args[k])
+            if d:
+                out += tuple(((fname,) + p, t) for p, t in d)
         return out
     return node
 
@@ -546,7 +523,7 @@ def _admitted(index: GridIndex, tmpl: Term, budget: int, loc: float) -> _Layer:
         picks, rows = [], []
         for pos, cand in enumerate(index.candidates):
             d = match(cand.tree)
-            if d is not None and len(d) <= budget:
+            if len(d) <= budget:
                 picks.append((cand, d))
                 rows.append((1 << pos, len(d), cand.cells, cand.wrong))
                 if len(picks) >= _MAX_PER_LAYER:
@@ -613,7 +590,7 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     combos = _combos(index, layers, cfg.max_trees_before_sort, budget, fixed_bg)
     for bg in {combo[2] for combo in combos}:
         if bg not in bg_terms:
-            bg_terms[bg] = _size_and_bg_terms(size_t, color_t, bg, dims, loc)
+            bg_terms[bg] = _size_and_bg_terms(size_t, size_diffs, color_t, bg, dims, loc)
     kept = cfg.max_trees_kept
     if len(combos) > kept:
         # a key adds the terms of the exact sum, each slot's pre-summed;
@@ -655,14 +632,13 @@ def parse(applied: Term, g: Grid, caches: Caches) -> tuple[Reading, ...]:
     return tuple(readings)
 
 
-def _size_and_bg_terms(size_t: Term, color_t: Term, bg: int, dims: tuple[int, int],
-                       loc: float) -> tuple:
-    """The pieces (`_piece`) of the grid size and of background colour `bg`
-    under the model's size and colour slots; kept in the index's
-    `bg_terms`, every caller sharing the lists and only reading them."""
-    size = _vec(*dims)
-    size_terms = coding.slot_terms(size_t, size, _matcher(size_t)(size), dims, loc, VEC,
-                                   "grid_size")
+def _size_and_bg_terms(size_t: Term, size_diffs: tuple, color_t: Term, bg: int,
+                       dims: tuple[int, int], loc: float) -> tuple:
+    """The pieces (`_piece`) of the grid size, with the diffs `size_t`
+    leaves on it, and of background colour `bg` under the model's size and
+    colour slots; kept in the index's `bg_terms`, every caller sharing the
+    lists and only reading them."""
+    size_terms = coding.slot_terms(size_t, _vec(*dims), size_diffs, dims, loc, VEC, "grid_size")
     return _piece(size_terms), _piece(coding.slot_terms(color_t, bg, (), dims, loc, COLOR, "bg"))
 
 

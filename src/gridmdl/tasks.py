@@ -11,7 +11,7 @@ from pathlib import Path
 from .grids import MAX_DIM, Grid, GridError  # MAX_DIM: re-exported
 from .lang import model_to_text
 from .learn import SearchConfig, DEFAULT_SEARCH, learn, predict
-from .parsing import check_count
+from .parsing import check_setting
 
 ATTEMPTS = 3
 
@@ -195,7 +195,7 @@ def evaluate_batch(paths, cfg: SearchConfig = DEFAULT_SEARCH, jobs: int = 1) -> 
     calling process runs them alone. Workers are spawned, not forked: a
     fork copies the caller's locks as they stand, so it is unsafe once the
     caller runs threads."""
-    check_count("jobs", jobs, 1)
+    check_setting("jobs", jobs, 1)
     paths = sorted(Path(p) for p in paths)
     # the pool starts all its workers at the first submit
     workers = min(jobs, len(paths))

@@ -33,6 +33,46 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def _defined_names(tree: ast.Module):
+    """The names a module's top-level statements define: functions, classes
+    and names assigned alone. Dunders are left out, as Python reads them
+    itself, and so are names unpacked together, such as the palette's
+    colours, which name a whole set whether or not each is read."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id
+
+
+def _loaded_names(tree: ast.Module):
+    """Every name a module loads: as a name, as an attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_level_name_is_used():
+    """Each function, class and assigned name at the top of a package
+    module is loaded somewhere in the package, the benchmark or the tests."""
+    root = Path(parsing.__file__).resolve().parents[2]
+    files = [path for folder in ("src/gridmdl", "bench", "tests")
+             for path in sorted((root / folder).glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    loaded = {name for tree in trees.values() for name in _loaded_names(tree)}
+    unused = [f"{path.stem}.{name}" for path, tree in trees.items()
+              if path.parent.name == "gridmdl"
+              for name in _defined_names(tree) if name not in loaded]
+    assert unused == []
+
+
 def test_importing_the_package_loads_no_scipy():
     """numpy is the one runtime dependency. Importing `scipy.ndimage` alone
     would add about 27 MB and a quarter of a second to every process, the
