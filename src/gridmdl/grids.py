@@ -41,9 +41,12 @@ class GridError(Exception):
 class Grid:
     """Immutable ARC grid: 1..MAX_DIM rows of 1..MAX_DIM cells each, every
     cell an int colour in 0..9. Anything else is refused with a GridError,
-    which names a bad cell as `[i][j]`."""
+    which names a bad cell as `[i][j]`.
 
-    __slots__ = ("height", "width", "rows", "_arr", "_hash")
+    The cells are held as one `bytes` object, row-major, one byte per
+    colour; `rows` and `array` are built from it on each access."""
+
+    __slots__ = ("height", "width", "_cells", "_hash")
 
     def __init__(self, rows):
         if not (isinstance(rows, _SEQS) and rows):
@@ -51,7 +54,6 @@ class Grid:
         for i, row in enumerate(rows):
             if not isinstance(row, _SEQS):
                 raise GridError(f"[{i}]: row is not a list of cells")
-        rows = tuple(map(tuple, rows))
         h, w = len(rows), len(rows[0])
         if not w:
             raise GridError("empty grid")
@@ -61,18 +63,16 @@ class Grid:
             raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
         cells = list(chain.from_iterable(rows))
         if not all(map(is_color, cells)):
-            i, j = divmod(next(k for k, c in enumerate(cells) if not is_color(c)), w)
-            raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
-                            f"0-{NUM_COLORS - 1}")
-        self._fill(rows, h, w)
+            k = next(k for k, c in enumerate(cells) if not is_color(c))
+            raise GridError(_bad_cell(k, w, cells[k]))
+        self._fill(bytes(cells), h, w)
 
-    def _fill(self, rows: tuple, h: int, w: int) -> "Grid":
-        """Set the fields of a grid of checked rows."""
+    def _fill(self, cells: bytes, h: int, w: int) -> "Grid":
+        """Set the fields of a grid of checked cells."""
         object.__setattr__(self, "height", h)
         object.__setattr__(self, "width", w)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_arr", None)
-        object.__setattr__(self, "_hash", hash(rows))
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_hash", hash(cells))
         return self
 
     def __setattr__(self, *a):
@@ -83,13 +83,15 @@ class Grid:
         return (Grid, (self.rows,))
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The cells as a tuple of row tuples of ints; built on each call."""
+        cells, w = self._cells, self.width
+        return tuple(tuple(cells[k:k + w]) for k in range(0, len(cells), w))
+
+    @property
     def array(self) -> np.ndarray:
-        """Read-only numpy view of the cells."""
-        if self._arr is None:
-            a = np.array(self.rows, dtype=np.int8)
-            a.setflags(write=False)
-            object.__setattr__(self, "_arr", a)
-        return self._arr
+        """Read-only numpy view of the cells; built on each call."""
+        return np.frombuffer(self._cells, np.int8).reshape(self.height, self.width)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Grid":
@@ -100,14 +102,15 @@ class Grid:
                 and 0 < arr.shape[1] <= MAX_DIM and arr.min() >= 0
                 and arr.max() < NUM_COLORS):
             return cls(arr.tolist())
-        return object.__new__(cls)._fill(tuple(map(tuple, arr.tolist())), *arr.shape)
+        return object.__new__(cls)._fill(arr.astype(np.uint8).tobytes(), *arr.shape)
 
     @property
     def size(self) -> tuple[int, int]:
         return self.height, self.width
 
     def __eq__(self, other):
-        return isinstance(other, Grid) and self.rows == other.rows
+        return (isinstance(other, Grid) and self.width == other.width
+                and self._cells == other._cells)
 
     def __hash__(self):
         return self._hash
@@ -117,24 +120,39 @@ class Grid:
 
     def to_text(self) -> str:
         """The rows as lines of colour digits."""
-        return "\n".join(bytes(row).translate(_DIGITS).decode() for row in self.rows)
+        text, w = self._cells.translate(_DIGITS).decode(), self.width
+        return "\n".join(text[k:k + w] for k in range(0, len(text), w))
+
+
+def _bad_cell(k: int, w: int, c) -> str:
+    """The message refusing `c` as the colour of cell `k` of a grid `w` wide."""
+    i, j = divmod(k, w)
+    return f"[{i}][{j}]: cell {c!r} is not a colour 0-{NUM_COLORS - 1}"
 
 
 def delta_apply(base: Grid, delta: Delta) -> Grid:
-    """Overwrite `base` cells with the delta's colours."""
+    """Overwrite `base` cells with the delta's colours. A bad colour is
+    refused as `Grid(rows)` refuses it, the first in scanline order named."""
     if not delta:
         return base
     h, w = base.size
     seen = set()
-    rows = [list(r) for r in base.rows]
+    cells = bytearray(base._cells)
+    bad = {}  # cell index -> refused colour
     for i, j, c in delta:
         if not (0 <= i < h and 0 <= j < w):
             raise GridError(f"delta cell out of bounds: {(i, j)}")
         if (i, j) in seen:
             raise GridError(f"duplicate delta cell: {(i, j)}")
         seen.add((i, j))
-        rows[i][j] = c
-    return Grid(rows)
+        if is_color(c):
+            cells[i * w + j] = c
+        else:
+            bad[i * w + j] = c
+    if bad:
+        k = min(bad)
+        raise GridError(_bad_cell(k, w, bad[k]))
+    return object.__new__(Grid)._fill(bytes(cells), h, w)
 
 
 @dataclass(frozen=True, eq=False, init=False)

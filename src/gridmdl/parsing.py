@@ -93,12 +93,12 @@ class Reading:
     def delta(self) -> frozenset:
         """The delta as (i, j, colour) cells, coloured after the grid, so
         that `delta_apply(draw(tree), delta) == grid`; built on each call."""
-        g, w = self.grid, self.grid.width
+        rows, w = self.grid.rows, self.grid.width
         mask, out = self.delta_mask, []
         while mask:
             low = mask & -mask
             i, j = divmod(low.bit_length() - 1, w)
-            out.append((i, j, g.rows[i][j]))
+            out.append((i, j, rows[i][j]))
             mask ^= low
         return frozenset(out)
 

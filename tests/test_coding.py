@@ -75,6 +75,19 @@ def test_l_var_softmax_prefers_similar_paths():
         math.log2(1 + math.exp(1)), abs=1e-12)
 
 
+def test_l_var_is_keyed_on_the_path_the_slot_and_the_candidates():
+    """Keys that differ in one argument each, in one process-wide cache:
+    each cost is the uncached cost of its own key."""
+    cands = (("size", "i"), ("layers", 0, "pos", "i"))
+    keys = [(("size", "i"), ("size", "i"), cands),
+            (("size", "i"), ("layers", 0, "pos", "i"), cands),
+            (("layers", 0, "pos", "i"), ("size", "i"), cands),
+            (("size", "i"), ("size", "i"), cands + (("layers", 1, "size", "i"),))]
+    for key in keys * 2:
+        assert l_var(*key) == l_var.__wrapped__(*key)
+    assert len({l_var(*key) for key in keys}) == len(keys)
+
+
 def test_l_var_single_candidate_is_free():
     assert l_var(("size",), ("size",), (("size",),)) == 0.0
 

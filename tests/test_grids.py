@@ -1,5 +1,8 @@
 """Grids: validation, deltas, segmentation, masks, rendering."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,52 @@ def test_grid_takes_tuple_rows_and_array_cells_alike():
     assert g == Grid([[0, 9], [3, 4]]) == Grid.from_array(np.array([[0, 9], [3, 4]], dtype=np.int8))
 
 
+# a 30x30 grid of every colour, as rows and as a drawn array
+ROWS_30 = [[(i * 30 + j) % 10 for j in range(30)] for i in range(30)]
+ARRAY_30 = np.array(ROWS_30, dtype=np.int8)
+
+
+def _traced_growth(step) -> int:
+    """Bytes still allocated, under tracemalloc, after `step()` returns;
+    what it returns is kept until the measure is taken."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = step()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [lambda: Grid(ROWS_30), lambda: Grid.from_array(ARRAY_30)],
+                         ids=["rows", "from_array"])
+def test_a_30x30_grid_holds_its_cells_compactly_and_caches_no_array(make):
+    n = 100
+    assert _traced_growth(lambda: [make() for _ in range(n)]) <= 1500 * n
+    grids = [make() for _ in range(n)]
+    # each access builds a fresh view; none stays on the grid
+    assert _traced_growth(lambda: all(g.array.sum() > 0 for g in grids)) < 10 * n
+    assert all(g.array.tolist() == ROWS_30 for g in grids)
+
+
+def test_grids_of_one_cell_sequence_in_other_shapes_are_unequal():
+    cells = [1, 2, 3, 4, 5, 6]
+    assert Grid([cells[:3], cells[3:]]) != Grid([cells[:2], cells[2:4], cells[4:]])
+
+
+def test_a_pickled_grid_comes_back_equal_with_its_hash():
+    for g in (Grid([[1, 2]]), Grid(ROWS_30)):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back.size == g.size
+
+
+def test_grid_rows_are_tuples_of_ints():
+    for g in (Grid([[0, 9], [3, 4]]), Grid.from_array(ARRAY_30)):
+        assert type(g.rows) is tuple
+        assert all(type(row) is tuple and all(type(c) is int for c in row) for row in g.rows)
+    assert Grid.from_array(ARRAY_30).rows == tuple(map(tuple, ROWS_30))
+
+
 def test_grid_to_text():
     assert Grid([[0, 1], [9, 5]]).to_text() == "01\n95"
 
@@ -103,6 +152,27 @@ def test_delta_between_requires_matching_dims():
 def test_delta_apply_rejects_bad_entries(delta):
     with pytest.raises(GridError):
         delta_apply(Grid([[0, 0], [0, 0]]), frozenset(delta))
+
+
+@pytest.mark.parametrize("delta, message", [
+    ({(2, 0, 1)}, r"^delta cell out of bounds: \(2, 0\)$"),
+    ({(0, 0, 1), (0, 0, 2)}, r"^duplicate delta cell: \(0, 0\)$"),
+    ({(0, 1, 10)}, r"^\[0\]\[1\]: cell 10 is not a colour 0-9$"),
+    ({(0, 1, True)}, r"^\[0\]\[1\]: cell True is not a colour 0-9$"),
+    ({(0, 1, 1.0)}, r"^\[0\]\[1\]: cell 1.0 is not a colour 0-9$"),
+    # several bad colours: the first in scanline order is named
+    ({(1, 0, 11), (0, 1, 12), (1, 1, 13), (0, 0, 3)}, r"^\[0\]\[1\]: cell 12 "),
+])
+def test_delta_apply_names_what_it_refuses(delta, message):
+    with pytest.raises(GridError, match=message):
+        delta_apply(Grid([[0, 0], [0, 0]]), frozenset(delta))
+
+
+def test_delta_apply_leaves_the_base_as_it_was():
+    base = Grid([[0, 0, 0], [0, 0, 0]])
+    target = delta_apply(base, frozenset({(0, 2, 7), (1, 0, 9)}))
+    assert target == Grid([[0, 0, 7], [9, 0, 0]]) and hash(target) == hash(Grid(target.rows))
+    assert base.rows == ((0, 0, 0), (0, 0, 0))
 
 
 # segmentation
@@ -213,6 +283,16 @@ def test_mask_array_agrees_with_membership():
             for i in range(h):
                 for j in range(w):
                     assert arr[i, j] == mask_member(kind, (h, w), (i, j)), (kind, h, w, i, j)
+
+
+def test_mask_array_is_keyed_on_the_bits_of_a_bitmap():
+    """Two bitmaps of one size, and a regular mask of that size, in one
+    process-wide cache: each array is the uncached array of its own key."""
+    keys = [("Bitmap", 2, 2, ((1, 0), (0, 1))), ("Bitmap", 2, 2, ((0, 1), (1, 0))),
+            ("Full", 2, 2, None)]
+    for key in keys * 2:
+        assert np.array_equal(mask_array(*key), mask_array.__wrapped__(*key))
+    assert not np.array_equal(mask_array(*keys[0]), mask_array(*keys[1]))
 
 
 def test_mask_array_is_read_only():

@@ -304,6 +304,24 @@ def test_template_diffs_report_mismatching_leaves():
     assert got == ((("pos", "j"), 2), (("shape", "color"), 6))
 
 
+def test_matcher_is_keyed_on_every_leaf_of_its_template():
+    """Templates that differ from the first in one leaf each, in one
+    process-wide cache: each matcher gives the diffs of the uncached matcher
+    of its own template, on trees that match each template differently."""
+    rect = pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.FULL))
+    templates = [rect,
+                 pos_shape(vec(1, 2), rectangle(vec(2, 2), 5, lang.FULL)),
+                 pos_shape(vec(1, 1), rectangle(vec(2, 3), 5, lang.FULL)),
+                 pos_shape(vec(1, 1), rectangle(vec(2, 2), 6, lang.FULL)),
+                 pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.BORDER)),
+                 pos_shape(UNK, rectangle(vec(2, 2), 5, lang.FULL))]
+    trees = [rect, pos_shape(vec(0, 3), rectangle(vec(2, 3), 6, lang.BORDER)),
+             pos_shape(vec(1, 1), point(5))]
+    for tmpl in templates * 2:
+        assert [_matcher(tmpl)(t) for t in trees] == [_matcher.__wrapped__(tmpl)(t) for t in trees]
+    assert len({tuple(_matcher(tmpl)(t) for t in trees) for tmpl in templates}) == len(templates)
+
+
 def test_template_diffs_constructor_mismatch_is_one_diff():
     tmpl = pos_shape(vec(1, 1), rectangle(UNK, UNK, UNK))
     tree = pos_shape(vec(1, 1), point(3))
