@@ -63,8 +63,9 @@ class Grid:
             raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
         cells = list(chain.from_iterable(rows))
         if not all(map(is_color, cells)):
-            k = next(k for k, c in enumerate(cells) if not is_color(c))
-            raise GridError(_bad_cell(k, w, cells[k]))
+            i, j = divmod(next(k for k, c in enumerate(cells) if not is_color(c)), w)
+            raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
+                            f"0-{NUM_COLORS - 1}")
         self._fill(bytes(cells), h, w)
 
     def _fill(self, cells: bytes, h: int, w: int) -> "Grid":
@@ -124,35 +125,21 @@ class Grid:
         return "\n".join(text[k:k + w] for k in range(0, len(text), w))
 
 
-def _bad_cell(k: int, w: int, c) -> str:
-    """The message refusing `c` as the colour of cell `k` of a grid `w` wide."""
-    i, j = divmod(k, w)
-    return f"[{i}][{j}]: cell {c!r} is not a colour 0-{NUM_COLORS - 1}"
-
-
 def delta_apply(base: Grid, delta: Delta) -> Grid:
-    """Overwrite `base` cells with the delta's colours. A bad colour is
-    refused as `Grid(rows)` refuses it, the first in scanline order named."""
+    """Overwrite `base` cells with the delta's colours."""
     if not delta:
         return base
     h, w = base.size
     seen = set()
-    cells = bytearray(base._cells)
-    bad = {}  # cell index -> refused colour
+    cells = list(base._cells)
     for i, j, c in delta:
         if not (0 <= i < h and 0 <= j < w):
             raise GridError(f"delta cell out of bounds: {(i, j)}")
         if (i, j) in seen:
             raise GridError(f"duplicate delta cell: {(i, j)}")
         seen.add((i, j))
-        if is_color(c):
-            cells[i * w + j] = c
-        else:
-            bad[i * w + j] = c
-    if bad:
-        k = min(bad)
-        raise GridError(_bad_cell(k, w, bad[k]))
-    return object.__new__(Grid)._fill(bytes(cells), h, w)
+        cells[i * w + j] = c
+    return Grid([cells[k:k + w] for k in range(0, h * w, w)])
 
 
 @dataclass(frozen=True, eq=False, init=False)
