@@ -62,7 +62,8 @@ class Grid:
         if h > MAX_DIM or w > MAX_DIM:
             raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
         cells = list(chain.from_iterable(rows))
-        if not all(map(is_color, cells)):
+        # types first, then distinct values; the scan names the first bad cell
+        if set(map(type, cells)) != {int} or not all(map(is_color, set(cells))):
             i, j = divmod(next(k for k, c in enumerate(cells) if not is_color(c)), w)
             raise GridError(f"[{i}][{j}]: cell {rows[i][j]!r} is not a colour "
                             f"0-{NUM_COLORS - 1}")

@@ -651,13 +651,18 @@ def _walk(rows: list, cap: int, budget: int) -> list:
     wrong): `covered` folds in each pick's cells, `wrong` each pick's wrong
     cells that earlier picks do not cover.
 
-    Each rank sum is walked depth first from layer 0. At depth d, with
-    `left` of the sum still to place, rank i leaves `left - i` for the
-    layers below, which can take at most `room[d + 1]`; so the last layer's
-    rank is fixed. A branch ends at the first reused bit or overrun budget.
+    Each rank sum is walked depth first, one try per pick checked. Rank i
+    of layer d leaves `left - i` of the sum for the layers after it, which
+    can take at most `room[d + 1]`. The walk's own loop places layer 0 for
+    each sum, `visit` recurses through the middle layers, and `pair` places
+    the last two in one loop, where the sum fixes the last layer's rank. A
+    branch ends at the first reused bit or overrun budget.
+
     The state after a prefix, (depth, left, used, diffs), decides its every
-    completion, so an inner state whose walk found nothing is skipped when
-    met again."""
+    completion, so a state after two or more picks whose walk found nothing
+    is skipped when met again. The rows' bits must be distinct within each
+    layer, as `_admitted` builds them; then a state after one pick, (1, sum
+    - i, bit of row i, diffs), is met once per walk and needs no memo."""
     L = len(rows)
     if L == 0:
         return [((), 0, 0, 0)]
@@ -668,49 +673,71 @@ def _walk(rows: list, cap: int, budget: int) -> list:
     room = [0] * (L + 1)
     for d in range(L - 1, -1, -1):
         room[d] = room[d + 1] + len(rows[d]) - 1
-    last = rows[-1]
-    penult = L - 2
+    first, pen, last, top_last = rows[0], rows[-2], rows[-1], room[L - 1]
     ranks = [0] * L
-    out = []
-    dead = set()
-    steps = 0
+    out, dead, steps = [], set(), 0
+
+    def pair(d: int, left: int, used: int, n: int, covered: int, wrong: int) -> bool:
+        """Walk the picks of the last two layers (d is L - 2) with rank sum
+        `left`, the step count held in a local; whether any was found."""
+        nonlocal steps
+        tries, found, spare = steps, False, budget - n
+        lo = left - top_last if left > top_last else 0
+        for i, (bit, nd, cells, wr) in enumerate(pen[lo:left + 1], lo):
+            tries += 1
+            if not used & bit and nd <= spare:
+                tries += 1
+                bit2, nd2, cells2, wr2 = last[left - i]
+                if not (used | bit) & bit2 and nd + nd2 <= spare:
+                    ranks[-2], ranks[-1] = i, left - i
+                    covered_i = covered | cells
+                    # most picks have no wrong cells: skip the complements
+                    w = (wrong | (wr & ~covered)) if wr else wrong
+                    if wr2:
+                        w |= wr2 & ~covered_i
+                    out.append((tuple(ranks), n + nd + nd2, covered_i | cells2, w))
+                    found = True
+                    if len(out) >= cap:
+                        break
+            if tries >= _MAX_STEPS:
+                break
+        steps = tries
+        return found
 
     def visit(d: int, left: int, used: int, n: int, covered: int, wrong: int) -> bool:
-        """Walk the picks of layers d.. (d < L - 1) with rank sum `left`;
+        """Walk the picks of layers d.. (0 < d < L - 2) with rank sum `left`;
         whether any combination was found."""
         nonlocal steps
-        found = False
-        layer = rows[d]
-        lo = left - room[d + 1]
-        for i in range(lo if lo > 0 else 0, min(left, len(layer) - 1) + 1):
+        found, spare = False, budget - n
+        layer, below = rows[d], (pair if d + 1 == L - 2 else visit)
+        lo = left - room[d + 1] if left > room[d + 1] else 0
+        for i, (bit, nd, cells, wr) in enumerate(layer[lo:left + 1], lo):
             steps += 1
-            bit, nd, cells, wr = layer[i]
-            if not used & bit and n + nd <= budget:
+            if not used & bit and nd <= spare:
                 ranks[d] = i
-                used_i, n_i = used | bit, n + nd
-                covered_i, wrong_i = covered | cells, wrong | (wr & ~covered)
-                if d == penult:
-                    # the last layer, inlined rather than visited: its rank is fixed
-                    steps += 1
-                    bit, nd, cells, wr = last[left - i]
-                    if not used_i & bit and n_i + nd <= budget:
-                        ranks[-1] = left - i
-                        out.append((tuple(ranks), n_i + nd, covered_i | cells,
-                                    wrong_i | (wr & ~covered_i)))
+                state = (d + 1, left - i, used | bit, n + nd)
+                if state not in dead:
+                    if below(*state, covered | cells, (wrong | (wr & ~covered)) if wr else wrong):
                         found = True
-                else:
-                    state = (d + 1, left - i, used_i, n_i)
-                    if state not in dead:
-                        if visit(*state, covered_i, wrong_i):
-                            found = True
-                        else:
-                            dead.add(state)
+                    else:
+                        dead.add(state)
             if len(out) >= cap or steps >= _MAX_STEPS:
                 break
         return found
 
-    for rank in range(room[0] + 1):
-        visit(0, rank, 0, 0, 0, 0)
+    below = pair if L == 3 else visit
+    for total in range(room[0] + 1):
+        if L == 2:
+            pair(0, total, 0, 0, 0, 0)
+        else:
+            lo = total - room[1] if total > room[1] else 0
+            for i, (bit, nd, cells, wr) in enumerate(first[lo:total + 1], lo):
+                steps += 1
+                if nd <= budget:
+                    ranks[0] = i
+                    below(1, total - i, bit, nd, cells, wr)
+                if len(out) >= cap or steps >= _MAX_STEPS:
+                    break
         if len(out) >= cap or steps >= _MAX_STEPS:
             break
     # `visit` holds itself through its closure: break that cycle, so that

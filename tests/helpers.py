@@ -211,6 +211,72 @@ def parse_by_costing_all(applied, g: Grid, caches: parsing.Caches) -> tuple:
     return tuple(readings)
 
 
+def walk_by_prefixes(rows: list, cap: int, budget: int) -> list:
+    """Reference for `parsing._walk`, step bound included: one `visit` per
+    layer but the last, which is placed inline, and the dead-state memo
+    kept after every prefix. It counts a try for each pick it checks, and
+    stops after the try that reaches `parsing._MAX_STEPS`."""
+    L = len(rows)
+    if L == 0:
+        return [((), 0, 0, 0)]
+    if L == 1:
+        # injective by itself, and in rank order: at most _MAX_PER_LAYER tries
+        return [((i,), nd, cells, wrong)
+                for i, (_, nd, cells, wrong) in enumerate(rows[0]) if nd <= budget][:cap]
+    room = [0] * (L + 1)
+    for d in range(L - 1, -1, -1):
+        room[d] = room[d + 1] + len(rows[d]) - 1
+    last = rows[-1]
+    penult = L - 2
+    ranks = [0] * L
+    out = []
+    dead = set()
+    steps = 0
+
+    def visit(d: int, left: int, used: int, n: int, covered: int, wrong: int) -> bool:
+        """Walk the picks of layers d.. (d < L - 1) with rank sum `left`;
+        whether any combination was found."""
+        nonlocal steps
+        found = False
+        layer = rows[d]
+        lo = left - room[d + 1]
+        for i in range(lo if lo > 0 else 0, min(left, len(layer) - 1) + 1):
+            steps += 1
+            bit, nd, cells, wr = layer[i]
+            if not used & bit and n + nd <= budget:
+                ranks[d] = i
+                used_i, n_i = used | bit, n + nd
+                covered_i, wrong_i = covered | cells, wrong | (wr & ~covered)
+                if d == penult:
+                    # the last layer, inlined rather than visited: its rank is fixed
+                    steps += 1
+                    bit, nd, cells, wr = last[left - i]
+                    if not used_i & bit and n_i + nd <= budget:
+                        ranks[-1] = left - i
+                        out.append((tuple(ranks), n_i + nd, covered_i | cells,
+                                    wrong_i | (wr & ~covered_i)))
+                        found = True
+                else:
+                    state = (d + 1, left - i, used_i, n_i)
+                    if state not in dead:
+                        if visit(*state, covered_i, wrong_i):
+                            found = True
+                        else:
+                            dead.add(state)
+            if len(out) >= cap or steps >= parsing._MAX_STEPS:
+                break
+        return found
+
+    for rank in range(room[0] + 1):
+        visit(0, rank, 0, 0, 0, 0)
+        if len(out) >= cap or steps >= parsing._MAX_STEPS:
+            break
+    # `visit` holds itself through its closure: break that cycle, so that
+    # reference counting frees the walk's state
+    visit = None
+    return out
+
+
 def template_diffs(tmpl, tree, prefix: tuple = ()) -> tuple | None:
     """Reference for `parsing._matcher(tmpl)(tree)`, by recursion over both
     terms: the diffs turning the template into the ground tree, or None when

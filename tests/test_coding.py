@@ -88,6 +88,19 @@ def test_l_var_is_keyed_on_the_path_the_slot_and_the_candidates():
     assert len({l_var(*key) for key in keys}) == len(keys)
 
 
+def test_l_ground_is_keyed_on_the_term_the_sort_the_role_and_the_dims():
+    """Keys that each differ from an earlier one in one part (the role,
+    the dims, the sort, then the term under a size role), in one
+    process-wide cache: each cost is the uncached cost of its own key."""
+    keys = [(3, lang.NAT, "pos_i", (8, 5)), (3, lang.NAT, "pos_j", (8, 5)),
+            (3, lang.NAT, "pos_i", (16, 5)), (3, lang.COLOR, "pos_i", (8, 5)),
+            (3, lang.NAT, "size", (8, 5)), (7, lang.NAT, "size", (8, 5)),
+            (vec(3, 2), lang.VEC, "size", (8, 5)), (vec(3, 4), lang.VEC, "size", (8, 5))]
+    for key in keys * 2:
+        assert coding._l_ground(*key) == coding._l_ground.__wrapped__(*key)
+    assert len({coding._l_ground(*key) for key in keys}) == len(keys)
+
+
 def test_l_var_single_candidate_is_free():
     assert l_var(("size",), ("size",), (("size",),)) == 0.0
 

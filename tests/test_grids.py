@@ -52,6 +52,18 @@ def test_grid_names_the_bad_cell(cell):
         Grid([[0, 0, 0], [0, 0, cell]])
 
 
+@pytest.mark.parametrize("rows, first", [
+    ([[0, 10, 0], [True, 0, 1.0]], r"^\[0\]\[1\]: cell 10 "),  # a bad value before bad types
+    ([[0, 0, "3"], [11, -1, 0]], r"^\[0\]\[2\]: cell '3' "),  # a bad type before bad values
+    ([[0, 0], [0, 12], [10, 0]], r"^\[1\]\[1\]: cell 12 "),
+    ([[1, True]], r"^\[0\]\[1\]: cell True "),  # equal to a colour, as a set member
+    ([[0, 1], [1.0, 0]], r"^\[1\]\[0\]: cell 1.0 "),
+])
+def test_grid_names_the_first_bad_cell_in_scanline_order(rows, first):
+    with pytest.raises(GridError, match=first):
+        Grid(rows)
+
+
 def test_grid_from_a_float_array_is_refused():
     with pytest.raises(GridError, match=r"^\[0\]\[0\]: cell 0.5 "):
         Grid.from_array(np.array([[0.5, 2.9]]))

@@ -142,6 +142,17 @@ def test_node_count_counts_every_slot():
     assert lang.node_count(grid(vec(2, 3), 0, [])) == 5
 
 
+def test_node_count_is_keyed_on_every_node_of_its_term():
+    """Terms that each differ from an earlier one in one node, in one
+    process-wide cache: each count is the uncached count of its own term."""
+    rect = rectangle(UNK, UNK, UNK)
+    terms = [pos_shape(UNK, UNK), pos_shape(vec(UNK, UNK), UNK), pos_shape(UNK, rect),
+             pos_shape(UNK, point(UNK)), grid(UNK, UNK, [rect]), grid(UNK, UNK, [rect, rect])]
+    for t in terms * 2:
+        assert lang.node_count(t) == lang.node_count.__wrapped__(t)
+    assert len({lang.node_count(t) for t in terms}) == len(terms)
+
+
 def test_walk_slots_includes_root():
     paths = [p for p, _, _, _ in lang.slots(grid(vec(2, 3), 0, []))]
     assert paths == [(), ("size",), ("size", "i"), ("size", "j"), ("color",)]

@@ -89,3 +89,33 @@ def test_importing_the_package_loads_no_scipy():
                            timeout=60, text=True)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+def _cached_functions(tree: ast.Module):
+    """The name of each function a module decorates with
+    `functools.lru_cache`, called or bare, by name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name == "lru_cache":
+                    yield node.name
+
+
+def test_every_cache_has_a_key_test():
+    """A process-wide cache must depend on every input that affects its
+    answer. Each function of the package under `lru_cache` has a test named
+    `test_<name>_is_keyed_on_...`, its leading underscore dropped, that
+    asks keys differing in one part each and compares every answer with
+    the uncached `__wrapped__` answer of its own key."""
+    package = Path(parsing.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    names = {node.name for path in sorted(tests.glob("test_*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    untested = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+                for name in _cached_functions(ast.parse(path.read_text()))
+                if not any(test.startswith(f"test_{name.lstrip('_')}_is_keyed_on_")
+                           for test in names)]
+    assert untested == []

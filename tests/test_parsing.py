@@ -297,6 +297,16 @@ def test_template_diffs_unknowns_absorb():
     assert _matcher(tmpl)(tree) == ()
 
 
+def test_vec_is_keyed_on_both_components():
+    """Pairs that differ from the first in one component each, and the
+    first swapped, in one process-wide cache: each vector is the uncached
+    vector of its own key, and a second call returns the first's object."""
+    keys = [(1, 2), (3, 2), (1, 3), (2, 1)]
+    for key in keys * 2:
+        assert parsing._vec(*key) == parsing._vec.__wrapped__(*key) == vec(*key)
+    assert all(parsing._vec(*key) is parsing._vec(*key) for key in keys)
+
+
 def test_template_diffs_report_mismatching_leaves():
     tmpl = pos_shape(vec(1, 1), rectangle(vec(2, 2), 5, lang.FULL))
     tree = pos_shape(vec(1, 2), rectangle(vec(2, 2), 6, lang.FULL))

@@ -13,7 +13,7 @@ from gridmdl.lang import App, Var
 
 from helpers import (
     build_index_by_scans, delta_between, is_ground_by_slots, mask_member, parse_by_costing_all,
-    segment_by_scans, template_diffs,
+    segment_by_scans, template_diffs, walk_by_prefixes,
 )
 
 
@@ -626,6 +626,46 @@ def test_walk_returns_the_first_injective_in_budget_combinations(rows, budget, c
         mp.setattr(parsing, "_MAX_STEPS", 10 ** 9)
         got = parsing._walk(rows, cap, budget)
     assert got == _oracle_walk(rows, cap, budget)
+
+
+@st.composite
+def admitted_rows(draw):
+    """2-5 layers of walk rows whose bits are distinct within each layer, as
+    `parsing._admitted` builds them: each layer lists up to six of a pool
+    of six candidates, so that layers share bits, and a layer may repeat an
+    earlier one, as like layers do; each row has 0-2 diffs."""
+    cells = st.integers(0, (1 << 12) - 1)
+    pool = []
+    for k in range(6):
+        covered = draw(cells)
+        pool.append((1 << k, covered, covered & draw(cells)))
+    layers = []
+    for _ in range(draw(st.integers(2, 5))):
+        if layers and draw(st.booleans()):
+            layers.append(draw(st.sampled_from(layers)))
+        else:
+            picks = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+            layers.append([(bit, draw(st.integers(0, 2)), covered, wrong)
+                           for bit, covered, wrong in picks])
+    return layers
+
+
+# the walk meets one dead state, bits 8 and 16 with nothing left to place,
+# after picks (0, 1) at rank sum 1 and again after (2, 0) at rank sum 2; a
+# walk that walks it twice has found two of the three combinations by the
+# bound of 50
+@example(rows=[[(8, 0, 0, 0), (4, 0, 0, 0), (16, 0, 0, 0)], [(8, 0, 0, 0), (16, 0, 0, 0)],
+               [(4, 0, 0, 0), (1, 0, 0, 0)], [(16, 0, 0, 0), (4, 0, 0, 0)]], budget=0, cap=20)
+@settings(max_examples=500)
+@given(admitted_rows(), st.integers(0, 3), st.integers(1, 20))
+def test_walk_spends_its_steps_as_the_walk_by_prefixes(rows, budget, cap):
+    """With the step bound in reach, `_walk` stops where the reference walk
+    (`walk_by_prefixes`) stops, so both return the same combinations: each
+    counts one try per pick it checks, and skips a dead state met again."""
+    for bound in (1, 7, 50, 500):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parsing, "_MAX_STEPS", bound)
+            assert parsing._walk(rows, cap, budget) == walk_by_prefixes(rows, cap, budget), bound
 
 
 @pytest.mark.parametrize("max_diffs", [0, 3])
