@@ -146,12 +146,13 @@ def delta_apply(base: Grid, delta: Delta) -> Grid:
 @dataclass(frozen=True, eq=False, init=False)
 class Part:
     """Maximal connected one-colour region: its colour, its box, its `area`
-    (cell count) and `mask`, the read-only boolean array of its cells over
-    its box.
+    (cell count), `mask`, the read-only boolean array of its cells over its
+    box, and `bits`, the bitmask of its cells in its grid (bit `i * W + j`
+    for cell (i, j) of a grid W columns wide).
 
     `cells`, the set of its (row, column) cells, is derived from the mask on
     each use. Parts compare and hash as the tuple (color, cells, top, left,
-    height, width): the mask takes part only through its cells."""
+    height, width): the mask and the bits take part only through its cells."""
     color: int
     top: int
     left: int
@@ -159,13 +160,14 @@ class Part:
     width: int
     area: int
     mask: np.ndarray = field(repr=False)
+    bits: int = field(repr=False)
 
     def __init__(self, color: int, top: int, left: int, height: int, width: int,
-                 area: int, mask: np.ndarray):
+                 area: int, mask: np.ndarray, bits: int):
         # one update of the instance dict: a frozen dataclass's own __init__
         # pays an `object.__setattr__` per field
         self.__dict__.update(color=color, top=top, left=left, height=height,
-                             width=width, area=area, mask=mask)
+                             width=width, area=area, mask=mask, bits=bits)
 
     @property
     def cells(self) -> frozenset:
@@ -200,8 +202,10 @@ def segment(g: Grid) -> tuple[Part, ...]:
     more links, not change the parts). So a part's root is its first run,
     and the roots in increasing order are the parts in the order returned.
     Each cell is labelled with its part's root; boxes come from the runs'
-    rows and end columns, areas from one `np.bincount` over the labels, and
-    each mask is cut from the labels over its box."""
+    rows and end columns and areas from one `np.bincount` over the labels.
+    One comparison of the labels with every root gives each part's cells
+    over the whole grid: each mask is a read-only slice of it over the
+    part's box, and one `np.packbits` of it gives every part's bits."""
     arr = g.array
     h, w = arr.shape
     cells = arr.ravel()
@@ -237,14 +241,17 @@ def segment(g: Grid) -> tuple[Part, ...]:
     np.maximum.at(right, root, lasts)
     areas = np.bincount(labels.ravel(), minlength=n)
     roots = np.flatnonzero(root == np.arange(n))
+    owned = labels == roots.reshape(-1, 1, 1)  # each part's cells, one plane per part
+    owned.setflags(write=False)
+    packed = np.packbits(owned.reshape(len(roots), -1), axis=1, bitorder="little")
+    stride, packed = packed.shape[1], packed.tobytes()
     parts = []
-    for r, color, top, lo, hi, bot, area in zip(
-            roots.tolist(), cells[edges[roots]].tolist(), rows[roots].tolist(),
-            left[roots].tolist(), right[roots].tolist(), bottom[roots].tolist(),
-            areas[roots].tolist()):
-        mask = labels[top:bot + 1, lo:hi + 1] == r
-        mask.setflags(write=False)
-        parts.append(Part(color, top, lo, bot - top + 1, hi - lo + 1, area, mask))
+    for k, (color, top, lo, hi, bot, area) in enumerate(zip(
+            cells[edges[roots]].tolist(), rows[roots].tolist(), left[roots].tolist(),
+            right[roots].tolist(), bottom[roots].tolist(), areas[roots].tolist())):
+        bits = int.from_bytes(packed[k * stride:(k + 1) * stride], "little")
+        parts.append(Part(color, top, lo, bot - top + 1, hi - lo + 1, area,
+                          owned[k, top:bot + 1, lo:hi + 1], bits))
     return tuple(parts)
 
 
@@ -267,13 +274,27 @@ def _join(root: np.ndarray, xs: list, ys: list) -> np.ndarray:
     return final[root]
 
 
+def check_bitmap(bits, h: int, w: int) -> None:
+    """Refuse, with a GridError, bitmap cells that are not h rows of w
+    cells, each the int 0 or 1 (not a bool, not a float)."""
+    if not (isinstance(bits, tuple) and len(bits) == h
+            and all(isinstance(row, tuple) and len(row) == w for row in bits)):
+        raise GridError(f"bitmap is not {h} rows of {w} cells")
+    for i, row in enumerate(bits):
+        for j, c in enumerate(row):
+            if type(c) is not int or c not in (0, 1):
+                raise GridError(f"bitmap cell [{i}][{j}] {c!r} is not 0 or 1")
+
+
 @lru_cache(maxsize=4096)
 def mask_array(kind: str, h: int, w: int, bits=None) -> np.ndarray:
-    """Boolean cell array of a mask; cached, read-only."""
+    """Boolean cell array of a mask; cached, read-only. A bitmap's `bits`
+    are checked by `check_bitmap` when first met. The cache keys them by
+    value, where True == 1 == 1.0, so a caller that must refuse a bool or
+    float cell checks each bitmap itself."""
     if kind == "Bitmap":
+        check_bitmap(bits, h, w)
         a = np.array(bits, dtype=bool)
-        if a.shape != (h, w):
-            raise GridError("bitmap size mismatch")
     elif kind == "Full":
         a = np.ones((h, w), dtype=bool)
     else:

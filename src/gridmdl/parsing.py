@@ -22,7 +22,9 @@ from operator import itemgetter
 import numpy as np
 
 from . import coding, lang
-from .grids import MAX_DIM, NUM_COLORS, Grid, GridError, Part, is_color, mask_array, segment
+from .grids import (
+    MAX_DIM, NUM_COLORS, Grid, GridError, Part, check_bitmap, is_color, mask_array, segment,
+)
 from .lang import (
     COLOR, MASK, NAT, OBJECT, SHAPE, VEC,
     Ctor, Term, Unknown, UNK,
@@ -41,8 +43,6 @@ _UNION_COLOR_LIMIT = 64
 
 # each background colour's prior, as `coding.slot_terms` charges a bg fill
 _BG_PRIOR = tuple(coding.l_dist(coding.P_BG[c]) for c in range(NUM_COLORS))
-
-_COLOR_COLUMN = np.arange(NUM_COLORS).reshape(-1, 1)
 
 
 @lru_cache(maxsize=(MAX_DIM + 1) ** 2)
@@ -157,6 +157,8 @@ def _draw_ground(tree: Term) -> Grid:
         raise lang.LangError("draw needs a Grid term")
     size, color, layers = tree.args
     h, w = size.args
+    _check_int(h, "grid height")
+    _check_int(w, "grid width")
     if h < 1 or w < 1:
         raise GridError(f"degenerate grid size {h}x{w}")
     if h > MAX_DIM or w > MAX_DIM:
@@ -173,10 +175,18 @@ def _check_color(c, what: str) -> None:
         raise GridError(f"{what} {c!r} is not a colour 0-{NUM_COLORS - 1}")
 
 
+def _check_int(n, what: str) -> None:
+    """Refuse a size or position that is not an int; a bool is not one."""
+    if type(n) is not int:
+        raise GridError(f"{what} {n!r} is not an int")
+
+
 def _paint(arr: np.ndarray, obj: Ctor) -> None:
     h, w = arr.shape
     pos, shape = obj.args
     oi, oj = pos.args
+    _check_int(oi, "position row")
+    _check_int(oj, "position column")
     if shape.name == "Point":
         color = shape.args[0]
         _check_color(color, "point colour")
@@ -185,12 +195,17 @@ def _paint(arr: np.ndarray, obj: Ctor) -> None:
         return
     size, color, mask = shape.args
     sh, sw = size.args
+    _check_int(sh, "rectangle height")
+    _check_int(sw, "rectangle width")
     if sh < 1 or sw < 1:
         raise GridError(f"degenerate rectangle size {sh}x{sw}")
     if sh > MAX_DIM or sw > MAX_DIM:
         raise GridError(f"rectangle size {sh}x{sw} exceeds {MAX_DIM}")
     _check_color(color, "rectangle colour")
-    bits = mask.args[0] if mask.name == "Bitmap" else None
+    bits = None
+    if mask.name == "Bitmap":
+        bits = mask.args[0]
+        check_bitmap(bits, sh, sw)  # on each paint: the cache takes True for 1
     # a Full mask paints its clipped box as one slice; any other is made
     # before the clip, so that a bad bitmap is refused even off the grid
     cells = None if mask.name == "Full" else mask_array(mask.name, sh, sw, bits)
@@ -310,21 +325,6 @@ class GridIndex:
     readings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _bits(block: np.ndarray) -> int:
-    """Bitmask of a boolean array: bit k set for its k-th cell in row-major
-    order."""
-    return int.from_bytes(np.packbits(block, axis=None, bitorder="little").tobytes(), "little")
-
-
-def _mask_cells(mask: np.ndarray, top: int, left: int, width: int) -> int:
-    """Bitmask of a box-shaped mask placed at (top, left) in a grid of
-    `width` columns: the mask sits in a full-width block of its rows."""
-    h, w = mask.shape
-    block = np.zeros((h, width), dtype=bool)
-    block[:, left:left + w] = mask
-    return _bits(block) << (top * width)
-
-
 def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
     """Bitmask of the h x w box at (top, left) in a grid of `width` columns:
     its row times the repunit that has one bit per grid row of the box."""
@@ -332,40 +332,65 @@ def _box_mask(top: int, left: int, h: int, w: int, width: int) -> int:
     return (((1 << w) - 1) << left) * repunit << (top * width)
 
 
-def recognize_mask(mask: np.ndarray) -> Ctor:
-    """Smallest regular mask equal to the boolean cell array, else a bitmap."""
-    h, w = mask.shape
-    cells = mask.tobytes()
+# the regular masks as terms, by name
+_MASK_TERMS = {name: Ctor(name) for name in _REGULAR_MASKS}
+
+# a point of each colour, the shape of every point candidate
+_POINTS = tuple(point(c) for c in range(NUM_COLORS))
+
+
+@lru_cache(maxsize=MAX_DIM * MAX_DIM)
+def _regular_masks(h: int, w: int) -> tuple:
+    """(term, cell count, bitmask) of each regular mask an h x w box can
+    take, in recognition order, cell (i, j) of the box at bit i * w + j.
+    The arrays come from `mask_array` uncached: this cache holds their
+    bitmasks instead."""
+    out = []
     for name in _REGULAR_MASKS:
         if name in ("PlusCross", "TimesCross") and (h % 2 == 0 or w % 2 == 0):
             continue
-        # same shape and dtype: equal bytes are equal cells
-        if cells == mask_array(name, h, w).tobytes():
-            return Ctor(name)
+        a = mask_array.__wrapped__(name, h, w)
+        bits = np.packbits(a, axis=None, bitorder="little").tobytes()
+        out.append((_MASK_TERMS[name], int(a.sum()), int.from_bytes(bits, "little")))
+    return tuple(out)
+
+
+def recognize_mask(bits: int, top: int, left: int, h: int, w: int, width: int) -> Ctor:
+    """Smallest regular mask equal to `bits`, the cells of the h x w box at
+    (top, left) in a grid of `width` columns (bit i * width + j for cell
+    (i, j) of the grid), else a bitmap. A kind is compared row by row, and
+    only when its cell count is that of `bits`."""
+    bits >>= top * width + left  # cell (i, j) of the box at bit i * width + j
+    count, row = bits.bit_count(), (1 << w) - 1
+    for term, kind_count, kind_bits in _regular_masks(h, w):
+        if count == kind_count and all(
+                (bits >> (i * width)) & row == (kind_bits >> (i * w)) & row for i in range(h)):
+            return term
+    n = h * width
+    cells = np.unpackbits(np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8),
+                          count=n, bitorder="little")
     # rows of 0/1 ints, read in one call: already the bitmap's field
-    return Ctor("Bitmap", (tuple(map(tuple, mask.view(np.uint8).tolist())),))
+    return Ctor("Bitmap", (tuple(map(tuple, cells.reshape(h, width)[:, :w].tolist())),))
 
 
-def _rect_candidates(color: int, top: int, left: int, mask: np.ndarray, area: int,
-                     width: int, color_cells, out: list) -> None:
-    """The box of `mask`, a shape of `area` cells at (top, left), as a full
-    rectangle and, when the shape leaves holes in its box, as a rectangle
-    with the shape's exact mask."""
-    h, w = mask.shape
+def _rect_candidates(color: int, top: int, left: int, h: int, w: int, bits: int,
+                     area: int, width: int, color_cells, out: list) -> None:
+    """The h x w box at (top, left) of a shape of `area` cells, its cells
+    `bits`, as a full rectangle and, when the shape leaves holes in its box,
+    as a rectangle with the shape's exact mask."""
     tl, size = _vec(top, left), _vec(h, w)
     box = _box_mask(top, left, h, w, width)
     out.append(Candidate(pos_shape(tl, rectangle(size, color, FULL)), box, h * w, color,
                          top, left, 0, box & ~color_cells[color]))
     if area < h * w:
-        out.append(Candidate(pos_shape(tl, rectangle(size, color, recognize_mask(mask))),
-                             _mask_cells(mask, top, left, width), area, color,
+        mask = recognize_mask(bits, top, left, h, w, width)
+        out.append(Candidate(pos_shape(tl, rectangle(size, color, mask)), bits, area, color,
                              top, left, 1, 0))
 
 
 def _union_candidates(group: list, width: int, color_cells, out: list) -> None:
     """Rectangles of each pair of same-colour parts whose union's box is at
-    most four times their cells. The bound is tested on the two boxes, so
-    only a pair that passes has its union's mask built."""
+    most four times their cells. The bound is tested on the two boxes."""
     for a, b in combinations(group, 2):
         top, left = min(a.top, b.top), min(a.left, b.left)
         h = max(a.top + a.height, b.top + b.height) - top
@@ -373,10 +398,8 @@ def _union_candidates(group: list, width: int, color_cells, out: list) -> None:
         area = a.area + b.area  # distinct parts share no cell
         if h * w > 4 * area:
             continue
-        mask = np.zeros((h, w), dtype=bool)
-        for p in (a, b):
-            mask[p.top - top:p.top - top + p.height, p.left - left:p.left - left + p.width] |= p.mask
-        _rect_candidates(a.color, top, left, mask, area, width, color_cells, out)
+        _rect_candidates(a.color, top, left, h, w, a.bits | b.bits, area, width,
+                         color_cells, out)
 
 
 def build_index(g: Grid) -> GridIndex:
@@ -384,8 +407,8 @@ def build_index(g: Grid) -> GridIndex:
     part's rectangles (points alone for a single cell), each same-colour
     pair's union rectangles when their box is at most four times their
     cells, and a point per cell of each part under five cells. Colour
-    bitmasks and candidate cells come from boolean arrays over the grid and
-    over each shape's box.
+    bitmasks, candidate cells and exact masks all come from the parts'
+    bitmasks: no array is built per part or per union.
 
     Candidates with equal trees are kept once, the first made. They are
     told apart by (is a point, colour, cells), ints that are equal exactly
@@ -394,25 +417,24 @@ def build_index(g: Grid) -> GridIndex:
     mask never share cells, and the flag tells a point from a rectangle.
     Hashing these is cheaper than hashing the trees."""
     w = g.width
-    # one row of bits per colour, packed in one call
-    planes = np.packbits(g.array.ravel() == _COLOR_COLUMN, axis=1, bitorder="little")
-    color_cells = [int.from_bytes(row.tobytes(), "little") for row in planes]
     parts = segment(g)
+    color_cells = [0] * NUM_COLORS
     cands: list[Candidate] = []
     for p in parts:
+        color_cells[p.color] |= p.bits
+    for p in parts:
         if p.area > 1:
-            _rect_candidates(p.color, p.top, p.left, p.mask, p.area, w, color_cells, cands)
-        if p.area == 1:
-            points = ((p.top, p.left),)
-        elif p.area < 5:
-            # row-major, so in scanline order
-            ii, jj = np.nonzero(p.mask)
-            points = zip((ii + p.top).tolist(), (jj + p.left).tolist())
-        else:
-            points = ()
-        for i, j in points:
-            cands.append(Candidate(pos_shape(_vec(i, j), point(p.color)),
-                                   1 << (i * w + j), 1, p.color, i, j, 2, 0))
+            _rect_candidates(p.color, p.top, p.left, p.height, p.width, p.bits, p.area, w,
+                             color_cells, cands)
+        if p.area < 5:
+            # a point per set bit, lowest first: scanline order
+            bits, shape = p.bits, _POINTS[p.color]
+            while bits:
+                low = bits & -bits
+                i, j = divmod(low.bit_length() - 1, w)
+                cands.append(Candidate(pos_shape(_vec(i, j), shape), low, 1, p.color,
+                                       i, j, 2, 0))
+                bits ^= low
     by_color: dict[int, list[Part]] = {}
     for p in parts:
         by_color.setdefault(p.color, []).append(p)

@@ -4,6 +4,7 @@ the grid, parsing and property tests check against. Fixtures over them live in `
 
 import json
 import os
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -74,11 +75,13 @@ def segment_by_scans(g: Grid) -> tuple[Part, ...]:
                             and rows[ni][nj] == color):
                         seen.add((ni, nj))
                         todo.append((ni, nj))
-            parts.append(part_from_cells(color, cells))
+            parts.append(part_from_cells(color, cells, w))
     return tuple(parts)
 
 
-def part_from_cells(color: int, cells) -> Part:
+def part_from_cells(color: int, cells, width: int) -> Part:
+    """The part of the given colour and (row, column) cells in a grid of
+    `width` columns."""
     cells = frozenset(cells)
     if not cells:
         raise GridError("empty part")
@@ -90,7 +93,8 @@ def part_from_cells(color: int, cells) -> Part:
     for i, j in cells:
         mask[i - top, j - left] = True
     mask.setflags(write=False)
-    return Part(color, top, left, bottom - top + 1, right - left + 1, len(cells), mask)
+    return Part(color, top, left, bottom - top + 1, right - left + 1, len(cells), mask,
+                _cells_mask(cells, width))
 
 
 def _cells_mask(cells, width: int) -> int:
@@ -162,7 +166,7 @@ def build_index_by_scans(g: Grid) -> parsing.GridIndex:
         if len(group) > parsing._UNION_COLOR_LIMIT:
             continue
         for a, b in combinations(group, 2):
-            u = part_from_cells(c, a.cells | b.cells)
+            u = part_from_cells(c, a.cells | b.cells, w)
             if u.height * u.width <= 4 * u.area:
                 _rect_candidates(u, w, color_cells, cands)
     unique: dict = {}
@@ -441,6 +445,44 @@ def synthetic_task_suite():
                   (_g((6, 6), 0, [_rect((2, 2), (3, 3), 8, lang.EVEN_CHECKBOARD)]), _g((3, 3), 8)),
                   (_g((6, 6), 0, [_rect((0, 0), (3, 3), 8, lang.EVEN_CHECKBOARD)]), _g((3, 3), 8))])
     return tasks
+
+
+_CROSSES = (lang.PLUS_CROSS, lang.TIMES_CROSS)
+_SCENE_MASKS = (lang.FULL, lang.BORDER, lang.EVEN_CHECKBOARD, lang.ODD_CHECKBOARD) + _CROSSES
+
+
+def arc_scale_scenes(count: int, seed: int) -> list[Grid]:
+    """`count` seeded scenes of ARC scale for the index tests: sides of 24
+    to 30, 10 to 30 rectangles of one to seven cells a side under every
+    mask kind (crosses at odd sides, a bitmap at random), some with a
+    like-coloured twin beside them within the union bound, a few points,
+    and noise cells recoloured after drawing. Shapes may overlap and are
+    clipped at the borders."""
+    rng = random.Random(seed)
+    scenes = []
+    for _ in range(count):
+        h, w = rng.randint(24, 30), rng.randint(24, 30)
+        layers = []
+        for _ in range(rng.randint(10, 30)):
+            rh, rw, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 9)
+            mask = rng.choice(_SCENE_MASKS + (None,))
+            if mask in _CROSSES:
+                rh, rw = rh | 1, rw | 1
+            elif mask is None:
+                mask = lang.bitmap([[rng.randint(0, 1) for _ in range(rw)] for _ in range(rh)])
+            i, j = rng.randrange(h), rng.randrange(w)
+            layers.append(_rect((i, j), (rh, rw), c, mask))
+            if rng.random() < 0.3:
+                # a full twin one or two columns to the right: beside a
+                # full rectangle, the pair's box is under twice its cells
+                layers.append(_rect((i, j + rw + rng.randint(1, 2)), (rh, rw), c))
+        for _ in range(rng.randint(2, 6)):
+            layers.append(_pt((rng.randrange(h), rng.randrange(w)), rng.randint(1, 9)))
+        rows = [list(row) for row in _g((h, w), 0, layers).rows]
+        for _ in range(rng.randint(4, 12)):
+            rows[rng.randrange(h)][rng.randrange(w)] = rng.randint(0, 9)
+        scenes.append(Grid(rows))
+    return scenes
 
 
 def arc_training_dir():

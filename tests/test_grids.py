@@ -232,12 +232,13 @@ def test_part_equality_and_hash_are_those_of_its_colour_cells_and_box():
     cells = frozenset({(0, 1), (0, 2), (1, 1)})
     # what a frozen dataclass of these fields compares and hashes
     assert hash(part) == hash((6, cells, 0, 1, 2, 2))
-    copy = Part(6, 0, 1, 2, 2, 3, part.mask.copy())
+    copy = Part(6, 0, 1, 2, 2, 3, part.mask.copy(), part.bits)
     assert copy == part and hash(copy) == hash(part)
     assert len({part, copy}) == 1
     # the same box and area with other cells, or another colour, differ
-    assert Part(6, 0, 1, 2, 2, 3, np.array([[True, True], [False, True]])) != part
-    assert Part(5, 0, 1, 2, 2, 3, part.mask) != part
+    other = np.array([[True, True], [False, True]])
+    assert Part(6, 0, 1, 2, 2, 3, other, 0b100110) != part
+    assert Part(5, 0, 1, 2, 2, 3, part.mask, part.bits) != part
     assert part != (6, cells, 0, 1, 2, 2)
 
 
@@ -249,6 +250,8 @@ def test_part_geometry_fields():
     assert part.cells == frozenset({(0, 1), (0, 2), (1, 1)})
     assert part.mask.tolist() == [[True, True], [True, False]]
     assert not part.mask.flags.writeable
+    # bit i * 3 + j for cell (i, j) of the 3-wide grid
+    assert part.bits == 0b10110
 
 
 # masks

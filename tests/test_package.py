@@ -1,6 +1,7 @@
 """Checks over the package's source as a whole."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -91,16 +92,51 @@ def test_importing_the_package_loads_no_scipy():
     assert child.stdout.strip() == "[]"
 
 
-def _cached_functions(tree: ast.Module):
-    """The name of each function a module decorates with
-    `functools.lru_cache`, called or bare, by name or as an attribute."""
+def _cache_decorators(tree: ast.Module):
+    """(function name, decorator, decorator name) of each function a module
+    decorates with `functools.lru_cache` or `functools.cache`, called or
+    bare, by name or as an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             for dec in node.decorator_list:
                 target = dec.func if isinstance(dec, ast.Call) else dec
                 name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-                if name == "lru_cache":
-                    yield node.name
+                if name in ("lru_cache", "cache"):
+                    yield node.name, dec, name
+
+
+def _cached_functions(tree: ast.Module):
+    """The name of each function a module decorates with
+    `functools.lru_cache`, called or bare, by name or as an attribute."""
+    for name, _, kind in _cache_decorators(tree):
+        if kind == "lru_cache":
+            yield name
+
+
+def test_every_cache_is_bounded():
+    """A process-wide cache lives across every task of an `eval` batch. So
+    each cache of the package is an `lru_cache` called with an explicit
+    `maxsize` that is an int: no `functools.cache`, used as a decorator or
+    not, no bare `lru_cache` and no `maxsize=None`."""
+    package = Path(parsing.__file__).resolve().parent
+    unbounded = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"gridmdl.{path.stem}")
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(alias.name == "cache" for alias in node.names))
+                    or (isinstance(node, ast.Attribute) and node.attr == "cache"
+                        and getattr(node.value, "id", "") == "functools")):
+                unbounded.append(f"{path.stem}: functools.cache")
+        for name, dec, kind in _cache_decorators(tree):
+            explicit = isinstance(dec, ast.Call) and (
+                dec.args or any(k.arg == "maxsize" for k in dec.keywords))
+            fn = getattr(module, name, None)
+            maxsize = fn.cache_parameters()["maxsize"] if explicit and fn is not None else None
+            if kind == "cache" or type(maxsize) is not int:
+                unbounded.append(f"{path.stem}.{name}")
+    assert unbounded == []
 
 
 def test_every_cache_has_a_key_test():

@@ -1,5 +1,7 @@
 """Parsing: drawing, generation, candidates, approximate reads, losslessness."""
 
+import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from gridmdl.parsing import (
     Caches, ParseConfig, _matcher, build_index, draw, generate, parse, read,
     read_pair, recognize_mask, write,
 )
-from helpers import NESTED_SOLUTION_TEXT, parse_by_costing_all
+from helpers import NESTED_SOLUTION_TEXT, _cells_mask, parse_by_costing_all, recognize_cells
 
 
 def reconstructs(reading, g: Grid) -> bool:
@@ -83,6 +85,54 @@ def test_draw_refuses_a_colour_that_grid_refuses(where, c):
     # a tree that is not ground is refused for that first
     with pytest.raises(lang.LangError, match="ground"):
         draw(lang.subst(_with_colour(where, c), ("size",), UNK))
+
+
+@pytest.mark.parametrize("bits,message", [
+    (((1, 0), (1,)), r"^bitmap is not 2 rows of 2 cells$"),               # ragged
+    (((1, 0),), r"^bitmap is not 2 rows of 2 cells$"),                    # a row short
+    (((1, 2), (0, 1)), r"^bitmap cell \[0\]\[1\] 2 is not 0 or 1$"),
+    (((1, 0), ("x", 1)), r"^bitmap cell \[1\]\[0\] 'x' is not 0 or 1$"),
+    (((1, 0), (True, 1)), r"^bitmap cell \[1\]\[0\] True is not 0 or 1$"),
+])
+def test_draw_refuses_a_bitmap_that_is_not_its_size_in_zeros_and_ones(bits, message):
+    mask = lang.Ctor("Bitmap", (bits,))
+    # refused even where the rectangle lies wholly off the grid
+    for pos in ((0, 0), (5, 5)):
+        with pytest.raises(GridError, match=message):
+            draw(grid(vec(3, 3), 0, [pos_shape(vec(*pos), rectangle(vec(2, 2), 4, mask))]))
+
+
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_draw_refuses_a_bitmap_cell_equal_to_one_after_the_int_bitmap_was_drawn(one):
+    """`mask_array`'s cache keys a bitmap by value, where True == 1.0 == 1:
+    a drawn int bitmap must not let its equal twin through."""
+    def scene(cell):
+        mask = lang.Ctor("Bitmap", (((cell, 0), (0, 1)),))
+        return grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(vec(2, 2), 4, mask))])
+    assert draw(scene(1)).rows[0] == (4, 0, 0)
+    with pytest.raises(GridError, match=rf"^bitmap cell \[0\]\[0\] {one!r} is not 0 or 1$"):
+        draw(scene(one))
+
+
+def _with_numbers(gh=3, gw=3, i=1, j=1, sh=2, sw=2, shape="rectangle"):
+    s = point(4) if shape == "point" else rectangle(vec(sh, sw), 4, lang.FULL)
+    return grid(vec(gh, gw), 0, [pos_shape(vec(i, j), s)])
+
+
+@pytest.mark.parametrize("numbers,what", [
+    ({"gh": 2.0}, "grid height 2.0"), ({"gw": "3"}, "grid width '3'"),
+    ({"sh": 1.5}, "rectangle height 1.5"), ({"sw": "2"}, "rectangle width '2'"),
+    ({"i": 1.0}, "position row 1.0"), ({"j": "0"}, "position column '0'"),
+    ({"i": 0.0, "shape": "point"}, "position row 0.0"),
+    ({"j": "1", "shape": "point"}, "position column '1'"),
+    # a bool is not an int here: Vec(True, 0) is not row 1
+    ({"i": True, "j": 0}, "position row True"), ({"gw": True}, "grid width True"),
+    ({"sh": True, "shape": "rectangle"}, "rectangle height True"),
+    ({"j": False, "shape": "point"}, "position column False"),
+])
+def test_draw_refuses_a_size_or_position_that_is_not_an_int(numbers, what):
+    with pytest.raises(GridError, match=f"^{re.escape(what)} is not an int$"):
+        draw(_with_numbers(**numbers))
 
 
 @pytest.mark.parametrize("pos", [
@@ -157,13 +207,6 @@ def test_write_paints_what_draw_paints():
 
 # mask recognition
 
-def _cells_array(cells, h: int, w: int) -> np.ndarray:
-    arr = np.zeros((h, w), dtype=bool)
-    for i, j in cells:
-        arr[i, j] = True
-    return arr
-
-
 @pytest.mark.parametrize("cells,h,w,want", [
     ({(i, j) for i in range(2) for j in range(3)}, 2, 3, lang.FULL),
     ({(i, j) for i in range(3) for j in range(4) if i in (0, 2) or j in (0, 3)},
@@ -178,19 +221,58 @@ def _cells_array(cells, h: int, w: int) -> np.ndarray:
      lang.TIMES_CROSS),
 ])
 def test_recognize_regular_masks(cells, h, w, want):
-    assert recognize_mask(_cells_array(cells, h, w)) == want
+    assert recognize_mask(_cells_mask(cells, w), 0, 0, h, w, w) == want
 
 
 def test_recognize_irregular_cells_as_bitmap():
-    got = recognize_mask(_cells_array({(0, 0), (1, 1), (1, 2)}, 2, 3))
+    got = recognize_mask(_cells_mask({(0, 0), (1, 1), (1, 2)}, 3), 0, 0, 2, 3, 3)
     assert got == bitmap([[1, 0, 0], [0, 1, 1]])
 
 
 def test_cross_masks_need_odd_extents():
     # a plus-shaped region in a 4-wide box cannot be the centred cross
     cells = {(1, j) for j in range(4)} | {(0, 1), (2, 1)}
-    got = recognize_mask(_cells_array(cells, 3, 4))
+    got = recognize_mask(_cells_mask(cells, 4), 0, 0, 3, 4, 4)
     assert got.name == "Bitmap"
+
+
+def _masks_up_to_7x7():
+    """(relative cells, h, w) of every regular kind at each size up to 7x7,
+    crosses at odd sides only, and of one irregular bitmap per size."""
+    rng = random.Random(7)
+    for h in range(1, 8):
+        for w in range(1, 8):
+            for kind in parsing._REGULAR_MASKS:
+                if kind in ("PlusCross", "TimesCross") and (h % 2 == 0 or w % 2 == 0):
+                    continue
+                ii, jj = np.nonzero(mask_array(kind, h, w))
+                yield frozenset(zip(ii.tolist(), jj.tolist())), h, w
+            yield frozenset((i, j) for i in range(h) for j in range(w) if rng.random() < 0.5), h, w
+
+
+def test_recognize_mask_names_each_placed_mask_as_the_cell_reference_does():
+    """Each mask at every column offset of grids 1 to 30 wide, in the first
+    rows and in the last rows of a 30-row grid, so that boxes touch the last
+    column and the last row and bits reach past 64."""
+    for rel, h, w in _masks_up_to_7x7():
+        want = recognize_cells(rel, h, w)
+        for width in range(w, 31):
+            bits = _cells_mask(rel, width)
+            for top in (0, 30 - h):
+                for left in range(width - w + 1):
+                    placed = bits << (top * width + left)
+                    assert recognize_mask(placed, top, left, h, w, width) == want, \
+                        (sorted(rel), h, w, width, top, left)
+
+
+def test_regular_masks_is_keyed_on_both_sides_of_the_box():
+    """Sizes that differ from the first in one side each, and the first
+    swapped, in one process-wide cache: each answer is the uncached answer
+    of its own key."""
+    keys = [(3, 5), (5, 5), (3, 3), (5, 3), (3, 4)]
+    for key in keys * 2:
+        assert parsing._regular_masks(*key) == parsing._regular_masks.__wrapped__(*key)
+    assert len({parsing._regular_masks(*key) for key in keys}) == len(keys)
 
 
 # candidate indexing

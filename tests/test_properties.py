@@ -12,8 +12,8 @@ from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
 from helpers import (
-    build_index_by_scans, delta_between, is_ground_by_slots, mask_member, parse_by_costing_all,
-    segment_by_scans, template_diffs, walk_by_prefixes,
+    _cells_mask, arc_scale_scenes, build_index_by_scans, delta_between, is_ground_by_slots,
+    mask_member, parse_by_costing_all, segment_by_scans, template_diffs, walk_by_prefixes,
 )
 
 
@@ -315,8 +315,9 @@ def few_colour_grids(draw):
 def test_segment_matches_the_scanning_reference(g):
     parts, want = segment(g), segment_by_scans(g)
     assert parts == want
-    # the masks take no part in ==
+    # the masks and the bits take no part in ==
     assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
+    assert all(p.bits == _cells_mask(p.cells, g.width) for p in parts)
 
 
 def _spiral(n: int) -> Grid:
@@ -361,6 +362,7 @@ def test_segment_matches_the_scanning_reference_on_full_size_grids(name):
     parts, want = segment(g), segment_by_scans(g)
     assert parts == want
     assert all(np.array_equal(p.mask, q.mask) for p, q in zip(parts, want))
+    assert all(p.bits == _cells_mask(p.cells, g.width) for p in parts)
     assert [p.area for p in parts] == [len(p.cells) for p in want]
     assert sum(p.area for p in parts) == g.height * g.width
 
@@ -379,6 +381,22 @@ def test_build_index_matches_the_scanning_reference(g):
     the index built from cell sets: parts with holes (exact masks), unions
     of like-coloured parts and points of small parts."""
     _same_index(g)
+
+
+@pytest.mark.parametrize("name", SEGMENT_CASES)
+def test_build_index_matches_the_scanning_reference_on_full_size_grids(name):
+    _same_index(SEGMENT_CASES[name])
+
+
+# drawn scenes of 24 to 30 sides: bit positions past 64, row strides up to 30
+ARC_SCALE_SCENES = arc_scale_scenes(8, seed=32)
+
+
+@pytest.mark.parametrize("k", range(len(ARC_SCALE_SCENES)))
+def test_build_index_matches_the_scanning_reference_on_arc_scale_scenes(k):
+    """Rectangles under every mask kind, like-coloured pairs within the
+    union bound, points and noise cells."""
+    _same_index(ARC_SCALE_SCENES[k])
 
 
 def test_build_index_of_a_checkerboard_skips_unions_and_cuts_at_the_cap():
