@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator, TypeAlias
 
-from .grids import NUM_COLORS
+from .grids import NUM_COLORS, GridError, check_bitmap
 
 # sorts
 PAIR = "pair"
@@ -45,23 +45,44 @@ class Ctor:
     own: every memo table of a task keys on terms, and shared subterms then
     hash once. Slotted, a node is one object without an instance dict, so
     a parse's many candidate and reading terms weigh less on the garbage
-    collector."""
+    collector.
+
+    `__init__` and `__eq__` are written out, and the dataclass keeps them:
+    `__init__` sets the slots through their descriptors, which costs about
+    half the frozen dataclass's `object.__setattr__` per field, and
+    `__eq__` compares the fields without building a tuple of each side."""
     name: str
     args: tuple = ()
     # out of init, repr and compare: equality and hash stay those of (name, args)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, name: str, args: tuple = ()):
+        _set_name(self, name)
+        _set_args(self, args)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Ctor:
+            return NotImplemented
+        return self.name == other.name and self.args == other.args
+
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.name, self.args))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __reduce__(self):
         # rebuild through __init__, so that a term sent to another process
         # never carries a hash made under this process's hash seed
         return (Ctor, (self.name, self.args))
+
+
+# the setters of Ctor's slots, which a frozen class's own __setattr__ refuses
+_set_name, _set_args, _set_hash = (Ctor.__dict__[f].__set__ for f in ("name", "args", "_hash"))
 
 
 @dataclass(frozen=True)
@@ -82,7 +103,10 @@ class App:
     args: tuple = ()
 
 
-Term = Union[int, tuple, Ctor, Unknown, Var, App]
+# a string: typing's process-wide cache would keep the classes of a
+# `Union[...]`, and through their methods this module's namespace, alive
+# after the package is dropped and imported again
+Term: TypeAlias = "int | tuple | Ctor | Unknown | Var | App"
 
 UNK = Unknown()
 ZERO = App("zero")
@@ -142,7 +166,14 @@ def vec(i: Term, j: Term) -> Ctor:
 
 
 def bitmap(rows) -> Ctor:
-    return Ctor("Bitmap", (tuple(tuple(map(int, row)) for row in rows),))
+    """The bitmap mask of `rows`, refused with a GridError unless they are
+    one or more rows of one length, not zero, each cell the int 0 or 1
+    (`grids.check_bitmap`), as the text syntax refuses them."""
+    bits = tuple(map(tuple, rows))
+    if not (bits and bits[0]):
+        raise GridError("bitmap has no cells")
+    check_bitmap(bits, len(bits), len(bits[0]))
+    return Ctor("Bitmap", (bits,))
 
 
 # the sorts with one constructor, as a term that every filling of an unknown
@@ -253,10 +284,12 @@ def is_ground(t: Term) -> bool:
             n, lists = layout
             args = sub.args
             # one entry per field, as `slots` walks them; a list field's
-            # tuple is pushed too, and passes as a leaf
+            # tuple is pushed too, and passes as a leaf; a node short of a
+            # list field, which `parsing.draw` refuses, has none to walk
             stack.extend(args if len(args) == n else args[:n])
             for k in lists:
-                stack.extend(args[k])
+                if k < len(args):
+                    stack.extend(args[k])
         elif isinstance(sub, (Unknown, Var, App)):
             return False
     return True
@@ -380,13 +413,15 @@ def apply_model(m: Term, env: Term | None, memo: dict | None = None) -> Term:
     without expressions are shared (see `map_exprs`), so an input side and
     the untouched parts of an output side keep their cached hashes.
 
-    `memo` (a fresh dict when none is given) maps (term, `env`) to its
-    application. A grid model's layers are applied by calls of their own,
-    so sides and layers share the table, and a refined side finds its
-    untouched layers there. A failed application is kept as its error's
-    message (no term is a str) and raises the same LangError again."""
+    `memo`, when given, maps (term, `env`) to its application. A grid
+    model's layers are applied by calls of their own, so sides and layers
+    share the table, and a refined side finds its untouched layers there.
+    A failed application is kept as its error's message (no term is a str)
+    and raises the same LangError again. With no memo, the layers go
+    through this function too, but nothing is keyed, so neither `m` nor
+    `env` is hashed."""
     if memo is None:
-        memo = {}
+        return _apply(m, env, None)
     key = (m, env)
     a = memo.get(key)
     if a is None:
@@ -400,8 +435,9 @@ def apply_model(m: Term, env: Term | None, memo: dict | None = None) -> Term:
     return a
 
 
-def _apply(m: Term, env: Term | None, memo: dict) -> Term:
-    """`apply_model` on a memo miss: each layer goes through the memo."""
+def _apply(m: Term, env: Term | None, memo: dict | None) -> Term:
+    """`apply_model` on a memo miss, or with no memo: each layer goes
+    through `apply_model` with the same memo."""
     def fn(e):
         return eval_expr(e, env)
 

@@ -145,29 +145,69 @@ def draw(tree: Term) -> Grid:
     """Paint a ground grid term: background first, then layers bottom-up
     (the last list element first), clipping at the borders. Grid and
     rectangle sides must lie in 1..MAX_DIM, as in ARC, and every colour,
-    painted, covered or clipped, must be one `Grid` accepts in a cell."""
-    if not lang.is_ground(tree):
-        raise lang.LangError("draw needs a ground term")
-    return _draw_ground(tree)
+    painted, covered or clipped, must be one `Grid` accepts in a cell.
+
+    A tree with an unknown or an expression is refused with a LangError,
+    whatever else is wrong with it. Painting reads every slot of a ground
+    tree and refuses anything of the wrong kind, so a tree that paints is
+    ground: `lang.is_ground` is asked only when painting fails, to word
+    the error."""
+    try:
+        return _draw_ground(tree)
+    except (GridError, lang.LangError):
+        if not lang.is_ground(tree):
+            raise lang.LangError("draw needs a ground term") from None
+        raise
 
 
 def _draw_ground(tree: Term) -> Grid:
-    """`draw` for a term known to be ground, such as `generate` leaves."""
+    """`draw` without the ground check that words its errors."""
     if not (isinstance(tree, Ctor) and tree.name == "Grid"):
         raise lang.LangError("draw needs a Grid term")
-    size, color, layers = tree.args
-    h, w = size.args
-    _check_int(h, "grid height")
-    _check_int(w, "grid width")
+    size, color, layers = _args(tree, "Grid", "grid")
+    h, w = _ints(size, "grid size", "grid height", "grid width")
     if h < 1 or w < 1:
         raise GridError(f"degenerate grid size {h}x{w}")
     if h > MAX_DIM or w > MAX_DIM:
         raise GridError(f"grid size {h}x{w} exceeds {MAX_DIM}")
     _check_color(color, "background")
+    if layers.__class__ is not tuple:
+        raise GridError(f"grid layers {layers!r} is not a tuple")
     arr = np.full((h, w), color, dtype=np.int8)
     for obj in reversed(layers):
         _paint(arr, obj)
     return Grid.from_array(arr)
+
+
+# each constructor's number of arguments, and the mask constructors
+_ARITY = {name: len(fields) for name, (_, fields) in lang.CONSTRUCTORS.items()}
+_MASKS = frozenset(name for name, (sort, _) in lang.CONSTRUCTORS.items() if sort == MASK)
+
+
+def _args(t, name: str, what: str) -> tuple:
+    """The arguments of `t` when it is a `name` node with one argument per
+    field; anything else in the slot `what` is refused with a GridError."""
+    if t.__class__ is Ctor and t.name == name:
+        args = t.args
+        if args.__class__ is tuple and len(args) == _ARITY[name]:
+            return args
+    fields = ", ".join(f for f, _, _ in lang.ctor_fields(name))
+    raise GridError(f"{what} {t!r} is not a {name}({fields})")
+
+
+def _ints(v, what: str, first: str, second: str) -> tuple:
+    """The arguments of `v` when it is a Vec of two ints; anything else in
+    the slot `what` is refused with a GridError, which names an argument
+    that is not an int (a bool is not one) as `first` or `second`."""
+    if v.__class__ is Ctor and v.name == "Vec":
+        args = v.args
+        if (args.__class__ is tuple and len(args) == 2
+                and args[0].__class__ is int and args[1].__class__ is int):
+            return args
+    i, j = _args(v, "Vec", what)
+    _check_int(i, first)
+    _check_int(j, second)
+    return i, j
 
 
 def _check_color(c, what: str) -> None:
@@ -183,32 +223,31 @@ def _check_int(n, what: str) -> None:
 
 def _paint(arr: np.ndarray, obj: Ctor) -> None:
     h, w = arr.shape
-    pos, shape = obj.args
-    oi, oj = pos.args
-    _check_int(oi, "position row")
-    _check_int(oj, "position column")
-    if shape.name == "Point":
-        color = shape.args[0]
+    pos, shape = _args(obj, "PosShape", "layer")
+    oi, oj = _ints(pos, "position", "position row", "position column")
+    if shape.__class__ is Ctor and shape.name == "Point":
+        (color,) = _args(shape, "Point", "shape")
         _check_color(color, "point colour")
         if 0 <= oi < h and 0 <= oj < w:
             arr[oi, oj] = color
         return
-    size, color, mask = shape.args
-    sh, sw = size.args
-    _check_int(sh, "rectangle height")
-    _check_int(sw, "rectangle width")
+    size, color, mask = _args(shape, "Rectangle", "shape")
+    sh, sw = _ints(size, "rectangle size", "rectangle height", "rectangle width")
     if sh < 1 or sw < 1:
         raise GridError(f"degenerate rectangle size {sh}x{sw}")
     if sh > MAX_DIM or sw > MAX_DIM:
         raise GridError(f"rectangle size {sh}x{sw} exceeds {MAX_DIM}")
     _check_color(color, "rectangle colour")
+    kind = mask.name if mask.__class__ is Ctor else None
+    if kind not in _MASKS:
+        raise GridError(f"mask {mask!r} is not a mask constructor")
     bits = None
-    if mask.name == "Bitmap":
-        bits = mask.args[0]
+    if kind == "Bitmap":
+        (bits,) = _args(mask, kind, "mask")
         check_bitmap(bits, sh, sw)  # on each paint: the cache takes True for 1
     # a Full mask paints its clipped box as one slice; any other is made
     # before the clip, so that a bad bitmap is refused even off the grid
-    cells = None if mask.name == "Full" else mask_array(mask.name, sh, sw, bits)
+    cells = None if kind == "Full" else mask_array(kind, sh, sw, bits)
     # clip the shape's box to the grid
     i0, j0 = max(oi, 0), max(oj, 0)
     i1, j1 = min(oi + sh, h), min(oj + sw, w)
@@ -261,10 +300,9 @@ def generate(m: Term, sort: str = lang.GRID, role: str = "") -> Term:
 
 def write(m: Term, env: Term | None) -> tuple[Term, Grid]:
     """Instantiate and draw a model side; returns the tree and its grid.
-    `generate` leaves no unknown and no expression, so the tree is drawn
-    without walking it again for `draw`'s ground check."""
+    The model is applied with no memo, so the tree is not hashed."""
     tree = generate(lang.apply_model(m, env))
-    return tree, _draw_ground(tree)
+    return tree, draw(tree)
 
 
 # candidates

@@ -1,14 +1,27 @@
 """Shared fixtures over the test data in `helpers.py`: the nested-rectangles
 task, its learned model and task file, the synthetic task suite, and the ARC
-corpus directory (skipped when it is not configured)."""
+corpus directory (skipped when it is not configured). Every test starts
+with the package's process-wide caches empty."""
 
 import pytest
 
 from gridmdl.learn import SearchConfig, learn
 
 from helpers import (
-    ARC_SKIP, NESTED_TEST, NESTED_TRAIN, arc_training_dir, synthetic_task_suite, write_task,
+    ARC_SKIP, NESTED_TEST, NESTED_TRAIN, arc_training_dir, package_caches, synthetic_task_suite,
+    write_task,
 )
+
+_CACHES = package_caches()
+
+
+@pytest.fixture(autouse=True)
+def _empty_package_caches():
+    """Empty every `lru_cache` of the package before each test, so that no
+    test's result depends on what an earlier test left in one: a cache keys
+    by value, where True == 1 == 1.0."""
+    for fn in _CACHES:
+        fn.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 suite, task files, corpus gating, and the cell-level and template oracles
 the grid, parsing and property tests check against. Fixtures over them live in `conftest.py`."""
 
+import ast
+import importlib
 import json
 import os
 import random
@@ -51,6 +53,33 @@ def mask_member(kind: str, size: tuple[int, int], cell: tuple[int, int], bits=No
             raise GridError("bitmap mask needs its bits")
         return bool(bits[i][j])
     raise GridError(f"unknown mask kind {kind!r}")
+
+
+def draw_by_cells(tree) -> Grid | None:
+    """Reference for `parsing.draw` on a ground tree of well-sorted slots:
+    the grid painted cell by cell, background first and then the layers
+    from the last, or None where `draw` refuses the tree: a grid or
+    rectangle side outside 1..30, or a bitmap not of its rectangle's size."""
+    (h, w), bg, layers = tree.args[0].args, tree.args[1], tree.args[2]
+    if not (1 <= h <= 30 and 1 <= w <= 30):
+        return None
+    cells = [[bg] * w for _ in range(h)]
+    for obj in reversed(layers):
+        (oi, oj), shape = obj.args[0].args, obj.args[1]
+        if shape.name == "Point":
+            if 0 <= oi < h and 0 <= oj < w:
+                cells[oi][oj] = shape.args[0]
+            continue
+        (sh, sw), color, mask = shape.args[0].args, shape.args[1], shape.args[2]
+        bits = mask.args[0] if mask.name == "Bitmap" else None
+        if not (1 <= sh <= 30 and 1 <= sw <= 30) or (
+                bits is not None and (len(bits), len(bits[0])) != (sh, sw)):
+            return None
+        for i in range(max(oi, 0), min(oi + sh, h)):
+            for j in range(max(oj, 0), min(oj + sw, w)):
+                if mask_member(mask.name, (sh, sw), (i - oi, j - oj), bits):
+                    cells[i][j] = color
+    return Grid(cells)
 
 
 def segment_by_scans(g: Grid) -> tuple[Part, ...]:
@@ -500,3 +529,35 @@ ARC_SKIP = ("ARC corpus not available: set GRIDMDL_ARC_DIR to a directory of "
             "public training task JSON files (or a checkout containing "
             "training/). Offline stand-ins for this behaviour run in the "
             "always-on tests.")
+
+
+def cache_decorators(tree: ast.Module):
+    """(function name, decorator, decorator name) of each function a module
+    decorates with `functools.lru_cache` or `functools.cache`, called or
+    bare, by name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    yield node.name, dec, name
+
+
+def cached_functions(tree: ast.Module):
+    """The name of each function a module decorates with
+    `functools.lru_cache`, called or bare, by name or as an attribute."""
+    for name, _, kind in cache_decorators(tree):
+        if kind == "lru_cache":
+            yield name
+
+
+def package_caches() -> list:
+    """Every function of the package's modules under `lru_cache`, found by
+    `cached_functions` in each module's source."""
+    package = Path(parsing.__file__).resolve().parent
+    caches = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"gridmdl.{path.stem}")
+        caches += [getattr(module, name) for name in cached_functions(ast.parse(path.read_text()))]
+    return caches

@@ -1,6 +1,7 @@
 """Term model: constructors, paths, substitution, matching, evaluation, text."""
 
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gridmdl import lang
+from gridmdl.grids import GridError
 from gridmdl.lang import (
     App, Ctor, LangError, Unknown, Var, UNK,
     grid, in_out, point, pos_shape, rectangle, vec, bitmap,
@@ -39,6 +41,24 @@ def test_grid_layers_become_tuple():
 def test_bitmap_rows_frozen():
     b = bitmap([[1, 0], [0, 1]])
     assert b.args[0] == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[0.6, 1.7]], r"bitmap cell \[0\]\[0\] 0.6 is not 0 or 1"),
+    ([[0, 1], [1, 2]], r"bitmap cell \[1\]\[1\] 2 is not 0 or 1"),
+    ([[1, 0], [True, 0]], r"bitmap cell \[1\]\[0\] True is not 0 or 1"),
+    ([[0, False]], r"bitmap cell \[0\]\[1\] False is not 0 or 1"),
+    ([["x"]], r"bitmap cell \[0\]\[0\] 'x' is not 0 or 1"),
+    ([[1, 0], [1]], r"bitmap is not 2 rows of 2 cells"),
+    ([], r"bitmap has no cells"),
+    ([[]], r"bitmap has no cells"),
+])
+def test_bitmap_refuses_rows_that_draw_refuses(rows, message):
+    """`bitmap` neither truncates a float nor keeps a 2 or a bool: it refuses
+    what `grids.check_bitmap` refuses, naming the cell, and an empty bitmap,
+    as the text syntax does."""
+    with pytest.raises(GridError, match=f"^{message}$"):
+        bitmap(rows)
 
 
 def test_ctor_fields_and_sort():
@@ -266,6 +286,17 @@ def test_apply_model_without_environment_requires_no_expressions():
         lang.apply_model(grid(Var(("size",)), 0, []), None)
 
 
+def test_apply_model_with_or_without_a_memo_gives_the_same_term_or_message():
+    env = sample_grid_term()
+    m = grid(Var(("size",)), 1, [pos_shape(Var(("layers", 0, "pos")), point(3))])
+    assert lang.apply_model(m, env) == lang.apply_model(m, env, {}) == grid(
+        vec(4, 5), 1, [pos_shape(vec(1, 2), point(3))])
+    dangling = grid(UNK, 0, [pos_shape(Var(("layers", 5, "pos")), point(1))])
+    for memo in (None, {}):
+        with pytest.raises(LangError, match=r"^index 5 out of range at \('layers',\)$"):
+            lang.apply_model(dangling, env, memo)
+
+
 def test_a_failed_side_application_is_kept_and_raises_the_same_message_again():
     env = sample_grid_term()
     m = grid(vec(App("minus", (Var(("size", "i")), 99)), 1), UNK, [])
@@ -443,6 +474,29 @@ def test_a_ctor_is_slotted_and_equal_and_hashed_as_its_name_and_args():
     for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
         assert copied == t and copied is not t
         assert hash(copied) == hash(t)
+
+
+def test_a_ctor_is_built_compared_and_copied_as_its_name_and_args():
+    """`Ctor` writes out its `__init__` and `__eq__`; it still behaves as a
+    frozen, slotted dataclass of two fields, its cached hash out of sight."""
+    t = Ctor("Vec", (1, 2))
+    assert Ctor(name="Vec", args=(1, 2)) == t and Ctor("Vec", args=(1, 2)) == t
+    assert Ctor("Full").args == ()
+    assert [f.name for f in dataclasses.fields(Ctor) if f.init] == ["name", "args"]
+    assert not hasattr(t, "__dict__")
+    for name in ("name", "args", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, 3)
+    twin = vec(1, 2)
+    assert t == twin and t is not twin and not t != twin
+    assert hash(t) == hash(twin) == hash(("Vec", (1, 2)))
+    assert t != Ctor("Vec", (2, 1)) and t != Ctor("Pos", (1, 2))
+    assert t != ("Vec", (1, 2)) and t != 3 and t != UNK
+    assert t.__eq__(("Vec", (1, 2))) is NotImplemented
+    assert repr(t) == "Ctor(name='Vec', args=(1, 2))"
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and copied is not t and hash(copied) == hash(t)
+        assert repr(copied) == repr(t)
 
 
 _CHILD = """

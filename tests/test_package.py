@@ -9,6 +9,8 @@ from pathlib import Path
 
 from gridmdl import parsing
 
+from helpers import cache_decorators, cached_functions
+
 # names a module imports only for others to read from it
 _REEXPORTS = {("tasks", "MAX_DIM")}  # read by the benchmark's task generator
 
@@ -92,27 +94,6 @@ def test_importing_the_package_loads_no_scipy():
     assert child.stdout.strip() == "[]"
 
 
-def _cache_decorators(tree: ast.Module):
-    """(function name, decorator, decorator name) of each function a module
-    decorates with `functools.lru_cache` or `functools.cache`, called or
-    bare, by name or as an attribute."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-                if name in ("lru_cache", "cache"):
-                    yield node.name, dec, name
-
-
-def _cached_functions(tree: ast.Module):
-    """The name of each function a module decorates with
-    `functools.lru_cache`, called or bare, by name or as an attribute."""
-    for name, _, kind in _cache_decorators(tree):
-        if kind == "lru_cache":
-            yield name
-
-
 def test_every_cache_is_bounded():
     """A process-wide cache lives across every task of an `eval` batch. So
     each cache of the package is an `lru_cache` called with an explicit
@@ -129,7 +110,7 @@ def test_every_cache_is_bounded():
                     or (isinstance(node, ast.Attribute) and node.attr == "cache"
                         and getattr(node.value, "id", "") == "functools")):
                 unbounded.append(f"{path.stem}: functools.cache")
-        for name, dec, kind in _cache_decorators(tree):
+        for name, dec, kind in cache_decorators(tree):
             explicit = isinstance(dec, ast.Call) and (
                 dec.args or any(k.arg == "maxsize" for k in dec.keywords))
             fn = getattr(module, name, None)
@@ -151,7 +132,7 @@ def test_every_cache_has_a_key_test():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef)}
     untested = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
-                for name in _cached_functions(ast.parse(path.read_text()))
+                for name in cached_functions(ast.parse(path.read_text()))
                 if not any(test.startswith(f"test_{name.lstrip('_')}_is_keyed_on_")
                            for test in names)]
     assert untested == []

@@ -160,6 +160,90 @@ def test_draw_requires_ground_term():
         draw(deep)
 
 
+_C = lang.Ctor
+_RECT = rectangle(vec(2, 2), 4, lang.FULL)
+
+
+@pytest.mark.parametrize("tree,message", [
+    (_C("Grid", (5, 0, ())), "grid size 5 is not a Vec(i, j)"),
+    (_C("Grid", (vec(3, 3), 0)), "grid Ctor(name='Grid', args=(Ctor(name='Vec', args=(3, 3)), 0)) "
+                                 "is not a Grid(size, color, layers)"),
+    (_C("Grid", (_C("Vec", (3, 3, 3)), 0, ())),
+     "grid size Ctor(name='Vec', args=(3, 3, 3)) is not a Vec(i, j)"),
+    (_C("Grid", (vec(3, 3), 0, [pos_shape(vec(0, 0), _RECT)])),
+     "grid layers [Ctor(name='PosShape', args=(Ctor(name='Vec', args=(0, 0)), "
+     "Ctor(name='Rectangle', args=(Ctor(name='Vec', args=(2, 2)), 4, Ctor(name='Full', args=())))))] "
+     "is not a tuple"),
+    (grid(vec(3, 3), 0, [_RECT]), "layer Ctor(name='Rectangle', args=(Ctor(name='Vec', args=(2, 2)), 4, "
+                                  "Ctor(name='Full', args=()))) is not a PosShape(pos, shape)"),
+    (grid(vec(3, 3), 0, [_C("PosShape", (vec(0, 0),))]),
+     "layer Ctor(name='PosShape', args=(Ctor(name='Vec', args=(0, 0)),)) is not a PosShape(pos, shape)"),
+    (grid(vec(3, 3), 0, [pos_shape(point(1), _RECT)]),
+     "position Ctor(name='Point', args=(1,)) is not a Vec(i, j)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), lang.FULL)]),
+     "shape Ctor(name='Full', args=()) is not a Rectangle(size, color, mask)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), 4)]), "shape 4 is not a Rectangle(size, color, mask)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), _C("Point", (1, 2)))]),
+     "shape Ctor(name='Point', args=(1, 2)) is not a Point(color)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), _C("Rectangle", (vec(2, 2), 4)))]),
+     "shape Ctor(name='Rectangle', args=(Ctor(name='Vec', args=(2, 2)), 4)) "
+     "is not a Rectangle(size, color, mask)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(2, 4, lang.FULL))]),
+     "rectangle size 2 is not a Vec(i, j)"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(vec(2, 2), 4, vec(1, 1)))]),
+     "mask Ctor(name='Vec', args=(1, 1)) is not a mask constructor"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(vec(2, 2), 4, 1))]),
+     "mask 1 is not a mask constructor"),
+    (grid(vec(3, 3), 0, [pos_shape(vec(0, 0), rectangle(vec(2, 2), 4, _C("Bitmap")))]),
+     "mask Ctor(name='Bitmap', args=()) is not a Bitmap(bitmap)"),
+])
+def test_draw_refuses_a_slot_of_the_wrong_kind_and_names_it(tree, message):
+    """Every node `draw` reads is checked to be what its slot holds, so a
+    hand-built term of the wrong sort, which `lang.is_ground` accepts, is
+    refused with a GridError instead of a bare Python error."""
+    assert lang.is_ground(tree)
+    with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+        draw(tree)
+
+
+def test_draw_of_a_ground_tree_asks_no_ground_check(monkeypatch):
+    """`draw` paints first: `lang.is_ground` words the error of a tree that
+    fails to paint, and is not asked of one that paints."""
+    asked = []
+    is_ground = lang.is_ground
+    monkeypatch.setattr(lang, "is_ground", lambda t: asked.append(t) or is_ground(t))
+    tree = grid(vec(4, 4), 1, [pos_shape(vec(1, 1), _RECT), pos_shape(vec(0, 3), point(2))])
+    assert draw(tree).rows[1] == (1, 4, 4, 1)
+    assert asked == []
+    with pytest.raises(lang.LangError, match="^draw needs a ground term$"):
+        draw(lang.subst(tree, ("layers", 1, "shape", "color"), UNK))
+    assert len(asked) == 1
+
+
+def test_write_hashes_neither_the_model_nor_its_environment(monkeypatch):
+    """`write` applies a model with no memo, so it makes no (term, env) key:
+    no term is hashed, where a memo hashes both."""
+    hashed = []
+    ctor_hash = lang.Ctor.__hash__
+    monkeypatch.setattr(lang.Ctor, "__hash__", lambda t: hashed.append(t) or ctor_hash(t))
+
+    def sides():
+        env = grid(vec(6, 7), 0, [pos_shape(vec(1, 2), rectangle(vec(2, 3), 5, lang.BORDER)),
+                                  pos_shape(vec(4, 4), point(3))])
+        m = grid(Var(("size",)), Var(("color",)), [
+            pos_shape(Var(("layers", 0, "pos")),
+                      rectangle(Var(("layers", 0, "shape", "size")), 8, lang.FULL))])
+        return m, env
+
+    tree, g = write(*sides())
+    assert tree.args[2][0] == pos_shape(vec(1, 2), rectangle(vec(2, 3), 8, lang.FULL))
+    assert g.rows[1] == (0, 0, 8, 8, 8, 0, 0)
+    assert hashed == []
+    m, env = sides()
+    lang.apply_model(m, env, {})
+    assert m in hashed and env in hashed
+
+
 # generation
 
 def test_generate_fills_template_defaults():
@@ -192,7 +276,7 @@ def test_write_draws_the_generated_tree():
 
 
 def test_write_paints_what_draw_paints():
-    # `write` skips `draw`'s ground check on the tree `generate` built
+    # `write` draws the tree `generate` built, applied with no memo
     m_in, m_out = lang.parse_model(NESTED_SOLUTION_TEXT).args
     sides = [(grid(UNK, UNK, []), None), (m_in, None),
              (grid(vec(UNK, 4), UNK, [pos_shape(vec(UNK, 1), rectangle(vec(3, UNK), UNK, UNK)),

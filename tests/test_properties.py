@@ -12,8 +12,9 @@ from gridmdl.grids import Grid, GridError, delta_apply, mask_array, segment
 from gridmdl.lang import App, Var
 
 from helpers import (
-    _cells_mask, arc_scale_scenes, build_index_by_scans, delta_between, is_ground_by_slots,
-    mask_member, parse_by_costing_all, segment_by_scans, template_diffs, walk_by_prefixes,
+    _cells_mask, arc_scale_scenes, build_index_by_scans, delta_between, draw_by_cells,
+    is_ground_by_slots, mask_member, parse_by_costing_all, segment_by_scans, template_diffs,
+    walk_by_prefixes,
 )
 
 
@@ -72,7 +73,7 @@ def grid_terms(draw, exprs=True):
         if kind == "Bitmap":
             h = draw(st.integers(1, 3))
             w = draw(st.integers(1, 3))
-            rows = [[draw(st.booleans()) for _ in range(w)] for _ in range(h)]
+            rows = [[draw(st.integers(0, 1)) for _ in range(w)] for _ in range(h)]
             return lang.bitmap(rows)
         return lang.Ctor(kind)
 
@@ -160,6 +161,39 @@ def test_is_ground_skips_arguments_past_the_fields_as_the_slot_walk_does(t):
     assert lang.is_ground(t) and is_ground_by_slots(t)
 
 
+# what takes a slot's place in a ground tree to make it not ground, and
+# what breaks a second slot: a colour out of range, a size that is no int
+_NOT_GROUND = (lang.UNK, Var(("size", "i")), App("plus", (Var(("color",)), 1)))
+_BROKEN = {lang.COLOR: 12, lang.NAT: 2.5}
+
+
+@given(grid_terms(exprs=False), st.data())
+def test_draw_paints_a_ground_tree_and_refuses_one_that_is_not_whatever_else_is_wrong(
+        template, data):
+    """`draw` paints without asking `lang.is_ground` first, so its own
+    checks must refuse every slot that is not ground. A ground tree closed
+    by `generate` draws as `helpers.draw_by_cells` paints it, or is refused
+    with a GridError where that returns None. With one slot, the root
+    included, replaced by an unknown, a variable or an expression, and
+    maybe a second slot broken too, `draw` refuses the tree as not ground."""
+    tree = parsing.generate(template)
+    try:
+        drawn = parsing.draw(tree)
+    except GridError:
+        drawn = None
+    assert drawn == draw_by_cells(tree)
+    path = data.draw(st.sampled_from([p for p, _, _, _ in lang.slots(tree)]))
+    broken = lang.subst(tree, path, data.draw(st.sampled_from(_NOT_GROUND)))
+    apart = [(p, s) for p, s, _, x in lang.slots(broken)
+             if s in _BROKEN and isinstance(x, int) and (s == lang.COLOR or "size" in p)
+             and p[:len(path)] != path and path[:len(p)] != p]
+    if apart and data.draw(st.booleans()):
+        p, s = data.draw(st.sampled_from(apart))
+        broken = lang.subst(broken, p, _BROKEN[s])
+    with pytest.raises(lang.LangError, match="^draw needs a ground term$"):
+        parsing.draw(broken)
+
+
 def _diffs_or_error(match, tmpl, tree):
     try:
         return match(tmpl, tree)
@@ -218,8 +252,8 @@ def test_apply_model_through_a_shared_layer_memo_matches_a_plain_application(
     """Applications sharing one memo, interleaving models with layers in
     common and environments (None among them), give what a plain rewrite
     of every expression gives: an equal term, or a LangError with the same
-    message. The reference is `map_exprs`, since `apply_model` without a
-    memo takes the memo path too."""
+    message. The reference is `map_exprs`. Each is applied without a memo
+    as well, which must give the same term or the same message."""
     pool = [layer for m in models for layer in m.args[2]]
     if pool:
         models += [lang.grid(m.args[0], m.args[1],
@@ -232,11 +266,12 @@ def test_apply_model_through_a_shared_layer_memo_matches_a_plain_application(
         try:
             want = lang.map_exprs(m, lambda e: lang.eval_expr(e, env))
         except lang.LangError as e:
-            with pytest.raises(lang.LangError) as got:
-                lang.apply_model(m, env, memo)
-            assert str(got.value) == str(e)
+            for args in ((m, env, memo), (m, env)):
+                with pytest.raises(lang.LangError) as got:
+                    lang.apply_model(*args)
+                assert str(got.value) == str(e)
             continue
-        assert lang.apply_model(m, env, memo) == want
+        assert lang.apply_model(m, env, memo) == want == lang.apply_model(m, env)
 
 
 @given(st.sampled_from(["Full", "Border", "EvenCheckboard", "OddCheckboard",
